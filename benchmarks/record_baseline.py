@@ -2,10 +2,7 @@
 
 Runs the core benchmark workloads — ``bench_runtime`` (simulator +
 wire-level runtime on the DieselNet and NUS fast traces),
-``bench_array_core`` (object-vs-numpy contact core on the
-saturated-catalog workload), ``bench_scheduler`` (vectorized
-scheduling kernel vs the kernel-off array core on the candidate-heavy
-workload), ``bench_parallel_sweep`` (one DieselNet sweep grid through
+``bench_parallel_sweep`` (one DieselNet sweep grid through
 :func:`repro.exec.run_many`), ``bench_trace_gen`` (grid-vs-reference
 contact extraction plus a cold/warm disk-cache round trip) and
 ``bench_catalog`` (DHT-sharded vs flat metadata server on the
@@ -168,22 +165,6 @@ def measure_trace_gen() -> Dict[str, Any]:
         }
 
 
-def measure_array_core() -> Dict[str, Any]:
-    """bench_array_core: object-vs-array speedup on the saturated workload."""
-    from bench_array_core import measure_array_core as _measure
-
-    return _measure()
-
-
-def measure_scheduler() -> Dict[str, Any]:
-    """bench_scheduler: kernel-on vs kernel-off array core + parity grid."""
-    from bench_scheduler import check_mode_policy_grid, measure_scheduler as _measure
-
-    record = _measure()
-    record["grid"] = check_mode_policy_grid()
-    return record
-
-
 def measure_catalog() -> Dict[str, Any]:
     """bench_catalog: sharded-vs-flat server at the million-file scale."""
     from bench_catalog import FULL_FILES, FULL_NODES, measure_catalog as _measure
@@ -205,8 +186,6 @@ def measure(label: str, quick: bool = False) -> Dict[str, Any]:
         "bench_runtime": measure_bench_runtime(),
     }
     if not quick:
-        record["bench_array_core"] = measure_array_core()
-        record["bench_scheduler"] = measure_scheduler()
         record["bench_parallel_sweep"] = measure_parallel_sweep()
         record["bench_trace_gen"] = measure_trace_gen()
         record["bench_catalog"] = measure_catalog()

@@ -30,8 +30,8 @@ lives and *how much* of it each operation touches, never what callers
 see; a hypothesis property test pins this equivalence.
 
 Instrumentation lands in ``perf.catalog.*`` counters (shard lookups,
-route hops, heap expiries, ranked-view rebuilds), which — like
-``perf.sched.*`` — are excluded from result fingerprints.
+route hops, heap expiries, ranked-view rebuilds), which are excluded
+from result fingerprints.
 """
 
 from __future__ import annotations

@@ -159,13 +159,6 @@ class PieceStore:
         self._bitmaps: Dict[Uri, int] = {}
         self._completed: Dict[Uri, int] = {}
         self._payload_length = payload_length
-        #: Optional mutation observer (``changed``/``cleared``) keeping
-        #: the array core's bitmap matrix in sync with this store.
-        self._observer = None
-
-    def set_observer(self, observer) -> None:
-        """Install the mutation observer (one per store; None detaches)."""
-        self._observer = observer
 
     def __contains__(self, uri: Uri) -> bool:
         return uri in self._bitmaps
@@ -214,16 +207,12 @@ class PieceStore:
         if held & mask:
             return False
         self._bitmaps[uri] = held | mask
-        if self._observer is not None:
-            self._observer.changed(uri, held | mask)
         return True
 
     def add_whole_file(self, uri: Uri, num_pieces: int) -> None:
         """Store every piece of a file (Internet direct download)."""
         self._bitmaps[uri] = self._bitmaps.get(uri, 0) | ((1 << num_pieces) - 1)
         self._completed[uri] = num_pieces
-        if self._observer is not None:
-            self._observer.changed(uri, self._bitmaps[uri])
 
     def is_complete(self, uri: Uri, num_pieces: int) -> bool:
         """Whether all ``num_pieces`` pieces of ``uri`` are stored."""
@@ -239,10 +228,8 @@ class PieceStore:
 
     def drop(self, uri: Uri) -> None:
         """Evict every piece of ``uri`` (e.g. on expiry)."""
-        held = self._bitmaps.pop(uri, None)
+        self._bitmaps.pop(uri, None)
         self._completed.pop(uri, None)
-        if held is not None and self._observer is not None:
-            self._observer.changed(uri, 0)
 
     def drop_piece(self, uri: Uri, index: int) -> bool:
         """Evict one piece; return True if it was stored."""
@@ -256,8 +243,6 @@ class PieceStore:
         else:
             del self._bitmaps[uri]
             self._completed.pop(uri, None)
-        if self._observer is not None:
-            self._observer.changed(uri, held)
         return True
 
     def drop_expired(self, live_uris: FrozenSet[Uri]) -> List[Uri]:
@@ -275,5 +260,3 @@ class PieceStore:
         """Drop every stored piece (node crash with storage loss)."""
         self._bitmaps.clear()
         self._completed.clear()
-        if self._observer is not None:
-            self._observer.cleared()

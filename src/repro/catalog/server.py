@@ -47,8 +47,7 @@ class MetadataServer:
         self._expiry = ExpiryHeap()
         #: Optional ``perf.catalog.*`` instrumentation sink. The
         #: counters record implementation activity only (heap pops),
-        #: and are excluded from result fingerprints like the
-        #: ``perf.sched.*`` dispatch counters.
+        #: and are excluded from result fingerprints.
         self._perf = perf if perf is not None else PerfRecorder()
 
     def __len__(self) -> int:

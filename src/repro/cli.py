@@ -116,7 +116,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ),
         credit_policy=args.credit_policy,
         profile=args.profile,
-        core=args.core,
         catalog_shards=args.catalog_shards,
         hello_blooms=args.hello_blooms,
         bloom_fpr=args.bloom_fpr,
@@ -150,8 +149,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{variant.value:>8}{result.metadata_delivery_ratio:>10.3f}"
             f"{result.file_delivery_ratio:>8.3f}{result.queries_generated:>9}"
         )
-        if args.core == "array":
-            print(f"         {_format_sched_report(result)}")
         if args.catalog_shards > 1 or args.hello_blooms:
             print(f"         {_format_catalog_report(result)}")
     if args.adversary_fraction > 0.0:
@@ -168,30 +165,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("\n-- trace pipeline counters (process-local) --")
         print(format_counters(trace_perf_counters()))
     return 0
-
-
-def _format_sched_report(result) -> str:
-    """One-line vectorized-vs-fallback report for ``--core array``.
-
-    Reads the ``perf.sched.*`` counters so a coherence fallback (the
-    array mirror desynced and the object loops ran instead) is visible
-    at a glance rather than silently masquerading as a perf regression.
-    """
-    extra = result.extra
-
-    def n(key: str) -> int:
-        return int(extra.get(f"perf.sched.{key}", 0))
-
-    meta_vec, meta_obj = n("meta_vectorized"), n("meta_object")
-    piece_vec, piece_obj = n("piece_vectorized"), n("piece_object")
-    fallbacks = n("meta_builder_fallback") + n("piece_builder_fallback")
-    line = (
-        f"sched: metadata {meta_vec} vectorized / {meta_obj} object, "
-        f"pieces {piece_vec} vectorized / {piece_obj} object"
-    )
-    if fallbacks:
-        line += f", {fallbacks} coherence fallbacks"
-    return line
 
 
 def _format_catalog_report(result) -> str:
@@ -375,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="plain",
                      help="tit-for-tat credit scheme: the paper's plain "
                           "ledger or the reputation-hardened variant")
-    run.add_argument("--core", choices=("object", "array"), default="object",
-                     help="contact hot-path implementation: the reference "
-                          "object core or the numpy array core (bitwise-"
-                          "identical results, not part of the fingerprint)")
     run.add_argument("--catalog-shards", type=int, default=1,
                      help="Internet-side catalog shards: 1 = the paper's "
                           "flat central server, >1 = the XOR-routed DHT "

@@ -3,8 +3,8 @@
 The reproduction's correctness story rests on invariants that used to
 live only in conventions: stringly-typed counter keys with
 prefix-based fingerprint exclusion, :class:`SimulationConfig` fields
-that must be mirrored in the CLI and ``docs/API.md``, dual
-object/array implementations behind the scheduler seam, and an import
+that must be mirrored in the CLI and ``docs/API.md``, reference twins
+that specify the optimized candidate builders, and an import
 layering that keeps ``repro.core`` picklable for ``run_many`` workers.
 This package turns each convention into data plus an AST check:
 
@@ -18,7 +18,7 @@ This package turns each convention into data plus an AST check:
 ``layers``
     the allowed import DAG between ``repro`` packages — rule CON004;
 ``seams``
-    the dual object/array (and reference-twin) entry points that must
+    the reference twins and the flat/sharded catalog servers that must
     stay signature-compatible — rule CON005;
 ``wire``
     the frame body keys and message dataclass fields shared by

@@ -578,17 +578,7 @@ def _seam_findings(tree: _Tree, seam: SeamSpec) -> List[Finding]:
     if findings or left_fn is None or right_fn is None:
         return findings
     left_params, right_params = _params(left_fn), _params(right_fn)
-    if seam.kind == "twin" and set(left_params) != set(right_params):
-        findings.append(
-            _finding(
-                right_parsed[1], right_fn.lineno, 1, "CON005",
-                f"seam {seam.name!r}: parameter sets diverge "
-                f"({sorted(left_params)} vs {sorted(right_params)})",
-            )
-        )
-    elif seam.kind == "reference" and (
-        left_params[: len(right_params)] != right_params
-    ):
+    if left_params[: len(right_params)] != right_params:
         findings.append(
             _finding(
                 right_parsed[1], right_fn.lineno, 1, "CON005",

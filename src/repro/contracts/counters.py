@@ -129,18 +129,6 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     # perf.time_us.*: wall-clock phase timers under --profile; suffixes
     # are phase names minted at the call site, so the family stays open.
     CounterSpec("perf.time_us.", "excluded", open_prefix=True, note="phase timers"),
-    # perf.sched.*: scheduling-kernel dispatch statistics. Deterministic
-    # per core implementation but object/array cores differ, so the
-    # family is fingerprint-excluded to keep cores comparable.
-    CounterSpec("perf.sched.", "excluded", note="kernel dispatch statistics"),
-    CounterSpec("perf.sched.meta_vectorized", "excluded"),
-    CounterSpec("perf.sched.meta_object", "excluded"),
-    CounterSpec("perf.sched.piece_vectorized", "excluded"),
-    CounterSpec("perf.sched.piece_object", "excluded"),
-    CounterSpec("perf.sched.meta_builder_fallback", "excluded"),
-    CounterSpec("perf.sched.piece_builder_fallback", "excluded"),
-    CounterSpec("perf.sched.live_recomputes", "excluded"),
-    CounterSpec("perf.sched.live_reuses", "excluded"),
     # perf.catalog.*: sharded-catalog internals; flat and sharded servers
     # must fingerprint identically, so the family is excluded.
     CounterSpec("perf.catalog.", "excluded", note="catalog shard/bloom internals"),

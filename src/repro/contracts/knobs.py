@@ -98,7 +98,6 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("credit_policy", flags=("--credit-policy",)),
         KnobSpec("max_events", api_only="safety valve; set via the Python API"),
         KnobSpec("profile", flags=("--profile",)),
-        KnobSpec("core", flags=("--core",)),
         KnobSpec("catalog_shards", flags=("--catalog-shards",)),
         KnobSpec("hello_blooms", flags=("--hello-blooms",)),
         KnobSpec("bloom_fpr", flags=("--bloom-fpr",)),

@@ -1,15 +1,11 @@
 """The seam manifest: dual implementations that must stay compatible.
 
-The scheduler seam lets ``core="array"`` swap the numpy kernels in for
-the object builders, the catalog knob swaps the sharded server in for
-the flat one, and the naive ``*_reference`` twins remain the executable
-specification of each optimized path. All of these are duck-typed —
-nothing but convention keeps their signatures aligned — so CON005
-checks each manifest entry against the parsed source:
+The catalog knob swaps the sharded server in for the flat one, and the
+naive ``*_reference`` twins remain the executable specification of each
+optimized path. Both are duck-typed — nothing but convention keeps
+their signatures aligned — so CON005 checks each manifest entry against
+the parsed source:
 
-``"twin"``
-    both callables must accept the same *set* of parameter names
-    (order may differ: the array kernels lead with the view);
 ``"reference"``
     the reference twin's parameter list must be an ordered prefix of
     the optimized implementation's (the optimized path may add
@@ -35,24 +31,12 @@ class SeamSpec:
     """One dual-implementation contract."""
 
     name: str
-    kind: str  # "twin" | "reference" | "class"
+    kind: str  # "reference" | "class"
     left: Tuple[str, str]  # (path relative to the repro root, qualname)
     right: Tuple[str, str]
 
 
 SEAM_REGISTRY: Tuple[SeamSpec, ...] = (
-    SeamSpec(
-        name="metadata scheduling kernel (object/array)",
-        kind="twin",
-        left=("core/discovery.py", "build_metadata_candidates"),
-        right=("core/arraycore.py", "build_metadata_candidates"),
-    ),
-    SeamSpec(
-        name="piece scheduling kernel (object/array)",
-        kind="twin",
-        left=("core/download.py", "build_piece_candidates"),
-        right=("core/arraycore.py", "build_piece_candidates"),
-    ),
     SeamSpec(
         name="metadata builder reference twin",
         kind="reference",

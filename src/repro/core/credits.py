@@ -39,7 +39,7 @@ builds); :func:`make_ledger` picks the variant from
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.types import NodeId
 
@@ -121,27 +121,10 @@ class CreditLedger:
         """Sum of the owner's credits for ``requesters`` (§IV-B rule).
 
         Summed in ascending node order: float addition is not
-        associative, so a canonical order is what lets the vectorized
-        scheduling kernel (:mod:`repro.core.arraycore`) reproduce the
-        value bit for bit with a masked column accumulation.
+        associative, so a canonical order keeps the value independent
+        of the requester set's iteration order.
         """
         return sum(self._credits.get(peer, 0.0) for peer in sorted(requesters))
-
-    def requester_weight_vector(
-        self, peers: Sequence[NodeId], now: float = 0.0
-    ) -> List[float]:
-        """Per-peer scheduling weights, aligned with ``peers``.
-
-        The vectorized scheduler's bulk twin of
-        :meth:`weight_of_requesters`: entry *i* is the weight peer
-        ``peers[i]`` contributes when it requests an item. Credits are
-        all non-negative, so a masked ascending-order accumulation of
-        this vector over any requester subset reproduces
-        :meth:`weight_of_requesters` exactly (skipped and zero-weight
-        peers contribute an exact ``+0.0``).
-        """
-        credits = self._credits
-        return [credits.get(peer, 0.0) for peer in peers]
 
     def as_mapping(self) -> Mapping[NodeId, float]:
         """Read-only snapshot of the ledger."""
@@ -243,23 +226,12 @@ class ReputationCreditLedger(CreditLedger):
 
         Low-reputation peers count for less, so items requested mainly
         by known offenders lose scheduling priority. Summed in
-        ascending node order for the same reason as the plain ledger:
-        the canonical order is the vectorized scheduler's equivalence
-        contract.
+        ascending node order for the same reason as the plain ledger.
         """
         return sum(
             self._credits.get(peer, 0.0) * self.reputation_of(peer, now)
             for peer in sorted(requesters)
         )
-
-    def requester_weight_vector(
-        self, peers: Sequence[NodeId], now: float = 0.0
-    ) -> List[float]:
-        """Reputation-scaled per-peer weights, aligned with ``peers``."""
-        credits = self._credits
-        return [
-            credits.get(peer, 0.0) * self.reputation_of(peer, now) for peer in peers
-        ]
 
     def reputations(self, now: float = 0.0) -> Mapping[NodeId, float]:
         """Snapshot of decayed reputations (observed peers only)."""

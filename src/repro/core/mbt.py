@@ -33,9 +33,7 @@ from repro.catalog.files import IntegrityError, piece_payload
 from repro.catalog.generator import DailyBatch
 from repro.catalog.metadata import Metadata
 from repro.catalog.server import FileServer, MetadataServer
-from repro.core import arraycore, discovery, download
-from repro.core.arraycore import ArrayCliqueView
-from repro.core.arrays import NodeStateArrays
+from repro.core import discovery, download
 from repro.core.cliqueview import CliqueView
 from repro.core.coordinator import cyclic_order, elect_coordinator
 from repro.core.node import NodeState
@@ -228,7 +226,6 @@ class MobileBitTorrent:
         config: ProtocolConfig,
         faults: Optional[FaultInjector] = None,
         perf: Optional[PerfRecorder] = None,
-        arrays: Optional[NodeStateArrays] = None,
         adversary: Optional[AdversaryState] = None,
     ) -> None:
         self._states = dict(states)
@@ -242,15 +239,8 @@ class MobileBitTorrent:
         #: None on the honest path — every strategy hook below then
         #: reduces to the node's default honest profile.
         self._adversary = adversary
-        #: Struct-of-arrays mirror of all node stores (``core="array"``);
-        #: None selects the per-object reference path.
-        self._arrays = arrays
         #: Nodes currently crashed by churn injection.
         self._down: Set[NodeId] = set()
-        #: Same-instant batch scratch (``[size, live-vector]``), active
-        #: only inside :meth:`handle_contacts`: lets every clique view
-        #: of one trace instant share the record-liveness evaluation.
-        self._batch_cache: Optional[List[object]] = None
         self.counters = EngineCounters()
         #: ``perf.*`` instrumentation; counters are always collected,
         #: wall-clock timers only when the recorder profiles.
@@ -424,19 +414,12 @@ class MobileBitTorrent:
         """Process every contact sharing one trace instant as a batch.
 
         Contacts are handled in order with semantics identical to
-        calling :meth:`handle_contact` once per contact; the batch seam
-        exists so instant-wide work is shared. Under the array core the
-        global record-liveness vector (``expires_at > now``) is
-        evaluated once per instant (re-keyed only when new URIs are
-        interned mid-batch) instead of once per clique view.
+        calling :meth:`handle_contact` once per contact; each call
+        counts one ``contact_batches``.
         """
         self.counters.contact_batches += 1
-        self._batch_cache = [-1, None]
-        try:
-            for contact in contacts:
-                self.handle_contact(contact, now)
-        finally:
-            self._batch_cache = None
+        for contact in contacts:
+            self.handle_contact(contact, now)
 
     def handle_contact(self, contact: Contact, now: float) -> None:
         """Process one contact: hellos, discovery phase, download phase."""
@@ -468,10 +451,9 @@ class MobileBitTorrent:
             self._exchange_hellos(states, now)
             perf.stop("hellos", token)
             # One clique view serves both phases of this contact; the
-            # metadata phase patches it incrementally as records spread
-            # (object core) or reads the live arrays (array core).
+            # metadata phase patches it incrementally as records spread.
             token = perf.start()
-            view = self._build_view(states, now)
+            view = CliqueView(states, now)
             perf.stop("view_build", token)
             perf.count("view_builds")
             if self._config.variant.distributes_metadata:
@@ -481,62 +463,6 @@ class MobileBitTorrent:
             token = perf.start()
             self._run_piece_phase(states, members, now, budget.pieces, view)
             perf.stop("piece_phase", token)
-
-    def _build_view(self, states: Mapping[NodeId, NodeState], now: float):
-        """Clique view for this contact: array-backed when possible.
-
-        The array view requires the struct-of-arrays mirror to be
-        attached *and* coherent; otherwise (object core, or arrays
-        disabled by an incoherence guard) the per-object
-        :class:`CliqueView` is built as before.
-        """
-        arrays = self._arrays
-        if arrays is not None and arrays.coherent:
-            live = None
-            cache = self._batch_cache
-            if cache is not None:
-                if cache[0] != arrays.size:
-                    cache[0] = arrays.size
-                    cache[1] = arrays.expires_at[: arrays.size] > now
-                    self.perf.count("sched.live_recomputes")
-                else:
-                    self.perf.count("sched.live_reuses")
-                live = cache[1]
-            return ArrayCliqueView(arrays, states, now, live=live)
-        return CliqueView(states, now)
-
-    def _metadata_candidates(
-        self,
-        states: Mapping[NodeId, NodeState],
-        now: float,
-        include_foreign: bool,
-        view,
-    ) -> List[discovery.MetadataCandidate]:
-        """Dispatch to the vectorized builder under the array core.
-
-        If the arrays went incoherent mid-run (only adversarial state
-        can do that), the object builder runs with a fresh object view —
-        results are unchanged, only the speedup is lost.
-        """
-        if isinstance(view, ArrayCliqueView):
-            if view.soa.coherent:
-                return arraycore.build_metadata_candidates(
-                    view, states, now, include_foreign
-                )
-            self.perf.count("sched.meta_builder_fallback")
-            return discovery.build_metadata_candidates(states, now, include_foreign, None)
-        return discovery.build_metadata_candidates(states, now, include_foreign, view)
-
-    def _piece_candidates(
-        self, states: Mapping[NodeId, NodeState], now: float, view
-    ) -> List[download.PieceCandidate]:
-        """Piece-phase twin of :meth:`_metadata_candidates`."""
-        if isinstance(view, ArrayCliqueView):
-            if view.soa.coherent:
-                return arraycore.build_piece_candidates(view, states, now)
-            self.perf.count("sched.piece_builder_fallback")
-            return download.build_piece_candidates(states, now, None)
-        return download.build_piece_candidates(states, now, view)
 
     def _contact_budget(self, contact: Contact, scale: float = 1.0) -> ContactBudget:
         """Fixed per-contact budget, or one derived from the duration.
@@ -603,9 +529,10 @@ class MobileBitTorrent:
         the candidate's ``missing`` set, so a fake stops being sendable
         once every reachable member has rejected it, while the
         polluter's honest service is left untouched. Runs on the
-        mutable scheduler copies, like :meth:`_hide_holdings`, so
-        object/array parity is preserved; under the plain policy (and
-        in clean runs) every screening set is empty and nothing changes.
+        mutable scheduler copies, like :meth:`_hide_holdings`, so the
+        candidate builders stay adversary-agnostic; under the plain
+        policy (and in clean runs) every screening set is empty and
+        nothing changes.
         """
         screeners = [
             (node, state.rejected_uris)
@@ -633,8 +560,7 @@ class MobileBitTorrent:
         delivery this contact (the ``bloom_fpr``-tunable accuracy/size
         trade). Runs on the mutable scheduler copies before
         :meth:`_hide_holdings`, so a hider's secret holding is not
-        re-revealed by its own summary and object/array parity is
-        preserved by construction.
+        re-revealed by its own summary.
         """
         fpr = self._config.bloom_fpr
         seed = self._config.bloom_seed
@@ -665,9 +591,9 @@ class MobileBitTorrent:
         picked as a sender and even baits peers into wasting channel
         budget re-sending it items it secretly holds (the duplicate
         earns the sender nothing). Runs on the *mutable* scheduler
-        copies, after the per-core builders agreed on their output, so
-        object/array parity is untouched; hiders are visited in sorted
-        order to keep the mutated sets' layout history deterministic.
+        copies, so the candidate builders never see it; hiders are
+        visited in sorted order to keep the mutated sets' layout
+        history deterministic.
         """
         adversary = self._adversary
         if adversary is None or not adversary.hiders:
@@ -693,7 +619,7 @@ class MobileBitTorrent:
         if budget <= 0:
             return
         include_foreign = self._config.variant.distributes_queries
-        raw = self._metadata_candidates(states, now, include_foreign, view)
+        raw = discovery.build_metadata_candidates(states, now, include_foreign, view)
         candidates = [_MutableMetaCandidate(c) for c in raw]
         if self._config.hello_blooms:
             self._screen_blooms(candidates, states)
@@ -703,25 +629,7 @@ class MobileBitTorrent:
         if not candidates:
             return
 
-        mode = self._config.effective_scheduling()
-        # Scheduling dispatch: the vectorized kernel ranks with column
-        # arrays, the object loops with tuple keys — bitwise-identical
-        # by contract. The ``perf.sched.*`` counters record which path
-        # ran (they are excluded from result fingerprints for exactly
-        # that reason) so silent fallbacks are visible, not inferred.
-        if arraycore.sched_kernel_ready(view):
-            self.perf.count("sched.meta_vectorized")
-            if mode is SchedulingMode.COORDINATOR:
-                arraycore.run_metadata_coordinator(
-                    self, states, members, candidates, budget, now, view
-                )
-            else:
-                arraycore.run_metadata_cyclic(
-                    self, states, members, candidates, budget, now, view
-                )
-            return
-        self.perf.count("sched.meta_object")
-        if mode is SchedulingMode.COORDINATOR:
+        if self._config.effective_scheduling() is SchedulingMode.COORDINATOR:
             self._metadata_coordinator_loop(states, members, candidates, budget, now, view)
         else:
             self._metadata_cyclic_loop(states, members, candidates, budget, now, view)
@@ -950,7 +858,7 @@ class MobileBitTorrent:
                 self.perf.count("view_rebuilds")
             else:
                 self.perf.count("view_reuses")
-        raw = self._piece_candidates(states, now, view)
+        raw = download.build_piece_candidates(states, now, view)
         candidates = [_MutablePieceCandidate(c) for c in raw]
         self._hide_holdings(candidates)
         self._screen_rejected(candidates, states)
@@ -958,20 +866,7 @@ class MobileBitTorrent:
         if not candidates:
             return
 
-        mode = self._config.effective_scheduling()
-        if arraycore.sched_kernel_ready(view):
-            self.perf.count("sched.piece_vectorized")
-            if mode is SchedulingMode.COORDINATOR:
-                arraycore.run_piece_coordinator(
-                    self, states, members, candidates, budget, now
-                )
-            else:
-                arraycore.run_piece_cyclic(
-                    self, states, members, candidates, budget, now
-                )
-            return
-        self.perf.count("sched.piece_object")
-        if mode is SchedulingMode.COORDINATOR:
+        if self._config.effective_scheduling() is SchedulingMode.COORDINATOR:
             self._piece_coordinator_loop(states, members, candidates, budget, now)
         else:
             self._piece_cyclic_loop(states, members, candidates, budget, now)

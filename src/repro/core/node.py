@@ -101,10 +101,6 @@ class MetadataStore:
             raise ValueError(f"unknown eviction policy {policy!r}")
         self._capacity = capacity
         self._policy = policy
-        #: Optional mutation observer (``added``/``removed``/``cleared``)
-        #: keeping the array core's struct-of-arrays mirror in sync; the
-        #: store itself stays the source of truth.
-        self._observer = None
         #: Records evicted (not expired) over the store's lifetime.
         self.evictions = 0
         #: Content mutations (adds, evictions, expiries, clears) over
@@ -116,10 +112,6 @@ class MetadataStore:
         self._records: Dict[Uri, Metadata] = {}
         #: Inverted index: name token -> URIs of records carrying it.
         self._token_index: Dict[str, Set[Uri]] = {}
-
-    def set_observer(self, observer) -> None:
-        """Install the mutation observer (one per store; None detaches)."""
-        self._observer = observer
 
     def __contains__(self, uri: Uri) -> bool:
         return uri in self._records
@@ -219,8 +211,6 @@ class MetadataStore:
         if old is None:
             self._index_add(metadata)
         self.mutations += 1
-        if self._observer is not None:
-            self._observer.added(metadata)
         if new and self._capacity is not None and len(self._records) > self._capacity:
             at = now if now is not None else metadata.created_at
             self._evict_one(protected | {metadata.uri}, at)
@@ -249,16 +239,12 @@ class MetadataStore:
         self._index_remove(victim)
         self.evictions += 1
         self.mutations += 1
-        if self._observer is not None:
-            self._observer.removed(victim.uri)
 
     def drop_expired(self, now: float) -> List[Uri]:
         """Remove expired records; return removed URIs."""
         dead = [uri for uri, md in self._records.items() if not md.is_live(now)]
         for uri in dead:
             self._index_remove(self._records.pop(uri))
-            if self._observer is not None:
-                self._observer.removed(uri)
         if dead:
             self.mutations += 1
         return dead
@@ -272,8 +258,6 @@ class MetadataStore:
         self._records.clear()
         self._token_index.clear()
         self.mutations += 1
-        if self._observer is not None:
-            self._observer.cleared()
 
 
 class NodeState:
@@ -355,16 +339,6 @@ class NodeState:
         self.wanted_cache_misses = 0
         self.query_cache_hits = 0
         self.query_cache_misses = 0
-        #: Array-core attachment (see :mod:`repro.core.arrays`): the
-        #: run-global struct-of-arrays mirror and this node's row in it.
-        #: ``None`` under the default object core.
-        self._accel_arrays = None
-        self._accel_row = -1
-
-    def attach_accel(self, arrays, row: int) -> None:
-        """Attach the run's :class:`~repro.core.arrays.NodeStateArrays`."""
-        self._accel_arrays = arrays
-        self._accel_row = row
 
     # -- queries ------------------------------------------------------------------
 
@@ -489,18 +463,6 @@ class NodeState:
             self.wanted_cache_hits += 1
             return cached
         self.wanted_cache_misses += 1
-        accel = self._accel_arrays
-        if accel is not None and accel.coherent and self.selection_policy == "all":
-            # Array core: matched ∩ held ∩ live ∩ incomplete in a few
-            # vectorized filters. Counter parity with the scan below:
-            # one index query per own query, misses already counted.
-            own = self.own_queries(now)
-            self.metadata.index_queries += len(own)
-            result = accel.wanted_uris(
-                self._accel_row, [q.tokens for q in own], now
-            )
-            self._wanted_cache = (self._version, now, result)
-            return result
         peek = self.metadata.peek
         wanted: Set[Uri] = set()
         # Equal frozensets built in different element orders can still

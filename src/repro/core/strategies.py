@@ -33,9 +33,8 @@ identity for caching, checkpointing and reproducibility. Strategy
 assignment draws from one ``random.Random`` seeded via SHA-256 from
 ``(plan.seed, run_seed)``; strategies themselves are *pure* — every
 in-run decision is a deterministic function of protocol state, so
-adversarial runs stay bitwise reproducible (and ``core="array"``
-parity holds: all strategy effects act on the shared scheduler layer,
-after the per-core candidate builders agreed on their output).
+adversarial runs stay bitwise reproducible. All strategy effects act
+on the shared scheduler layer, after the candidate builders ran.
 
 The all-zero plan (:meth:`AdversaryPlan.is_clean`) is the default and
 is never instantiated into an :class:`AdversaryState`, so the honest

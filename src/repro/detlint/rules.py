@@ -23,10 +23,7 @@ from typing import Dict, FrozenSet, Tuple
 #: Path fragments of the deterministic simulation core. DET001 (RNG)
 #: additionally covers the trace generators and the fault injector —
 #: both consume randomness, which is fine, but only through an
-#: explicitly seeded ``random.Random``. The ``repro/core`` fragment
-#: deliberately covers the array core too (``core/arrays.py``,
-#: ``core/arraycore.py``): the numpy hot path is held to the same
-#: determinism rules as the object path it mirrors.
+#: explicitly seeded ``random.Random``.
 #: ``repro/catalog/dht`` joins the core scope: the sharded catalog must
 #: be observably identical to the flat server, so it is held to the
 #: same iteration-order and float-comparison rules (the rest of
@@ -211,7 +208,7 @@ RULES: Dict[str, Rule] = {
             id="CON005",
             title="seam-parity drift",
             summary=(
-                "dual object/array (or reference-twin) implementation "
+                "reference twin or flat/sharded catalog implementation "
                 "missing, or its signature diverging from its counterpart"
             ),
             fixit=(

@@ -49,18 +49,13 @@ from repro.traces.base import ContactTrace
 DETCHECK_ENV = "REPRO_DETCHECK"
 
 #: ``extra`` keys excluded from fingerprints: wall-clock phase timers
-#: differ between the two runs by construction, and the scheduling-
-#: dispatch counters (``perf.sched.*``) record *which implementation*
-#: ran (vectorized kernel vs object loops, liveness-cache reuse) — by
-#: the array core's equivalence contract they are the only counters
-#: allowed to differ between two bitwise-identical results. The
-#: catalog counters (``perf.catalog.*``) likewise record where server
-#: state lived (shard lookups, heap pops, cache rebuilds): the sharded
-#: catalog is observably identical to the flat server, so its activity
-#: must not enter the fingerprint either.
+#: differ between the two runs by construction. The catalog counters
+#: (``perf.catalog.*``) record where server state lived (shard lookups,
+#: heap pops, cache rebuilds): the sharded catalog is observably
+#: identical to the flat server, so its activity must not enter the
+#: fingerprint either.
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
     "perf.time_us.",
-    "perf.sched.",
     "perf.catalog.",
 )
 

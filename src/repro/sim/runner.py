@@ -141,12 +141,6 @@ class SimulationConfig:
     #: timer values differ between runs, which would break the
     #: result-equality invariants (serial vs parallel, resume).
     profile: bool = False
-    #: Contact-core implementation: "object" (per-object reference
-    #: path) or "array" (struct-of-arrays numpy core, bitwise-identical
-    #: results — see docs/DETERMINISM.md). Pure implementation knob:
-    #: it is not part of the result, so fingerprints from either core
-    #: are directly comparable.
-    core: str = "object"
     #: Catalog shards on the Internet side: 1 = the paper's flat
     #: central server, >1 = the DHT-sharded catalog of
     #: :mod:`repro.catalog.dht` (XOR-distance placement, per-shard
@@ -165,8 +159,6 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.core not in ("object", "array"):
-            raise ValueError(f"core must be 'object' or 'array', got {self.core!r}")
         if not 0.0 <= self.internet_access_fraction <= 1.0:
             raise ValueError("internet_access_fraction must be in [0, 1]")
         if not 0.0 <= self.selfish_fraction <= 1.0:
@@ -319,14 +311,6 @@ class Simulation:
         self._injector = (
             None if config.faults.is_clean() else FaultInjector(config.faults, config.seed)
         )
-        # Array core: build the struct-of-arrays mirror over the (still
-        # empty) stores and attach its observers before any catalog
-        # state flows in. Raises an informative error without numpy.
-        self._arrays = None
-        if config.core == "array":
-            from repro.core.arrays import NodeStateArrays
-
-            self._arrays = NodeStateArrays.adopt(self._states)
         self._engine = MobileBitTorrent(
             self._states,
             self._metadata_server,
@@ -335,7 +319,6 @@ class Simulation:
             config.protocol_config(),
             faults=self._injector,
             perf=self._perf,
-            arrays=self._arrays,
             adversary=self._adversary,
         )
 
@@ -377,11 +360,6 @@ class Simulation:
         return self._engine
 
     @property
-    def arrays(self):
-        """The array core's struct-of-arrays mirror (None = object core)."""
-        return self._arrays
-
-    @property
     def metrics(self) -> MetricsCollector:
         return self._metrics
 
@@ -419,10 +397,9 @@ class Simulation:
         # Consecutive contacts at the same trace instant are scheduled
         # as ONE batch event: the engine processes them in the same
         # order as before (grouping only merges runs, so the stable
-        # event queue's pop order is unchanged) but can share
-        # instant-wide work — e.g. the array core's record-liveness
-        # vector — across the whole batch. ``events_contact`` therefore
-        # counts batches; ``contacts_processed`` still counts contacts.
+        # event queue's pop order is unchanged). ``events_contact``
+        # therefore counts batches; ``contacts_processed`` still counts
+        # contacts.
         def contacts_in_horizon():
             for contact in self.trace:
                 if contact.start >= horizon:

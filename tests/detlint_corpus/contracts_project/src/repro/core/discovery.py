@@ -1,7 +1,6 @@
-"""CON005 fixture: metadata builder drifted from both its twins.
+"""CON005 fixture: metadata builder drifted from its reference twin.
 
-The array twin in ``arraycore.py`` takes a different parameter set,
-and the naive reference below is no longer an ordered prefix of the
+The naive reference below is no longer an ordered prefix of the
 optimized signature.
 """
 

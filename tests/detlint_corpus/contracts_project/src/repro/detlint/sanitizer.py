@@ -1,12 +1,11 @@
 """CON002 fixture: a fingerprint-exclusion list drifted from the registry.
 
-Missing ``perf.catalog.`` / ``perf.sched.`` and stripping an alien
+Missing ``perf.time_us.`` / ``perf.catalog.`` and stripping an alien
 prefix the registry never marked excluded.
 """
 
 from typing import Tuple
 
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
-    "perf.time_us.",
     "perf.alien.",  # detlint: ignore[CON001] -- deliberate drift under test
 )

@@ -1,0 +1,228 @@
+"""Property tests on the contact core: meaning checks on random runs.
+
+Small randomized traces and configurations — protocol variant,
+scheduling mode, budgets, tit-for-tat, both credit policies, fault
+plans, adversary plans and files of more than 64 pieces — must each
+run to completion, reproduce bitwise under the detcheck sanitizer,
+report delivery ratios in [0, 1], and never transmit more than the
+per-contact budgets allow.
+"""
+
+from __future__ import annotations
+
+import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.mbt import ProtocolVariant, SchedulingMode
+from repro.core.strategies import AdversaryPlan
+from repro.detlint.sanitizer import checked_run
+from repro.faults import FaultPlan
+from repro.sim.metrics import SimulationResult
+from repro.sim.runner import SimulationConfig
+from repro.traces.base import Contact, ContactTrace
+from repro.types import DAY, NodeId
+
+#: Every non-honest strategy, for adversarial draws.
+ADVERSARIAL = ("exploiter", "free_rider", "polluter", "under_reporter")
+
+
+def _random_trace(rng: random.Random) -> ContactTrace:
+    n_nodes = rng.randint(4, 8)
+    contacts = []
+    for _ in range(rng.randint(15, 35)):
+        start = rng.uniform(0.0, 2 * DAY)
+        size = rng.randint(2, min(4, n_nodes))
+        members = frozenset(NodeId(i) for i in rng.sample(range(n_nodes), size))
+        contacts.append(Contact(start, start + rng.uniform(30.0, 600.0), members))
+    contacts.sort(key=lambda c: (c.start, c.end, sorted(c.members)))
+    return ContactTrace(contacts, name="random")
+
+
+def _batched_trace(seed: int) -> ContactTrace:
+    """Random trace where many contacts share the same start instant."""
+    rng = random.Random(seed)
+    n_nodes = 8
+    contacts = []
+    for _ in range(rng.randint(4, 8)):
+        start = round(rng.uniform(0.0, 2 * DAY), 1)
+        for _ in range(rng.randint(1, 4)):  # same-instant burst
+            size = rng.randint(2, 4)
+            members = frozenset(NodeId(i) for i in rng.sample(range(n_nodes), size))
+            contacts.append(Contact(start, start + rng.uniform(30.0, 600.0), members))
+    contacts.sort(key=lambda c: (c.start, c.end, sorted(c.members)))
+    return ContactTrace(contacts, name="batched")
+
+
+def _random_config(rng: random.Random) -> SimulationConfig:
+    faults = None
+    if rng.random() < 0.4:
+        faults = FaultPlan(
+            loss_rate=rng.choice((0.0, 0.2)),
+            churn_rate=rng.choice((0.0, 0.05)),
+            seed=rng.randint(0, 99),
+        )
+    adversaries = None
+    if rng.random() < 0.4:
+        names = rng.sample(ADVERSARIAL, rng.randint(1, 3))
+        adversaries = AdversaryPlan(
+            fraction=rng.choice((0.25, 0.5)),
+            mix=tuple(sorted((name, 1.0) for name in names)),
+            seed=rng.randint(0, 99),
+        )
+    kwargs = dict(
+        internet_access_fraction=rng.choice((0.0, 0.4, 1.0)),
+        files_per_day=rng.randint(4, 12),
+        ttl_days=rng.choice((1.0, 3.0)),
+        metadata_per_contact=rng.randint(1, 4),
+        files_per_contact=rng.randint(1, 4),
+        pieces_per_file=rng.choice((1, 3, 70)),
+        variant=rng.choice(list(ProtocolVariant)),
+        tit_for_tat=rng.random() < 0.5,
+        broadcast=rng.random() < 0.7,
+        metadata_capacity=rng.choice((None, None, 8)),
+        selection_policy=rng.choice(("all", "best")),
+        credit_policy=rng.choice(("plain", "reputation")),
+        num_days=2,
+        seed=rng.randint(0, 999),
+    )
+    if faults is not None:
+        kwargs["faults"] = faults
+    if adversaries is not None:
+        kwargs["adversaries"] = adversaries
+    return SimulationConfig(**kwargs)
+
+
+def _check(trace: ContactTrace, config: SimulationConfig) -> SimulationResult:
+    """Run under the sanitizer and assert the run-level invariants."""
+    result = checked_run(trace, config, runs=2)
+    assert 0.0 <= result.metadata_delivery_ratio <= 1.0
+    assert 0.0 <= result.file_delivery_ratio <= 1.0
+    counters = result.counters
+    cliques = counters["cliques_processed"]
+    # Every clique gets one budget per phase; faults only shrink it.
+    assert counters["metadata_transmissions"] <= cliques * config.metadata_per_contact
+    assert counters["piece_transmissions"] <= cliques * config.files_per_contact
+    return result
+
+
+class TestRandomRuns:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_random_traces_and_configs(self, seed):
+        rng = random.Random(seed)
+        trace = _random_trace(rng)
+        _check(trace, _random_config(rng))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        name=st.sampled_from(ADVERSARIAL),
+        policy=st.sampled_from(("plain", "reputation")),
+    )
+    def test_every_strategy_under_each_credit_policy(self, seed, name, policy):
+        rng = random.Random(seed)
+        trace = _random_trace(rng)
+        config = replace(
+            _random_config(rng),
+            adversaries=AdversaryPlan(fraction=0.5, mix=((name, 1.0),), seed=seed % 7),
+            credit_policy=policy,
+            tit_for_tat=True,
+        )
+        _check(trace, config)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        mode=st.sampled_from(list(SchedulingMode)),
+        policy=st.sampled_from(("plain", "reputation")),
+        budget=st.sampled_from((1, 3, 8)),
+    )
+    def test_mode_policy_budget_grid(self, seed, mode, policy, budget):
+        rng = random.Random(seed)
+        trace = _random_trace(rng)
+        config = replace(
+            _random_config(rng),
+            scheduling=mode,
+            credit_policy=policy,
+            metadata_per_contact=budget,
+            files_per_contact=budget,
+        )
+        _check(trace, config)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        name=st.sampled_from(ADVERSARIAL),
+        mode=st.sampled_from(list(SchedulingMode)),
+    )
+    def test_adversaries_under_both_modes(self, seed, name, mode):
+        rng = random.Random(seed)
+        trace = _random_trace(rng)
+        config = replace(
+            _random_config(rng),
+            scheduling=mode,
+            adversaries=AdversaryPlan(fraction=0.5, mix=((name, 1.0),), seed=seed % 5),
+            tit_for_tat=True,
+            credit_policy="reputation",
+        )
+        _check(trace, config)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_files_over_64_pieces(self, seed):
+        rng = random.Random(seed)
+        trace = _random_trace(rng)
+        _check(trace, replace(_random_config(rng), pieces_per_file=70))
+
+
+class TestPresets:
+    def test_dieselnet_fast_preset(self):
+        from repro.experiments.workloads import dieselnet_base_config, dieselnet_trace
+
+        result = _check(dieselnet_trace("fast"), dieselnet_base_config())
+        assert result.counters["metadata_transmissions"] > 0
+        assert result.counters["piece_transmissions"] > 0
+
+
+class TestContactBatching:
+    """Same-instant contacts dispatch as one batch event per instant."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_same_instant_bursts(self, seed):
+        rng = random.Random(seed)
+        _check(_batched_trace(seed), _random_config(rng))
+
+    def test_batches_fewer_than_contacts(self):
+        trace = _batched_trace(3)
+        distinct = len({c.start for c in trace})
+        config = SimulationConfig(files_per_day=6, num_days=2, seed=0)
+        counters = _check(trace, config).counters
+        assert counters["contact_batches"] == counters["events_contact"]
+        # Bursts collapse: one event per distinct instant, not per contact.
+        assert counters["events_contact"] <= distinct
+        assert counters["contacts_processed"] >= counters["events_contact"]
+
+
+def test_simulation_never_imports_numpy():
+    """The simulator is pure Python: a run must not pull numpy in."""
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(src_dir)!r}, {str(tests_dir)!r}]\n"
+        "import repro.sim.runner as runner\n"
+        "from conftest import tiny_trace\n"
+        "runner.Simulation(tiny_trace(), runner.SimulationConfig(num_days=2)).run()\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
