@@ -1,34 +1,39 @@
-"""Catalog-scale benchmark: DHT-sharded server vs the flat server.
+"""Catalog-scale benchmark: the ranked-view server vs sort-per-call.
 
-Drives the million-file / ten-thousand-node campaign of ISSUE 9: a
-catalog of ``--files`` metadata records is generated shard-parallel
-(worker processes synthesize the per-chunk popularity columns, the
-parent materializes the records), then both servers run the same
-daily Internet-side op mix the simulator produces at that scale:
+Drives a million-file / ten-thousand-node campaign: a catalog of
+``--files`` metadata records is generated in parallel chunks (worker
+processes synthesize the per-chunk popularity columns, the parent
+materializes the records), then two servers run the same daily
+Internet-side op mix the simulator produces at that scale:
 
 * one publish batch per day (fresh records, staggered expiries),
-* one ``expire`` tick (heap-served on both servers since the flat
-  server's satellite fix),
+* one ``expire`` tick (heap-served on both servers),
 * one ``internet sync`` per access node — a ranked keyword ``search``
   plus two ``top_popular`` calls (push distribution + popular-file
-  seeding), which is where the flat server pays a full catalog sort
-  per call and the sharded server walks its cached ranked view.
+  seeding).
 
-The flat server cannot run the full sync schedule at 10^6 files in
-benchmark time (thousands of multi-second sorts), so it runs a
-deterministic sample of the syncs and its wall clock is extrapolated
-per-sync; the sharded server runs every sync for real. The headline
-number is publish+search throughput (ops/s over the whole campaign),
-gated at ≥ ``SPEEDUP_TARGET`` sharded-over-flat::
+The measured server is :class:`~repro.catalog.server.MetadataServer`,
+whose ``top_popular`` walks a cached popularity-ranked view. The
+reference is :class:`SortingMetadataServer`, defined here: the same
+server with ``top_popular`` replaced by the filter-and-sort code that
+re-sorts the whole catalog on every call. The reference cannot run the
+full sync schedule at 10^6 files in benchmark time (thousands of
+multi-second sorts), so it runs a deterministic sample of the syncs
+and its wall clock is extrapolated per-sync; the ranked server runs
+every sync for real. The headline number is publish+search throughput
+(ops/s over the whole campaign), gated at ≥ ``SPEEDUP_TARGET``
+ranked-over-reference::
 
     PYTHONPATH=src python benchmarks/bench_catalog.py --min-speedup 5.0 \
         [--files 1000000 --nodes 10000] [--record BENCH_core.json]
 
-Before any timing, a scripted equivalence check asserts the two
-servers return identical results on the first sampled day — the
+Before any server is timed, a scripted equivalence check builds both
+servers from the generated catalog and asserts they return identical
+results on the first sampled day — the
 throughput comparison is only meaningful between observably identical
 implementations (the hypothesis property test in
-``tests/test_catalog_dht.py`` pins the general case).
+``tests/test_catalog_server.py`` pins the general case against a
+brute-force reference).
 """
 
 from __future__ import annotations
@@ -40,15 +45,15 @@ import os
 import sys
 import time
 from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.catalog.dht import ShardedMetadataServer
 from repro.catalog.metadata import Metadata
 from repro.catalog.server import MetadataServer
 from repro.perf import PerfRecorder
 from repro.types import DAY, Uri
 
-#: The acceptance bar: sharded publish+search throughput over flat.
+#: The acceptance bar: ranked-view publish+search throughput over the
+#: sort-per-call reference.
 SPEEDUP_TARGET = 5.0
 
 #: Full campaign scale (the ROADMAP's million-file north star) ...
@@ -62,9 +67,6 @@ FULL_NODES = 10_000
 SMOKE_FILES = 10_000
 SMOKE_NODES = 10_000
 
-#: Catalog shards for the sharded side of the comparison.
-NUM_SHARDS = 16
-
 #: Fraction of nodes with Internet access (paper default), each doing
 #: one sync per simulated day.
 ACCESS_FRACTION = 0.3
@@ -72,8 +74,8 @@ ACCESS_FRACTION = 0.3
 #: Campaign days measured (after the catalog build).
 CAMPAIGN_DAYS = 2
 
-#: Syncs the flat server actually runs per day (extrapolated up).
-FLAT_SYNC_SAMPLE = 12
+#: Syncs the reference server actually runs per day (extrapolated up).
+REFERENCE_SYNC_SAMPLE = 12
 
 #: Search vocabulary periods: names are "bench fileA tagB groupC".
 _TAGS = 31
@@ -84,6 +86,24 @@ _FILES_MOD = 977
 #: catalog is live (and some postings dead) at measurement time.
 TTL_DAYS = 3.0
 PUBLISH_SPREAD_DAYS = 8
+
+
+class SortingMetadataServer(MetadataServer):
+    """Reference: ``top_popular`` filters and sorts the catalog per call."""
+
+    def top_popular(
+        self,
+        now: float,
+        limit: int,
+        exclude: FrozenSet[Uri] = frozenset(),
+    ) -> List[Metadata]:
+        hits = [
+            md
+            for uri, md in self._records.items()
+            if md.is_live(now) and uri not in exclude
+        ]
+        hits.sort(key=lambda md: (-md.popularity, md.uri))
+        return hits[:limit]
 
 
 def _pop_chunk(task: Tuple[int, int, int]) -> Tuple[int, array]:
@@ -105,7 +125,7 @@ def _record_name(index: int) -> str:
 def build_records(
     num_files: int, seed: int = 0, procs: Optional[int] = None
 ) -> List[Metadata]:
-    """Generate the campaign catalog, shard-parallel.
+    """Generate the campaign catalog in parallel chunks.
 
     Popularity columns are synthesized in ``procs`` worker processes
     (one chunk per worker slot, compact ``array('d')`` payloads — the
@@ -186,18 +206,25 @@ def _fresh_batch(num_files: int, day: float, seed: int = 1) -> List[Metadata]:
     ]
 
 
-def _check_equivalence(flat, sharded, now: float) -> None:
-    """Scripted identity check before any timing is trusted."""
+def _check_equivalence(records: List[Metadata], now: float) -> None:
+    """Scripted identity check, on untimed servers, before any timing."""
+    reference = SortingMetadataServer()
+    ranked = MetadataServer()
+    for record in records:
+        reference.publish(record)
+        ranked.publish(record)
     probes = [
         frozenset({"tag3"}),
         frozenset({"tag5", "group7"}),
         frozenset({"absent"}),
     ]
     for tokens in probes:
-        if flat.search(tokens, now, limit=20) != sharded.search(tokens, now, limit=20):
-            raise RuntimeError(f"sharded search diverged from flat for {tokens}")
-    if flat.top_popular(now, 25) != sharded.top_popular(now, 25):
-        raise RuntimeError("sharded top_popular diverged from flat")
+        if reference.search(tokens, now, limit=20) != ranked.search(tokens, now, limit=20):
+            raise RuntimeError(f"ranked search diverged from the reference for {tokens}")
+    exclude = frozenset({Uri("dtn://bench/f0000003")})
+    for limit, skip in ((25, frozenset()), (10, exclude), (0, frozenset())):
+        if reference.top_popular(now, limit, skip) != ranked.top_popular(now, limit, skip):
+            raise RuntimeError("ranked top_popular diverged from the reference")
 
 
 def _run_campaign(
@@ -206,8 +233,8 @@ def _run_campaign(
     """(wall seconds, op count) for the daily op mix.
 
     ``sync_sample`` runs only that many syncs per day and extrapolates
-    the sync term linearly (the flat server at full scale); ``None``
-    runs the full schedule.
+    the sync term linearly (the reference server); ``None`` runs the
+    full schedule.
     """
     wall = 0.0
     ops = 0.0
@@ -234,68 +261,61 @@ def _run_campaign(
 def measure_catalog(
     num_files: int = FULL_FILES,
     num_nodes: int = FULL_NODES,
-    shards: int = NUM_SHARDS,
     procs: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Build both servers, run the campaign, return the comparison."""
-    syncs_per_day = max(FLAT_SYNC_SAMPLE, int(num_nodes * ACCESS_FRACTION))
+    syncs_per_day = max(REFERENCE_SYNC_SAMPLE, int(num_nodes * ACCESS_FRACTION))
     out: Dict[str, Any] = {
         "files": num_files,
         "nodes": num_nodes,
-        "shards": shards,
         "syncs_per_day": syncs_per_day,
         "campaign_days": CAMPAIGN_DAYS,
-        "flat_sync_sample": FLAT_SYNC_SAMPLE,
+        "reference_sync_sample": REFERENCE_SYNC_SAMPLE,
     }
 
     t0 = time.perf_counter()
     records = build_records(num_files, procs=procs)
     out["generate_wall_s"] = round(time.perf_counter() - t0, 4)
 
-    perf = PerfRecorder()
-    sharded = ShardedMetadataServer(shards, perf=perf)
-    t0 = time.perf_counter()
-    for record in records:
-        sharded.publish(record)
-    sharded_publish_s = time.perf_counter() - t0
+    _check_equivalence(records, _campaign_days(num_files)[0])
 
-    flat = MetadataServer()
+    perf = PerfRecorder()
+    ranked = MetadataServer(perf=perf)
     t0 = time.perf_counter()
     for record in records:
-        flat.publish(record)
-    flat_publish_s = time.perf_counter() - t0
+        ranked.publish(record)
+    ranked_publish_s = time.perf_counter() - t0
+
+    reference = SortingMetadataServer()
+    t0 = time.perf_counter()
+    for record in records:
+        reference.publish(record)
+    reference_publish_s = time.perf_counter() - t0
     del records
 
-    _check_equivalence(flat, sharded, _campaign_days(num_files)[0])
-
-    # The flat campaign mutates flat state (publishes, expiries), so it
-    # runs first on its sampled schedule; the sharded campaign then
-    # replays the identical schedule in full. Both see the same state
-    # evolution: the day batches are deterministic.
-    flat_wall, flat_ops = _run_campaign(
-        flat, num_files, syncs_per_day, sync_sample=FLAT_SYNC_SAMPLE
+    # Each campaign mutates its own server's state (publishes,
+    # expiries); the day batches are deterministic, so both servers
+    # see the same state evolution.
+    reference_wall, reference_ops = _run_campaign(
+        reference, num_files, syncs_per_day, sync_sample=REFERENCE_SYNC_SAMPLE
     )
-    sharded_wall, sharded_ops = _run_campaign(
-        sharded, num_files, syncs_per_day, sync_sample=None
+    ranked_wall, ranked_ops = _run_campaign(
+        ranked, num_files, syncs_per_day, sync_sample=None
     )
-    assert flat_ops == sharded_ops
+    assert reference_ops == ranked_ops
 
-    flat_total = flat_publish_s + flat_wall
-    sharded_total = sharded_publish_s + sharded_wall
-    total_ops = num_files + flat_ops
-    out["flat_publish_s"] = round(flat_publish_s, 4)
-    out["sharded_publish_s"] = round(sharded_publish_s, 4)
-    out["flat_campaign_s"] = round(flat_wall, 4)
-    out["sharded_campaign_s"] = round(sharded_wall, 4)
-    out["flat_ops_per_s"] = round(total_ops / flat_total, 1)
-    out["sharded_ops_per_s"] = round(total_ops / sharded_total, 1)
+    reference_total = reference_publish_s + reference_wall
+    ranked_total = ranked_publish_s + ranked_wall
+    total_ops = num_files + reference_ops
+    out["reference_publish_s"] = round(reference_publish_s, 4)
+    out["ranked_publish_s"] = round(ranked_publish_s, 4)
+    out["reference_campaign_s"] = round(reference_wall, 4)
+    out["ranked_campaign_s"] = round(ranked_wall, 4)
+    out["reference_ops_per_s"] = round(total_ops / reference_total, 1)
+    out["ranked_ops_per_s"] = round(total_ops / ranked_total, 1)
     out["speedup"] = (
-        round(flat_total / sharded_total, 2) if sharded_total > 0 else float("inf")
+        round(reference_total / ranked_total, 2) if ranked_total > 0 else float("inf")
     )
-    out["shard_sizes_minmax"] = [
-        min(sharded.shard_sizes()),
-        max(sharded.shard_sizes()),
-    ]
     out["perf_counters"] = {
         key: value
         for key, value in sorted(perf.as_counters().items())
@@ -307,14 +327,14 @@ def measure_catalog(
 def _report(m: Dict[str, Any]) -> None:
     print(
         f"catalog: {m['files']} files / {m['nodes']} nodes "
-        f"({m['shards']} shards, {m['syncs_per_day']} syncs/day), "
+        f"({m['syncs_per_day']} syncs/day), "
         f"generated in {m['generate_wall_s']:.1f}s; "
-        f"flat {m['flat_ops_per_s']:.0f} ops/s "
-        f"(publish {m['flat_publish_s']:.2f}s + campaign "
-        f"{m['flat_campaign_s']:.1f}s extrapolated), "
-        f"sharded {m['sharded_ops_per_s']:.0f} ops/s "
-        f"(publish {m['sharded_publish_s']:.2f}s + campaign "
-        f"{m['sharded_campaign_s']:.2f}s) -> {m['speedup']:.1f}x"
+        f"sort-per-call {m['reference_ops_per_s']:.0f} ops/s "
+        f"(publish {m['reference_publish_s']:.2f}s + campaign "
+        f"{m['reference_campaign_s']:.1f}s extrapolated), "
+        f"ranked view {m['ranked_ops_per_s']:.0f} ops/s "
+        f"(publish {m['ranked_publish_s']:.2f}s + campaign "
+        f"{m['ranked_campaign_s']:.2f}s) -> {m['speedup']:.1f}x"
     )
 
 
@@ -348,14 +368,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--files", type=int, default=FULL_FILES)
     parser.add_argument("--nodes", type=int, default=FULL_NODES)
-    parser.add_argument("--shards", type=int, default=NUM_SHARDS)
     parser.add_argument("--procs", type=int, default=None,
                         help="worker processes for catalog generation")
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=SPEEDUP_TARGET,
-        help=f"fail below this sharded-over-flat throughput ratio "
+        help=f"fail below this ranked-over-reference throughput ratio "
              f"(default {SPEEDUP_TARGET})",
     )
     parser.add_argument(
@@ -363,14 +382,14 @@ def main(argv=None) -> int:
         help="merge the measurement into this BENCH_core.json",
     )
     args = parser.parse_args(argv)
-    measurement = measure_catalog(args.files, args.nodes, args.shards, args.procs)
+    measurement = measure_catalog(args.files, args.nodes, args.procs)
     _report(measurement)
     if args.record:
         _merge_into(args.record, measurement)
         print(f"recorded bench_catalog into {args.record}")
     if measurement["speedup"] < args.min_speedup:
         print(
-            f"::error title=catalog sharding regression::throughput ratio "
+            f"::error title=catalog ranked-view regression::throughput ratio "
             f"{measurement['speedup']:.2f}x below the "
             f"{args.min_speedup:.2f}x floor"
         )

@@ -5,8 +5,9 @@ wire-level runtime on the DieselNet and NUS fast traces),
 ``bench_parallel_sweep`` (one DieselNet sweep grid through
 :func:`repro.exec.run_many`), ``bench_trace_gen`` (grid-vs-reference
 contact extraction plus a cold/warm disk-cache round trip) and
-``bench_catalog`` (DHT-sharded vs flat metadata server on the
-million-file Internet-side campaign) — and writes
+``bench_catalog`` (the metadata server's cached ranked view vs a
+sort-per-call reference on the million-file Internet-side campaign) —
+and writes
 a JSON record of wall-clock times, simulator events/s and any
 ``perf.*`` instrumentation counters the engine exposes. The committed ``BENCH_core.json`` is the trajectory
 anchor every perf claim in this repository is measured against.
@@ -166,7 +167,7 @@ def measure_trace_gen() -> Dict[str, Any]:
 
 
 def measure_catalog() -> Dict[str, Any]:
-    """bench_catalog: sharded-vs-flat server at the million-file scale."""
+    """bench_catalog: ranked view vs sort-per-call at the million-file scale."""
     from bench_catalog import FULL_FILES, FULL_NODES, measure_catalog as _measure
 
     return _measure(FULL_FILES, FULL_NODES)

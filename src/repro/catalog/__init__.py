@@ -9,7 +9,6 @@ servers. This package implements all of it.
 """
 
 from repro.catalog.adversary import FakeBatch, FakeFileFactory
-from repro.catalog.dht import KBucketTable, ShardRouter, ShardedMetadataServer
 from repro.catalog.expiry import ExpiryHeap
 from repro.catalog.files import (
     PIECE_SIZE,
@@ -28,9 +27,6 @@ from repro.catalog.server import FileServer, MetadataServer
 __all__ = [
     "FakeBatch",
     "FakeFileFactory",
-    "KBucketTable",
-    "ShardRouter",
-    "ShardedMetadataServer",
     "ExpiryHeap",
     "CatalogConfig",
     "CatalogGenerator",

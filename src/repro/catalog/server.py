@@ -10,8 +10,14 @@ Liveness maintenance runs through a per-server
 entries whose instant has passed (O(dead log n)) instead of scanning
 the whole catalog, with behavior identical to the old scan — the same
 records are removed, and the removed-URI list drains in deterministic
-``(expires_at, uri)`` order. For the sharded million-file variant of
-this interface see :mod:`repro.catalog.dht`.
+``(expires_at, uri)`` order.
+
+``top_popular`` and ``all_records`` are served from a cached
+popularity-ranked view of the catalog, sorted by ``(-popularity, uri)``
+and rebuilt lazily after ``publish``, an ``expire`` that drops records,
+or a ``refresh_popularities`` that changes one. Push distribution asks
+for the top few records on every Internet sync, so walking the cached
+list replaces a full-catalog sort per call.
 """
 
 from __future__ import annotations
@@ -45,9 +51,14 @@ class MetadataServer:
         self._index: Dict[str, Set[Uri]] = defaultdict(set)
         self._tracker = popularity_tracker
         self._expiry = ExpiryHeap()
+        #: Cached popularity-ranked view of the whole catalog, or None
+        #: when dirty. Entries may be expired (filtered per call) but
+        #: never stale: publish, expire and refresh all invalidate.
+        self._ranked: Optional[List[Metadata]] = None
         #: Optional ``perf.catalog.*`` instrumentation sink. The
-        #: counters record implementation activity only (heap pops),
-        #: and are excluded from result fingerprints.
+        #: counters record implementation activity only (heap pops,
+        #: ranked-view rebuilds), and are excluded from result
+        #: fingerprints.
         self._perf = perf if perf is not None else PerfRecorder()
 
     def __len__(self) -> int:
@@ -71,6 +82,7 @@ class MetadataServer:
                 self._drop_posting(token, metadata.uri)
         for token in metadata.token_set:
             self._index[token].add(metadata.uri)
+        self._ranked = None
 
     def _drop_posting(self, token: str, uri: Uri) -> None:
         bucket = self._index.get(token)
@@ -91,9 +103,8 @@ class MetadataServer:
         """Drop expired records; return the URIs in (expiry, URI) order.
 
         Served from the expiry heap: cost is proportional to the number
-        of dead records, not the catalog size. The returned order —
-        each record's *current* expiry instant, URI tie-break — is the
-        contract the sharded server reproduces globally.
+        of dead records, not the catalog size. The returned order is
+        each record's *current* expiry instant, URI tie-break.
         """
         pairs = []
         for key in self._expiry.pop_due(now, self._expires_at_of):
@@ -105,6 +116,7 @@ class MetadataServer:
         if not pairs:
             return []
         self._perf.count("catalog.heap_expiries", len(pairs))
+        self._ranked = None
         pairs.sort()
         return [uri for __, uri in pairs]
 
@@ -139,14 +151,30 @@ class MetadataServer:
         limit: int,
         exclude: FrozenSet[Uri] = frozenset(),
     ) -> List[Metadata]:
-        """Most popular live records, for push distribution (§IV)."""
-        hits = [
-            md
-            for uri, md in self._records.items()
-            if md.is_live(now) and uri not in exclude
-        ]
-        hits.sort(key=lambda md: (-md.popularity, md.uri))
-        return hits[:limit]
+        """Most popular live records, for push distribution (§IV).
+
+        Walks the cached ranked view and stops after ``limit`` hits.
+        """
+        if limit <= 0:
+            return []
+        hits: List[Metadata] = []
+        for record in self._ranked_view():
+            if record.is_live(now) and record.uri not in exclude:
+                hits.append(record)
+                if len(hits) == limit:
+                    break
+        return hits
+
+    def _ranked_view(self) -> List[Metadata]:
+        """The cached popularity-ranked catalog, rebuilding if dirty."""
+        ranked = self._ranked
+        if ranked is None:
+            ranked = sorted(
+                self._records.values(), key=lambda md: (-md.popularity, md.uri)
+            )
+            self._ranked = ranked
+            self._perf.count("catalog.ranked_rebuilds")
+        return ranked
 
     def record_request(self, uri: Uri, node: NodeId, now: float) -> None:
         """Log an access-node request for popularity tracking."""
@@ -169,14 +197,14 @@ class MetadataServer:
             estimate = self._tracker.popularity_of(uri, now)
             if estimate != record.popularity:
                 self._records[uri] = record.with_popularity(estimate)
+                self._ranked = None
 
     def all_records(self, now: Optional[float] = None) -> List[Metadata]:
         """All (live, if ``now`` given) records, popularity-ranked."""
-        records = list(self._records.values())
+        ranked = self._ranked_view()
         if now is not None:
-            records = [md for md in records if md.is_live(now)]
-        records.sort(key=lambda md: (-md.popularity, md.uri))
-        return records
+            return [md for md in ranked if md.is_live(now)]
+        return list(ranked)
 
 
 class FileServer:

@@ -116,7 +116,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ),
         credit_policy=args.credit_policy,
         profile=args.profile,
-        catalog_shards=args.catalog_shards,
         hello_blooms=args.hello_blooms,
         bloom_fpr=args.bloom_fpr,
         seed=args.seed,
@@ -149,7 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{variant.value:>8}{result.metadata_delivery_ratio:>10.3f}"
             f"{result.file_delivery_ratio:>8.3f}{result.queries_generated:>9}"
         )
-        if args.catalog_shards > 1 or args.hello_blooms:
+        if args.hello_blooms:
             print(f"         {_format_catalog_report(result)}")
     if args.adversary_fraction > 0.0:
         for name, result in results.items():
@@ -170,10 +169,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _format_catalog_report(result) -> str:
     """One-line catalog/bloom activity report (``perf.catalog.*``).
 
-    The sharded-vs-flat and screened-vs-open paths are observably
-    identical (sharding) or intentionally lossy (bloom false
-    positives), so this line — not the results table — is where their
-    activity shows up.
+    Printed under ``--hello-blooms``: bloom screening is intentionally
+    lossy (false positives suppress some deliveries), so this line, not
+    the results table, is where its activity shows up, next to the
+    server's heap expiries and ranked-view rebuilds.
     """
     extra = result.extra
 
@@ -181,8 +180,7 @@ def _format_catalog_report(result) -> str:
         return int(extra.get(f"perf.catalog.{key}", 0))
 
     line = (
-        f"catalog: {n('shard_lookups')} shard lookups "
-        f"({n('route_hops')} hops), {n('heap_expiries')} heap expiries, "
+        f"catalog: {n('heap_expiries')} heap expiries, "
         f"{n('ranked_rebuilds')} ranked rebuilds"
     )
     screens = n("bloom_screens")
@@ -348,11 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="plain",
                      help="tit-for-tat credit scheme: the paper's plain "
                           "ledger or the reputation-hardened variant")
-    run.add_argument("--catalog-shards", type=int, default=1,
-                     help="Internet-side catalog shards: 1 = the paper's "
-                          "flat central server, >1 = the XOR-routed DHT "
-                          "catalog (identical results, not part of the "
-                          "fingerprint)")
     run.add_argument("--hello-blooms", action="store_true",
                      help="attach bloom summaries of held/downloading URIs "
                           "to hellos and screen metadata targets against "

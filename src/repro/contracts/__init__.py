@@ -18,8 +18,8 @@ This package turns each convention into data plus an AST check:
 ``layers``
     the allowed import DAG between ``repro`` packages — rule CON004;
 ``seams``
-    the reference twins and the flat/sharded catalog servers that must
-    stay signature-compatible — rule CON005;
+    the reference twins that must stay signature-compatible with the
+    optimized paths they specify — rule CON005;
 ``wire``
     the frame body keys and message dataclass fields shared by
     ``repro.net.messages`` and ``repro.runtime.codec`` — rule CON006.

@@ -559,8 +559,6 @@ def _seam_findings(tree: _Tree, seam: SeamSpec) -> List[Finding]:
             )
     if findings or left_parsed is None or right_parsed is None:
         return findings
-    if seam.kind == "class":
-        return _class_seam(left_parsed, right_parsed, seam)
     left_fn = _function_def(left_parsed[0], seam.left[1])
     right_fn = _function_def(right_parsed[0], seam.right[1])
     for fn, parsed, qualname in (
@@ -586,56 +584,6 @@ def _seam_findings(tree: _Tree, seam: SeamSpec) -> List[Finding]:
                 f"not an ordered prefix of {left_params}",
             )
         )
-    return findings
-
-
-def _class_seam(
-    left_parsed: Tuple[ast.Module, str],
-    right_parsed: Tuple[ast.Module, str],
-    seam: SeamSpec,
-) -> List[Finding]:
-    findings = []
-    left_cls = _class_def(left_parsed[0], seam.left[1])
-    right_cls = _class_def(right_parsed[0], seam.right[1])
-    for cls, parsed, qualname in (
-        (left_cls, left_parsed, seam.left[1]),
-        (right_cls, right_parsed, seam.right[1]),
-    ):
-        if cls is None:
-            findings.append(
-                _finding(
-                    parsed[1], 1, 1, "CON005",
-                    f"seam {seam.name!r}: class {qualname} not found",
-                )
-            )
-    if findings or left_cls is None or right_cls is None:
-        return findings
-    right_methods = {
-        node.name: node
-        for node in right_cls.body
-        if isinstance(node, ast.FunctionDef)
-    }
-    for node in left_cls.body:
-        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-            continue
-        twin = right_methods.get(node.name)
-        if twin is None:
-            findings.append(
-                _finding(
-                    right_parsed[1], right_cls.lineno, 1, "CON005",
-                    f"seam {seam.name!r}: {seam.right[1]} lacks method "
-                    f"{node.name!r} of {seam.left[1]}",
-                )
-            )
-        elif _params(twin) != _params(node):
-            findings.append(
-                _finding(
-                    right_parsed[1], twin.lineno, 1, "CON005",
-                    f"seam {seam.name!r}: {seam.right[1]}.{node.name} "
-                    f"signature {_params(twin)} diverges from "
-                    f"{seam.left[1]}.{node.name} {_params(node)}",
-                )
-            )
     return findings
 
 

@@ -45,7 +45,7 @@ class CounterSpec:
         fingerprints and the serial-vs-parallel equality checks;
     ``"excluded"``
         varies between identical runs (wall-clock timers) or between
-        implementations (kernel/shard internals); stripped by
+        implementations (catalog-server internals); stripped by
         :func:`repro.detlint.sanitizer.result_fingerprint`;
     ``"local"``
         process-local diagnostics (trace-cache hits) that are never
@@ -129,11 +129,11 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     # perf.time_us.*: wall-clock phase timers under --profile; suffixes
     # are phase names minted at the call site, so the family stays open.
     CounterSpec("perf.time_us.", "excluded", open_prefix=True, note="phase timers"),
-    # perf.catalog.*: sharded-catalog internals; flat and sharded servers
-    # must fingerprint identically, so the family is excluded.
-    CounterSpec("perf.catalog.", "excluded", note="catalog shard/bloom internals"),
-    CounterSpec("perf.catalog.shard_lookups", "excluded"),
-    CounterSpec("perf.catalog.route_hops", "excluded"),
+    # perf.catalog.*: catalog-server and bloom internals. They count
+    # implementation work (heap pops, ranked-view rebuilds, screens),
+    # so a server optimisation that leaves results unchanged must not
+    # move fingerprints; the family is excluded.
+    CounterSpec("perf.catalog.", "excluded", note="catalog server/bloom internals"),
     CounterSpec("perf.catalog.heap_expiries", "excluded"),
     CounterSpec("perf.catalog.ranked_rebuilds", "excluded"),
     CounterSpec("perf.catalog.bloom_screens", "excluded"),

@@ -24,18 +24,14 @@ from typing import Dict, FrozenSet, Tuple
 #: additionally covers the trace generators and the fault injector —
 #: both consume randomness, which is fine, but only through an
 #: explicitly seeded ``random.Random``.
-#: ``repro/catalog/dht`` joins the core scope: the sharded catalog must
-#: be observably identical to the flat server, so it is held to the
-#: same iteration-order and float-comparison rules (the rest of
-#: ``repro/catalog`` stays out, as before — only RNG/time rules apply).
-#: ``repro/runtime`` (the frame-level harness replays the same
-#: protocol) and ``repro/routing`` (baseline routers share the trace
-#: replay) are full core members too.
+#: ``repro/catalog`` stays out of the core scope: only the RNG/time
+#: rules apply there. ``repro/runtime`` (the frame-level harness
+#: replays the same protocol) and ``repro/routing`` (baseline routers
+#: share the trace replay) are full core members.
 _SIM_CORE = (
     "repro/core",
     "repro/sim",
     "repro/net",
-    "repro/catalog/dht",
     "repro/runtime",
     "repro/routing",
 )
@@ -208,8 +204,8 @@ RULES: Dict[str, Rule] = {
             id="CON005",
             title="seam-parity drift",
             summary=(
-                "reference twin or flat/sharded catalog implementation "
-                "missing, or its signature diverging from its counterpart"
+                "reference twin or optimized implementation missing, or "
+                "the twin's signature diverging from its counterpart"
             ),
             fixit=(
                 "restore the counterpart listed in "

@@ -50,10 +50,9 @@ DETCHECK_ENV = "REPRO_DETCHECK"
 
 #: ``extra`` keys excluded from fingerprints: wall-clock phase timers
 #: differ between the two runs by construction. The catalog counters
-#: (``perf.catalog.*``) record where server state lived (shard lookups,
-#: heap pops, cache rebuilds): the sharded catalog is observably
-#: identical to the flat server, so its activity must not enter the
-#: fingerprint either.
+#: (``perf.catalog.*``) record server implementation work (heap pops,
+#: ranked-view rebuilds, bloom screens): a server optimisation that
+#: leaves results unchanged must not move the fingerprint either.
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
     "perf.time_us.",
     "perf.catalog.",

@@ -141,13 +141,6 @@ class SimulationConfig:
     #: timer values differ between runs, which would break the
     #: result-equality invariants (serial vs parallel, resume).
     profile: bool = False
-    #: Catalog shards on the Internet side: 1 = the paper's flat
-    #: central server, >1 = the DHT-sharded catalog of
-    #: :mod:`repro.catalog.dht` (XOR-distance placement, per-shard
-    #: expiry heaps, cached ranked view). Pure implementation knob at
-    #: the observable level: any shard count returns the same results
-    #: as the flat server.
-    catalog_shards: int = 1
     #: Attach bloom summaries of held/downloading URIs to hellos and
     #: screen metadata candidates against them (see ProtocolConfig).
     #: Changes results (false positives suppress some deliveries), so
@@ -180,8 +173,16 @@ class SimulationConfig:
                 f"credit_policy must be one of {CREDIT_POLICIES}, "
                 f"got {self.credit_policy!r}"
             )
-        if self.catalog_shards < 1:
-            raise ValueError("catalog_shards must be >= 1")
+        if min(
+            self.pull_limit,
+            self.push_limit,
+            self.popular_file_downloads,
+            self.proxy_downloads_per_sync,
+        ) < 0:
+            raise ValueError(
+                "pull_limit, push_limit, popular_file_downloads and "
+                "proxy_downloads_per_sync must be non-negative"
+            )
         if not 0.0 < self.bloom_fpr < 1.0:
             raise ValueError("bloom_fpr must be in (0, 1)")
 
@@ -276,17 +277,10 @@ class Simulation:
             if config.track_popularity
             else None
         )
-        # Perf first: the catalog servers record their shard lookups
-        # and heap expiries into the run's recorder.
+        # Perf first: the catalog servers record their heap expiries and
+        # ranked-view rebuilds into the run's recorder.
         self._perf = PerfRecorder(profile=config.profile)
-        if config.catalog_shards > 1:
-            from repro.catalog.dht import ShardedMetadataServer
-
-            self._metadata_server = ShardedMetadataServer(
-                config.catalog_shards, tracker, perf=self._perf
-            )
-        else:
-            self._metadata_server = MetadataServer(tracker, perf=self._perf)
+        self._metadata_server = MetadataServer(tracker, perf=self._perf)
         self._file_server = FileServer(perf=self._perf)
         self._metrics = MetricsCollector(measure_from=config.warmup_days * DAY)
         self._generator = CatalogGenerator(
