@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the substrates (engine, cliques, traces, routing).
+"""Micro-benchmarks of the substrates (engine, traces, routing).
 
 These are classic pytest-benchmark timings — they guard against
 performance regressions in the hot paths the figure sweeps rely on.
@@ -6,15 +6,12 @@ performance regressions in the hot paths the figure sweeps rely on.
 
 from __future__ import annotations
 
-import random
 
 from repro.routing.base import Message, simulate_routing
 from repro.routing.epidemic import EpidemicRouter
-from repro.sim.cliques import maximal_cliques
 from repro.sim.engine import Simulator
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.traces.nus import NUSConfig, generate_nus_trace
-from repro.types import NodeId
 
 
 def test_engine_throughput(benchmark):
@@ -42,18 +39,6 @@ def test_nus_generation(benchmark):
         generate_nus_trace, NUSConfig(num_students=80, num_courses=16, num_days=10), 0
     )
     assert len(trace) > 0
-
-
-def test_clique_enumeration(benchmark):
-    rng = random.Random(0)
-    graph = {NodeId(i): set() for i in range(40)}
-    for i in range(40):
-        for j in range(i + 1, 40):
-            if rng.random() < 0.25:
-                graph[NodeId(i)].add(NodeId(j))
-                graph[NodeId(j)].add(NodeId(i))
-    cliques = benchmark(lambda: list(maximal_cliques(graph)))
-    assert cliques
 
 
 def test_epidemic_routing_run(benchmark):

@@ -116,8 +116,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ),
         credit_policy=args.credit_policy,
         profile=args.profile,
-        hello_blooms=args.hello_blooms,
-        bloom_fpr=args.bloom_fpr,
         seed=args.seed,
     )
     variants = (
@@ -148,8 +146,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{variant.value:>8}{result.metadata_delivery_ratio:>10.3f}"
             f"{result.file_delivery_ratio:>8.3f}{result.queries_generated:>9}"
         )
-        if args.hello_blooms:
-            print(f"         {_format_catalog_report(result)}")
     if args.adversary_fraction > 0.0:
         for name, result in results.items():
             print(f"\n-- {name} adversary report --")
@@ -164,32 +160,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("\n-- trace pipeline counters (process-local) --")
         print(format_counters(trace_perf_counters()))
     return 0
-
-
-def _format_catalog_report(result) -> str:
-    """One-line catalog/bloom activity report (``perf.catalog.*``).
-
-    Printed under ``--hello-blooms``: bloom screening is intentionally
-    lossy (false positives suppress some deliveries), so this line, not
-    the results table, is where its activity shows up, next to the
-    server's heap expiries and ranked-view rebuilds.
-    """
-    extra = result.extra
-
-    def n(key: str) -> int:
-        return int(extra.get(f"perf.catalog.{key}", 0))
-
-    line = (
-        f"catalog: {n('heap_expiries')} heap expiries, "
-        f"{n('ranked_rebuilds')} ranked rebuilds"
-    )
-    screens = n("bloom_screens")
-    if screens:
-        line += (
-            f"; blooms: {screens} screens, {n('bloom_hits')} hits, "
-            f"{n('bloom_false_positives')} false positives"
-        )
-    return line
 
 
 def _format_adversary_report(result) -> str:
@@ -346,14 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="plain",
                      help="tit-for-tat credit scheme: the paper's plain "
                           "ledger or the reputation-hardened variant")
-    run.add_argument("--hello-blooms", action="store_true",
-                     help="attach bloom summaries of held/downloading URIs "
-                          "to hellos and screen metadata targets against "
-                          "them (changes results: false positives suppress "
-                          "some deliveries)")
-    run.add_argument("--bloom-fpr", type=float, default=0.01,
-                     help="target false-positive rate of the hello bloom "
-                          "summaries (accuracy/size knob)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--json", action="store_true",
                      help="emit results as JSON instead of a table")

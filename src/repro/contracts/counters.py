@@ -129,16 +129,13 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     # perf.time_us.*: wall-clock phase timers under --profile; suffixes
     # are phase names minted at the call site, so the family stays open.
     CounterSpec("perf.time_us.", "excluded", open_prefix=True, note="phase timers"),
-    # perf.catalog.*: catalog-server and bloom internals. They count
-    # implementation work (heap pops, ranked-view rebuilds, screens),
-    # so a server optimisation that leaves results unchanged must not
-    # move fingerprints; the family is excluded.
-    CounterSpec("perf.catalog.", "excluded", note="catalog server/bloom internals"),
+    # perf.catalog.*: metadata-server internals. They count
+    # implementation work (heap pops, ranked-view rebuilds), so a
+    # server optimisation that leaves results unchanged must not move
+    # fingerprints; the family is excluded.
+    CounterSpec("perf.catalog.", "excluded", note="metadata-server internals"),
     CounterSpec("perf.catalog.heap_expiries", "excluded"),
     CounterSpec("perf.catalog.ranked_rebuilds", "excluded"),
-    CounterSpec("perf.catalog.bloom_screens", "excluded"),
-    CounterSpec("perf.catalog.bloom_hits", "excluded"),
-    CounterSpec("perf.catalog.bloom_false_positives", "excluded"),
     # perf.trace.*: process-local trace-pipeline diagnostics (LRU and
     # disk-cache outcomes); never folded into a SimulationResult.
     CounterSpec("perf.trace.", "local", open_prefix=True, note="trace-cache diagnostics"),

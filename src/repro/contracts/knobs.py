@@ -44,7 +44,7 @@ class KnobSpec:
         return self.doc or self.field
 
 
-_PRESET = "preset by figure/scale workloads; set via the Python API"
+_PYTHON_API = "set via the Python API"
 
 KNOB_REGISTRY: Dict[str, KnobSpec] = {
     spec.field: spec
@@ -54,33 +54,30 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("ttl_days", flags=("--ttl",)),
         KnobSpec("metadata_per_contact", flags=("--metadata-per-contact",)),
         KnobSpec("files_per_contact", flags=("--files-per-contact",)),
-        KnobSpec("pieces_per_file", api_only=_PRESET),
+        KnobSpec("pieces_per_file", api_only=_PYTHON_API),
         KnobSpec("variant", flags=("--protocol",)),
         KnobSpec("tit_for_tat", flags=("--tit-for-tat",)),
         KnobSpec("selfish_fraction", flags=("--selfish",)),
         KnobSpec("broadcast", flags=("--pairwise",)),
-        KnobSpec("scheduling", api_only=_PRESET),
-        KnobSpec("frequent_contact_max_gap_days", api_only=_PRESET),
+        KnobSpec("scheduling", api_only=_PYTHON_API),
+        KnobSpec("frequent_contact_max_gap_days", api_only=_PYTHON_API),
         KnobSpec("num_days", api_only="derived from --scale / the trace span"),
-        KnobSpec("internet_syncs_per_day", api_only=_PRESET),
-        KnobSpec("metadata_capacity", api_only=_PRESET),
-        KnobSpec("metadata_policy", api_only=_PRESET),
-        KnobSpec("piece_capacity", api_only=_PRESET),
-        KnobSpec("derive_cliques_from_hellos", api_only=_PRESET),
-        KnobSpec("use_duration_budgets", api_only=_PRESET),
-        KnobSpec("bandwidth_bytes_per_s", api_only=_PRESET),
-        KnobSpec("fake_files_per_day", api_only=_PRESET),
-        KnobSpec("malicious_fraction", api_only=_PRESET),
-        KnobSpec("verify_signatures", api_only=_PRESET),
-        KnobSpec("encrypted_choking", api_only=_PRESET),
-        KnobSpec("selection_policy", api_only=_PRESET),
-        KnobSpec("warmup_days", api_only=_PRESET),
-        KnobSpec("pull_limit", api_only=_PRESET),
-        KnobSpec("push_limit", api_only=_PRESET),
-        KnobSpec("popular_file_downloads", api_only=_PRESET),
-        KnobSpec("proxy_downloads_per_sync", api_only=_PRESET),
-        KnobSpec("queries_per_node_per_day", api_only=_PRESET),
-        KnobSpec("track_popularity", api_only=_PRESET),
+        KnobSpec("metadata_capacity", api_only=_PYTHON_API),
+        KnobSpec("metadata_policy", api_only=_PYTHON_API),
+        KnobSpec("piece_capacity", api_only=_PYTHON_API),
+        KnobSpec("use_duration_budgets", api_only=_PYTHON_API),
+        KnobSpec("bandwidth_bytes_per_s", api_only=_PYTHON_API),
+        KnobSpec("fake_files_per_day", api_only=_PYTHON_API),
+        KnobSpec("malicious_fraction", api_only=_PYTHON_API),
+        KnobSpec("verify_signatures", api_only=_PYTHON_API),
+        KnobSpec("encrypted_choking", api_only=_PYTHON_API),
+        KnobSpec("selection_policy", api_only=_PYTHON_API),
+        KnobSpec("pull_limit", api_only=_PYTHON_API),
+        KnobSpec("push_limit", api_only=_PYTHON_API),
+        KnobSpec("popular_file_downloads", api_only=_PYTHON_API),
+        KnobSpec("proxy_downloads_per_sync", api_only=_PYTHON_API),
+        KnobSpec("queries_per_node_per_day", api_only=_PYTHON_API),
+        KnobSpec("track_popularity", api_only=_PYTHON_API),
         KnobSpec(
             "faults",
             flags=(
@@ -98,8 +95,6 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("credit_policy", flags=("--credit-policy",)),
         KnobSpec("max_events", api_only="safety valve; set via the Python API"),
         KnobSpec("profile", flags=("--profile",)),
-        KnobSpec("hello_blooms", flags=("--hello-blooms",)),
-        KnobSpec("bloom_fpr", flags=("--bloom-fpr",)),
         KnobSpec("seed", flags=("--seed",)),
     )
 }

@@ -25,7 +25,8 @@ from typing import Dict, FrozenSet, Optional, Tuple
 #: (``"exec"`` means ``repro.exec``). Importing inside your own
 #: top-level package is always allowed and left implicit. Keys are
 #: dotted module prefixes; the most specific key wins, so
-#: ``repro.net.hello`` can carry a wider allowance than ``repro.net``.
+#: ``repro.detlint.sanitizer`` can carry a wider allowance than
+#: ``repro.detlint``.
 LAYERS: Dict[str, FrozenSet[str]] = {
     # Leaf layers: shared types and the perf recorder import nothing.
     "repro.types": frozenset(),
@@ -37,10 +38,8 @@ LAYERS: Dict[str, FrozenSet[str]] = {
     "repro.routing": frozenset({"types", "traces"}),
     # Catalog (Internet side) sits on types + perf only.
     "repro.catalog": frozenset({"types", "perf"}),
-    # Radio messages sit on the catalog records they carry; the hello
-    # pipeline additionally walks node state and clique views.
+    # Radio messages sit on the catalog records they carry.
     "repro.net": frozenset({"types", "catalog"}),
-    "repro.net.hello": frozenset({"types", "catalog", "core", "sim"}),
     # The protocol core and the simulation harness are one layer (the
     # engine records core metrics; the runner drives the core), kept
     # free of exec/cli/experiments so configs stay picklable.

@@ -42,7 +42,6 @@ MESSAGE_FIELDS: Dict[str, Tuple[str, ...]] = {
         "query_tokens",
         "downloading",
         "sent_at",
-        "summary",
     ),
     "MetadataMessage": ("sender", "metadata", "sent_at"),
     "PieceMessage": (

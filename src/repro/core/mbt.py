@@ -86,9 +86,6 @@ class ProtocolConfig:
     #: Files an access node proxy-downloads per sync on behalf of the
     #: DTN peers whose requests it heard (0 disables cooperation).
     proxy_downloads: int = 5
-    #: Re-derive communication cliques from synthesized hello beacons
-    #: (§III-B/§V protocol path) instead of trusting contact membership.
-    derive_cliques: bool = False
     #: Derive per-contact budgets from contact duration and channel
     #: bandwidth instead of the paper's fixed counts. Short contacts
     #: then carry discovery only (§V: "file discovery uses the starting
@@ -115,20 +112,6 @@ class ProtocolConfig:
     #: How long heard peer requests are remembered (seconds).
     request_memory: float = 3 * 86400.0
     payload_length: int = 64
-    #: Hello beacons carry a bloom summary of the sender's
-    #: held/downloading URIs, and the metadata phase screens candidate
-    #: targets against the summaries (§III-B's listing, compressed to
-    #: constant size — see :mod:`repro.net.bloom`). A false positive
-    #: (rate ``bloom_fpr``) makes a peer look like it already holds a
-    #: record, suppressing that delivery for the contact; negatives are
-    #: exact, so nothing else changes. Off by default: disabled runs
-    #: are bitwise-identical to builds without the feature.
-    hello_blooms: bool = False
-    #: Target false-positive rate of the hello summaries (the
-    #: documented accuracy/size knob; smaller = bigger filters).
-    bloom_fpr: float = 0.01
-    #: Seed folded into the summary hashes (derived from the run seed).
-    bloom_seed: int = 0
 
     def effective_scheduling(self) -> SchedulingMode:
         """Default: coordinator when altruistic, cyclic under TFT (§V)."""
@@ -154,7 +137,8 @@ class EngineCounters:
     #: Same-instant contact batches dispatched via
     #: :meth:`MobileBitTorrent.handle_contacts` (<= contacts).
     contact_batches: int = 0
-    #: Communication cliques processed (>= contacts when hello-derived).
+    #: Communication cliques processed (one per contact that survives
+    #: faults and churn).
     cliques_processed: int = 0
     #: Hello beacons exchanged (one per node per clique).
     hello_exchanges: int = 0
@@ -438,31 +422,28 @@ class MobileBitTorrent:
                 return
             if alive != contact.members:
                 contact = Contact(contact.start, contact.end, alive)
-        if self._config.derive_cliques:
-            cliques = self._cliques_via_hellos(contact, now)
-        else:
-            cliques = [contact.members]
+        # Trace contacts are complete graphs: the members form one clique.
+        members = contact.members
         budget = self._contact_budget(contact, budget_scale)
         perf = self.perf
-        for members in cliques:
-            self.counters.cliques_processed += 1
-            states = {node: self._states[node] for node in members}
+        self.counters.cliques_processed += 1
+        states = {node: self._states[node] for node in members}
+        token = perf.start()
+        self._exchange_hellos(states, now)
+        perf.stop("hellos", token)
+        # One clique view serves both phases of this contact; the
+        # metadata phase patches it incrementally as records spread.
+        token = perf.start()
+        view = CliqueView(states, now)
+        perf.stop("view_build", token)
+        perf.count("view_builds")
+        if self._config.variant.distributes_metadata:
             token = perf.start()
-            self._exchange_hellos(states, now)
-            perf.stop("hellos", token)
-            # One clique view serves both phases of this contact; the
-            # metadata phase patches it incrementally as records spread.
-            token = perf.start()
-            view = CliqueView(states, now)
-            perf.stop("view_build", token)
-            perf.count("view_builds")
-            if self._config.variant.distributes_metadata:
-                token = perf.start()
-                self._run_metadata_phase(states, members, now, budget.metadata, view)
-                perf.stop("metadata_phase", token)
-            token = perf.start()
-            self._run_piece_phase(states, members, now, budget.pieces, view)
-            perf.stop("piece_phase", token)
+            self._run_metadata_phase(states, members, now, budget.metadata, view)
+            perf.stop("metadata_phase", token)
+        token = perf.start()
+        self._run_piece_phase(states, members, now, budget.pieces, view)
+        perf.stop("piece_phase", token)
 
     def _contact_budget(self, contact: Contact, scale: float = 1.0) -> ContactBudget:
         """Fixed per-contact budget, or one derived from the duration.
@@ -483,20 +464,6 @@ class MobileBitTorrent:
             metadata_size=METADATA_BASE_SIZE,
             piece_size=PIECE_SIZE,
             metadata_share=self._config.metadata_share,
-        )
-
-    def _cliques_via_hellos(self, contact: Contact, now: float) -> List[FrozenSet[NodeId]]:
-        """Recompute cliques from synthesized hello beacons (§III-B)."""
-        from repro.net.hello import derive_cliques, full_connectivity
-
-        states = {node: self._states[node] for node in contact.members}
-        summary_of = None
-        if self._config.hello_blooms:
-            fpr = self._config.bloom_fpr
-            seed = self._config.bloom_seed
-            summary_of = lambda state: state.hello_summary(fpr, seed)
-        return derive_cliques(
-            states, full_connectivity(contact.members), now, summary_of=summary_of
         )
 
     def _exchange_hellos(self, states: Mapping[NodeId, NodeState], now: float) -> None:
@@ -547,42 +514,6 @@ class MobileBitTorrent:
                 if uri in rejected:
                     cand.missing.discard(node)
 
-    def _screen_blooms(self, candidates, states: Mapping[NodeId, NodeState]) -> None:
-        """Screen candidate targets against the peers' hello summaries.
-
-        Models the information constraint of the wire protocol under
-        ``hello_blooms``: a sender only knows what a peer's bloom
-        summary says about it. Every member of a candidate is tested
-        for the candidate's URI; a positive on a *holder* is a true
-        positive (the summary correctly suppresses a redundant send), a
-        positive on a *missing* member is a false positive — the member
-        is dropped from the candidate's target sets, costing it that
-        delivery this contact (the ``bloom_fpr``-tunable accuracy/size
-        trade). Runs on the mutable scheduler copies before
-        :meth:`_hide_holdings`, so a hider's secret holding is not
-        re-revealed by its own summary.
-        """
-        fpr = self._config.bloom_fpr
-        seed = self._config.bloom_seed
-        perf = self.perf
-        from repro.net.bloom import item_hashes
-
-        for cand in candidates:
-            uri = cand.metadata.uri
-            hashes = item_hashes(uri, seed)
-            for node in sorted(cand.holders):
-                perf.count("catalog.bloom_screens")
-                if states[node].hello_summary(fpr, seed).contains_hashes(hashes):
-                    perf.count("catalog.bloom_hits")
-            for node in sorted(cand.missing):
-                perf.count("catalog.bloom_screens")
-                if states[node].hello_summary(fpr, seed).contains_hashes(hashes):
-                    perf.count("catalog.bloom_hits")
-                    perf.count("catalog.bloom_false_positives")
-                    cand.missing.discard(node)
-                    cand.own_requesters.discard(node)
-                    cand.proxy_requesters.discard(node)
-
     def _hide_holdings(self, candidates) -> None:
         """Apply under-reporting to freshly built candidates.
 
@@ -621,8 +552,6 @@ class MobileBitTorrent:
         include_foreign = self._config.variant.distributes_queries
         raw = discovery.build_metadata_candidates(states, now, include_foreign, view)
         candidates = [_MutableMetaCandidate(c) for c in raw]
-        if self._config.hello_blooms:
-            self._screen_blooms(candidates, states)
         self._hide_holdings(candidates)
         self._screen_rejected(candidates, states)
         self.perf.count("meta_candidates", len(candidates))

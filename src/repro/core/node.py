@@ -320,11 +320,6 @@ class NodeState:
         #: derived sets (wanted URIs) be cached between mutations.
         self._version = 0
         self._wanted_cache: Tuple[int, float, FrozenSet[Uri]] = (-1, -1.0, frozenset())
-        #: Hello bloom summary memo, keyed on the metadata store's
-        #: mutation counter and the (fpr, seed) knobs; see
-        #: :meth:`hello_summary`. The filter itself lives in
-        #: ``repro.net.bloom``.
-        self._summary_cache: Tuple[int, float, int, object] = (-1, -1.0, 0, None)
         #: Bumped whenever the carried query population changes (own
         #: query added, foreign queries stored, expiry, wipe); keys the
         #: memoized live-query and token-tuple views below.
@@ -496,37 +491,6 @@ class NodeState:
         result = frozenset(wanted)
         self._wanted_cache = (self._version, now, result)
         return result
-
-    def hello_summary(self, fpr: float, seed: int):
-        """Bloom summary of the URIs this node holds or is downloading.
-
-        This is the filter a hello beacon carries under
-        ``ProtocolConfig.hello_blooms`` (§III-B's held/downloading
-        listing, compressed): peers screen metadata candidates against
-        it, so exchange cost scales with new items rather than with
-        this node's store. Downloading URIs are always a subset of the
-        stored metadata's URIs (a download needs its record), so one
-        filter over the store covers both sets.
-
-        Cached per ``(metadata.mutations, fpr, seed)``: the store only
-        grows/shrinks through its mutation counter, and the filter's
-        bits are a pure function of the URI set and the two knobs.
-        """
-        mutations, cached_fpr, cached_seed, cached = self._summary_cache
-        if (
-            cached is not None
-            and mutations == self.metadata.mutations
-            and cached_fpr == fpr  # detlint: ignore[DET004] config knob identity, not sim time
-            and cached_seed == seed
-        ):
-            return cached
-        from repro.net.bloom import BloomFilter
-
-        summary = BloomFilter.from_items(
-            sorted(self.metadata.uris), fpr=fpr, seed=seed
-        )
-        self._summary_cache = (self.metadata.mutations, fpr, seed, summary)
-        return summary
 
     def _best_match(self, matches: List[Metadata]) -> Metadata:
         """The record a careful user would pick among query matches.

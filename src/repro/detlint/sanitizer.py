@@ -50,8 +50,8 @@ DETCHECK_ENV = "REPRO_DETCHECK"
 
 #: ``extra`` keys excluded from fingerprints: wall-clock phase timers
 #: differ between the two runs by construction. The catalog counters
-#: (``perf.catalog.*``) record server implementation work (heap pops,
-#: ranked-view rebuilds, bloom screens): a server optimisation that
+#: (``perf.catalog.*``) record metadata-server implementation work
+#: (heap pops, ranked-view rebuilds): a server optimisation that
 #: leaves results unchanged must not move the fingerprint either.
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
     "perf.time_us.",

@@ -1,11 +1,5 @@
 """Wire messages and transmission-medium models."""
 
-from repro.net.hello import (
-    build_hello,
-    derive_cliques,
-    exchange_hellos,
-    full_connectivity,
-)
 from repro.net.medium import (
     BroadcastMedium,
     ContactBudget,
@@ -21,10 +15,6 @@ from repro.net.messages import (
 )
 
 __all__ = [
-    "build_hello",
-    "derive_cliques",
-    "exchange_hellos",
-    "full_connectivity",
     "BroadcastMedium",
     "ContactBudget",
     "PairwiseMedium",

@@ -10,11 +10,10 @@ seconds, (c) query strings, and (d) the URIs of the downloading files."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.catalog.files import PIECE_SIZE
 from repro.catalog.metadata import Metadata
-from repro.net.bloom import BloomFilter
 from repro.types import NodeId, Uri
 
 #: Nodes send hello messages at least every second (§III-B).
@@ -38,20 +37,14 @@ class HelloMessage:
     sender:
         Node emitting the hello.
     heard:
-        Nodes the sender received hellos from in the recent window;
-        receivers use this to compute communication cliques.
+        Nodes the sender received hellos from in the recent
+        ``HELLO_NEIGHBOR_WINDOW`` (§III-B's neighbor list).
     query_tokens:
         The sender's standing query strings (token sets).
     downloading:
         URIs of files the sender is currently trying to download.
     sent_at:
         Emission time.
-    summary:
-        Optional bloom-filter summary of the URIs the sender already
-        holds or is downloading (``ProtocolConfig.hello_blooms``).
-        Receivers screen metadata candidates against it so per-contact
-        exchange scales with *new* items, not with the peer's store;
-        a constant-size filter replaces an exact O(store) listing.
     """
 
     sender: NodeId
@@ -59,19 +52,16 @@ class HelloMessage:
     query_tokens: Tuple[FrozenSet[str], ...]
     downloading: FrozenSet[Uri]
     sent_at: float
-    summary: Optional[BloomFilter] = None
 
     @property
     def size_bytes(self) -> int:
         """Approximate serialized size."""
         tokens = sum(len(ts) for ts in self.query_tokens)
-        summary = 0 if self.summary is None else self.summary.size_bytes
         return (
             HELLO_BASE_SIZE
             + 4 * len(self.heard)
             + QUERY_TOKEN_SIZE * tokens
             + 32 * len(self.downloading)
-            + summary
         )
 
 

@@ -39,6 +39,23 @@ from repro.catalog.popularity import PopularityTracker
 
 import random
 
+#: ``SimulationConfig`` fields the wire-level runtime does not model:
+#: the radio is always a broadcast domain, nodes keep no credit ledger,
+#: never choke and select every match, and there are no pirates, fault
+#: plans, adversary strategies or phase timers. A run that sets any of
+#: them would otherwise match the clean run bit for bit.
+UNSUPPORTED_FIELDS = (
+    "broadcast",
+    "fake_files_per_day",
+    "malicious_fraction",
+    "encrypted_choking",
+    "selection_policy",
+    "faults",
+    "adversaries",
+    "credit_policy",
+    "profile",
+)
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -63,6 +80,18 @@ class RuntimeHarness:
     ) -> None:
         if trace.num_nodes < 2:
             raise ValueError("trace must involve at least two nodes")
+        default = SimulationConfig()
+        unsupported = [
+            name
+            for name in UNSUPPORTED_FIELDS
+            if getattr(config, name) != getattr(default, name)
+        ]
+        if unsupported:
+            raise ValueError(
+                "RuntimeHarness does not implement "
+                + ", ".join(unsupported)
+                + "; leave them at their defaults"
+            )
         self.trace = trace
         self.config = config
         self.runtime_config = runtime_config or RuntimeConfig()
@@ -298,7 +327,7 @@ class RuntimeHarness:
             sim.schedule(
                 contact.start, self._make_contact(contact), priority=2
             )
-        sim.run(until=horizon)
+        sim.run(until=horizon, max_events=self.config.max_events)
         return self._metrics.result(
             {
                 "num_days": float(days),

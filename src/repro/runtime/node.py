@@ -23,6 +23,7 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 from repro.catalog.files import IntegrityError, bit_indices, pack_bitmap, piece_payload
 from repro.core.mbt import ProtocolConfig
 from repro.core.node import NodeState
+from repro.net.messages import HELLO_NEIGHBOR_WINDOW
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, Frame, FrameType
 from repro.sim.metrics import MetricsCollector
@@ -84,7 +85,8 @@ class DTNNode:
             sender=self.node_id,
             sent_at=now,
             heard=tuple(
-                int(n) for n in self.state.heard_recently(now, window=5.0)
+                int(n)
+                for n in self.state.heard_recently(now, HELLO_NEIGHBOR_WINDOW)
             ),
             query_tokens=tuple(
                 tuple(tokens) for tokens in self.state.own_query_tokens(now)

@@ -4,8 +4,8 @@ This package contains the generic machinery that drives every
 experiment in the reproduction:
 
 * :mod:`repro.sim.engine` — a deterministic discrete-event engine.
-* :mod:`repro.sim.cliques` — maximal-clique computation over neighbor
-  graphs derived from hello messages.
+* :mod:`repro.sim.spacetime` — space-time graph queries over a contact
+  trace (earliest arrival, reachability, delivery upper bounds).
 * :mod:`repro.sim.metrics` — per-query delivery bookkeeping.
 * :mod:`repro.sim.runner` — the end-to-end simulation that wires traces,
   the Internet-side catalog and the MBT protocol engine together.

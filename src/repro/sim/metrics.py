@@ -194,17 +194,9 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 class MetricsCollector:
-    """Tracks every generated query and its delivery instants.
+    """Tracks every generated query and its delivery instants."""
 
-    ``measure_from`` excludes queries created before that instant from
-    the reported ratios (warm-up exclusion: stores, credit and
-    metadata spread all start empty, so the first TTL window
-    under-represents steady state). Excluded queries are still tracked
-    for delay analyses.
-    """
-
-    def __init__(self, measure_from: float = 0.0) -> None:
-        self.measure_from = measure_from
+    def __init__(self) -> None:
         self._records: List[QueryRecord] = []
         #: (node, target_uri) -> records awaiting delivery.
         self._pending: Dict[Tuple[NodeId, Uri], List[QueryRecord]] = {}
@@ -260,22 +252,16 @@ class MetricsCollector:
         )
 
     def ratios_for(
-        self,
-        nodes: "set[NodeId] | frozenset[NodeId]",
-        measure_from: Optional[float] = None,
+        self, nodes: "set[NodeId] | frozenset[NodeId]"
     ) -> Tuple[float, float, int]:
         """(metadata ratio, file ratio, query count) over a node subset.
 
         Used for per-group analyses (e.g. cooperative vs free-rider
         delivery under tit-for-tat choking, or honest-node delivery
         under an adversary plan). Counts every query whose issuing node
-        is in ``nodes`` regardless of access status; ``measure_from``
-        (if given) applies the same warm-up exclusion as the headline
-        ratios, the default keeps the historical all-queries behavior.
+        is in ``nodes`` regardless of access status.
         """
         records = [r for r in self._records if r.query.node in nodes]
-        if measure_from is not None:
-            records = [r for r in records if r.query.created_at >= measure_from]
         if not records:
             return (0.0, 0.0, 0)
         meta = sum(1 for r in records if r.metadata_delivered)
@@ -284,11 +270,8 @@ class MetricsCollector:
 
     def result(self, extra: Optional[Mapping[str, float]] = None) -> SimulationResult:
         """Aggregate into a :class:`SimulationResult`."""
-        measured = [
-            r for r in self._records if r.query.created_at >= self.measure_from
-        ]
-        non_access = [r for r in measured if not r.access_node]
-        access = [r for r in measured if r.access_node]
+        non_access = [r for r in self._records if not r.access_node]
+        access = [r for r in self._records if r.access_node]
 
         def ratios(records: List[QueryRecord]) -> Tuple[float, int, int]:
             if not records:

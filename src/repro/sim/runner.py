@@ -5,8 +5,7 @@ Implements the evaluation model of §VI-A:
 * a configurable fraction of nodes are Internet access nodes;
 * every day at 12:00 noon, ``files_per_day`` new files (TTL
   ``ttl_days``) are generated and nodes issue queries by popularity;
-* Internet access nodes sync with the servers right after generation
-  (and can be configured to sync more often);
+* Internet access nodes sync with the servers right after generation;
 * every trace contact triggers one hello/discovery/download exchange
   with fixed metadata and piece budgets;
 * delivery ratios are measured among the non-Internet-access nodes.
@@ -80,17 +79,12 @@ class SimulationConfig:
     frequent_contact_max_gap_days: float = 3.0
     #: Number of simulated days; None = ceil of the trace span.
     num_days: Optional[int] = None
-    #: Internet sync instants per day for access nodes (>= 1).
-    internet_syncs_per_day: int = 1
     #: Bound on each node's metadata store (None = unbounded).
     metadata_capacity: Optional[int] = None
     #: Eviction policy of bounded stores: popularity | fifo | lru.
     metadata_policy: str = "popularity"
     #: Bound on each node's piece buffer, in pieces (None = unbounded).
     piece_capacity: Optional[int] = None
-    #: Run the full hello-beacon clique-derivation path (§III-B/§V)
-    #: instead of trusting trace contact membership.
-    derive_cliques_from_hellos: bool = False
     #: Derive per-contact budgets from contact duration and bandwidth
     #: instead of the fixed counts above (§V's realistic regime).
     use_duration_budgets: bool = False
@@ -107,9 +101,6 @@ class SimulationConfig:
     #: User selection among matched metadata: "all" (evaluation model)
     #: or "best" (§III-B: pick one — verified publisher, top popularity).
     selection_policy: str = "all"
-    #: Queries created before this many days are excluded from the
-    #: measured ratios (warm-up: stores and credit start empty).
-    warmup_days: float = 0.0
     #: Internet-side limits (see ProtocolConfig).
     pull_limit: int = 5
     push_limit: int = 10
@@ -141,13 +132,6 @@ class SimulationConfig:
     #: timer values differ between runs, which would break the
     #: result-equality invariants (serial vs parallel, resume).
     profile: bool = False
-    #: Attach bloom summaries of held/downloading URIs to hellos and
-    #: screen metadata candidates against them (see ProtocolConfig).
-    #: Changes results (false positives suppress some deliveries), so
-    #: off by default.
-    hello_blooms: bool = False
-    #: Target false-positive rate of the hello summaries.
-    bloom_fpr: float = 0.01
     #: Master seed: node roles, catalog and queries all derive from it.
     seed: int = 0
 
@@ -162,8 +146,10 @@ class SimulationConfig:
             raise ValueError("ttl_days must be positive")
         if self.metadata_per_contact < 0 or self.files_per_contact < 0:
             raise ValueError("per-contact budgets must be non-negative")
-        if self.internet_syncs_per_day < 1:
-            raise ValueError("internet_syncs_per_day must be >= 1")
+        if self.frequent_contact_max_gap_days <= 0:
+            raise ValueError("frequent_contact_max_gap_days must be positive")
+        if self.num_days is not None and self.num_days < 1:
+            raise ValueError("num_days must be >= 1 (None = the trace span)")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ValueError("malicious_fraction must be in [0, 1]")
         if self.fake_files_per_day < 0:
@@ -183,8 +169,6 @@ class SimulationConfig:
                 "pull_limit, push_limit, popular_file_downloads and "
                 "proxy_downloads_per_sync must be non-negative"
             )
-        if not 0.0 < self.bloom_fpr < 1.0:
-            raise ValueError("bloom_fpr must be in (0, 1)")
 
     def protocol_config(self) -> ProtocolConfig:
         return ProtocolConfig(
@@ -200,13 +184,9 @@ class SimulationConfig:
             popular_file_downloads=self.popular_file_downloads,
             proxy_downloads=self.proxy_downloads_per_sync,
             request_memory=self.ttl_days * DAY,
-            derive_cliques=self.derive_cliques_from_hellos,
             duration_budgets=self.use_duration_budgets,
             bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
             encrypted_choking=self.encrypted_choking,
-            hello_blooms=self.hello_blooms,
-            bloom_fpr=self.bloom_fpr,
-            bloom_seed=self.seed,
         )
 
     def catalog_config(self) -> CatalogConfig:
@@ -282,7 +262,7 @@ class Simulation:
         self._perf = PerfRecorder(profile=config.profile)
         self._metadata_server = MetadataServer(tracker, perf=self._perf)
         self._file_server = FileServer(perf=self._perf)
-        self._metrics = MetricsCollector(measure_from=config.warmup_days * DAY)
+        self._metrics = MetricsCollector()
         self._generator = CatalogGenerator(
             config.catalog_config(), nodes, seed=config.seed, registry=registry
         )
@@ -382,11 +362,7 @@ class Simulation:
         for day in range(days):
             noon = noon_of_day(day)
             sim.schedule(noon, self._make_noon_action(day, noon), _PRIORITY_EXPIRE)
-            for k in range(self.config.internet_syncs_per_day):
-                offset = k * DAY / self.config.internet_syncs_per_day
-                at = noon + offset
-                if at < horizon:
-                    sim.schedule(at, self._make_sync_action(at), _PRIORITY_SYNC)
+            sim.schedule(noon, self._make_sync_action(noon), _PRIORITY_SYNC)
 
         # Consecutive contacts at the same trace instant are scheduled
         # as ONE batch event: the engine processes them in the same
@@ -444,9 +420,7 @@ class Simulation:
                 for node in self._states
                 if node not in self._adversary.nodes and node not in self._access_nodes
             )
-            meta_ratio, file_ratio, count = self._metrics.ratios_for(
-                honest, measure_from=self._metrics.measure_from
-            )
+            meta_ratio, file_ratio, count = self._metrics.ratios_for(honest)
             extra["adversary.honest_metadata_ratio"] = meta_ratio
             extra["adversary.honest_file_ratio"] = file_ratio
             extra["adversary.honest_queries"] = float(count)

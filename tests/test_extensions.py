@@ -1,9 +1,7 @@
-"""Tests for extension features: eviction policies, delay metrics,
-hello-derived cliques in the runner, and adversarial behaviour."""
+"""Tests for extension features: eviction policies, delay metrics and
+adversarial behaviour."""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -11,8 +9,6 @@ from repro.catalog.files import IntegrityError, piece_payload
 from repro.catalog.metadata import sign_metadata
 from repro.core.node import MetadataStore
 from repro.sim.metrics import MetricsCollector, _percentile
-from repro.sim.runner import Simulation, SimulationConfig
-from repro.traces.nus import NUSConfig, generate_nus_trace
 from repro.types import NodeId, Uri
 
 from conftest import make_metadata, make_node, make_query
@@ -101,23 +97,6 @@ class TestDelayMetrics:
     def test_no_delay_keys_when_nothing_delivered(self):
         result = MetricsCollector().result()
         assert "file_delay_p50" not in result.extra
-
-
-class TestHelloDerivedCliquesInRunner:
-    def test_equivalent_to_trusted_membership(self):
-        trace = generate_nus_trace(
-            NUSConfig(num_students=24, num_courses=5, num_days=4), seed=2
-        )
-        base = SimulationConfig(seed=2, files_per_day=15,
-                                frequent_contact_max_gap_days=1.0)
-        trusted = Simulation(trace, base).run()
-        derived = Simulation(
-            trace, replace(base, derive_cliques_from_hellos=True)
-        ).run()
-        # Trace contacts ARE cliques, so the §III-B derivation must
-        # recover them exactly and give identical delivery.
-        assert derived.metadata_delivery_ratio == trusted.metadata_delivery_ratio
-        assert derived.file_delivery_ratio == trusted.file_delivery_ratio
 
 
 class TestAdversarialBehaviour:

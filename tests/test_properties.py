@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from repro.catalog.files import (
 from repro.catalog.popularity import sample_popularity, truncated_exponential_mean
 from repro.core.coordinator import cyclic_order
 from repro.core.credits import CreditLedger
-from repro.sim.cliques import maximal_cliques, symmetrize
 from repro.sim.engine import Simulator
 from repro.traces.base import Contact, ContactTrace
 from repro.types import NodeId, Uri
@@ -130,54 +128,6 @@ def test_cyclic_order_is_agreed_permutation(members):
     order = cyclic_order(clique)
     assert sorted(order) == sorted(clique)
     assert order == cyclic_order(clique)  # every member computes the same
-
-
-# ---------------------------------------------------------------- cliques
-
-@st.composite
-def adjacency(draw):
-    n = draw(st.integers(min_value=1, max_value=10))
-    edges = draw(
-        st.sets(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ),
-            max_size=25,
-        )
-    )
-    graph = {NodeId(i): set() for i in range(n)}
-    for u, v in edges:
-        if u != v:
-            graph[NodeId(u)].add(NodeId(v))
-    return symmetrize(graph)
-
-
-@given(graph=adjacency())
-@settings(max_examples=60)
-def test_maximal_cliques_match_networkx(graph):
-    g = nx.Graph()
-    g.add_nodes_from(graph)
-    for u, vs in graph.items():
-        g.add_edges_from((u, v) for v in vs)
-    ours = set(maximal_cliques(graph))
-    theirs = {frozenset(c) for c in nx.find_cliques(g)}
-    assert ours == theirs
-
-
-@given(graph=adjacency())
-@settings(max_examples=60)
-def test_maximal_cliques_are_maximal_and_complete(graph):
-    for clique in maximal_cliques(graph):
-        members = sorted(clique)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                assert v in graph[u]
-        # No vertex outside the clique is adjacent to all of it.
-        for w in graph:
-            if w in clique:
-                continue
-            assert not clique <= graph[w] | {w}
 
 
 # ---------------------------------------------------------------- traces

@@ -52,6 +52,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(metadata_per_contact=-1)
 
+    @pytest.mark.parametrize("days", [0, -2])
+    def test_run_length_must_be_positive(self, days):
+        with pytest.raises(ValueError, match="num_days"):
+            SimulationConfig(num_days=days)
+        assert SimulationConfig(num_days=1).num_days == 1
+        assert SimulationConfig(num_days=None).num_days is None
+
+    @pytest.mark.parametrize("gap", [0.0, -1.0])
+    def test_frequent_contact_gap_must_be_positive(self, gap):
+        with pytest.raises(ValueError, match="frequent_contact_max_gap_days"):
+            SimulationConfig(frequent_contact_max_gap_days=gap)
+
     def test_with_variant(self):
         config = SimulationConfig()
         assert config.with_variant(ProtocolVariant.MBT_QM).variant is (

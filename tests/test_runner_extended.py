@@ -56,26 +56,6 @@ class TestNodeReport:
         assert sum(row["pieces_sent"] for row in report) > 0
 
 
-class TestSyncCadence:
-    def test_more_syncs_help_or_equal(self, trace):
-        base = SimulationConfig(seed=5, files_per_day=20)
-        daily = Simulation(trace, base).run()
-        hourly_ish = Simulation(
-            trace, replace(base, internet_syncs_per_day=4)
-        ).run()
-        assert hourly_ish.file_delivery_ratio >= daily.file_delivery_ratio - 0.02
-
-    def test_sync_counter_scales(self, trace):
-        base = SimulationConfig(seed=5, files_per_day=10)
-        sim1 = Simulation(trace, base)
-        sim1.run()
-        sim4 = Simulation(trace, replace(base, internet_syncs_per_day=4))
-        sim4.run()
-        syncs1 = sum(s.stats.internet_syncs for s in sim1.states.values())
-        syncs4 = sum(s.stats.internet_syncs for s in sim4.states.values())
-        assert syncs4 > syncs1
-
-
 class TestPopularityTracking:
     def test_tracked_popularity_runs_and_differs(self, trace):
         base = SimulationConfig(seed=5, files_per_day=20)

@@ -6,11 +6,14 @@ import pytest
 
 from repro.catalog.files import piece_payload
 from repro.core.mbt import ProtocolConfig, ProtocolVariant, SchedulingMode
+from repro.core.strategies import AdversaryPlan
+from repro.faults import FaultPlan
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, FrameType
 from repro.runtime.harness import RuntimeConfig, RuntimeHarness
 from repro.runtime.node import DTNNode
 from repro.runtime.radio import EmulatedRadio
+from repro.sim.engine import SimulationError
 from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
@@ -367,3 +370,38 @@ class TestHarnessEquivalence:
         clean = RuntimeHarness(trace, config).run()
         assert lossy.file_delivery_ratio <= clean.file_delivery_ratio
         assert 0.0 <= lossy.file_delivery_ratio <= 1.0
+
+
+@pytest.fixture(scope="module")
+def small_diesel():
+    return generate_dieselnet_trace(DieselNetConfig(num_buses=8, num_days=3), seed=0)
+
+
+class TestHarnessConfig:
+    """The harness refuses config it does not model instead of ignoring it."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"faults": FaultPlan(loss_rate=0.5, churn_rate=0.2)},
+            {"adversaries": AdversaryPlan(fraction=0.5)},
+            {"malicious_fraction": 0.5, "fake_files_per_day": 5},
+            {"credit_policy": "reputation"},
+            {"selection_policy": "best"},
+            {"encrypted_choking": True},
+            {"broadcast": False},
+            {"profile": True},
+        ],
+        ids=lambda overrides: "+".join(sorted(overrides)),
+    )
+    def test_unsupported_field_rejected(self, small_diesel, overrides):
+        config = SimulationConfig(seed=0, **overrides)
+        with pytest.raises(ValueError) as info:
+            RuntimeHarness(small_diesel, config)
+        for name in overrides:
+            assert name in str(info.value)
+
+    def test_max_events_honoured(self, small_diesel):
+        harness = RuntimeHarness(small_diesel, SimulationConfig(seed=0, max_events=1))
+        with pytest.raises(SimulationError, match="event budget"):
+            harness.run()

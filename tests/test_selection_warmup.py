@@ -1,5 +1,5 @@
-"""Tests for user selection policy, warm-up exclusion and engine
-property-based invariants."""
+"""Tests for user selection policy and engine property-based
+invariants."""
 
 from __future__ import annotations
 
@@ -13,10 +13,9 @@ from repro.catalog.files import piece_payload
 from repro.core.mbt import MobileBitTorrent, ProtocolConfig
 from repro.core.node import NodeState
 from repro.net.medium import ContactBudget
-from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
-from repro.types import DAY, NodeId, Uri
+from repro.types import NodeId
 
 from conftest import clique_contact, make_metadata, make_node, make_query
 from test_mbt_engine import Harness
@@ -88,33 +87,6 @@ class TestSelectionPolicy:
         assert select_best.file_delivery_ratio >= (
             select_all.file_delivery_ratio - 0.02
         )
-
-
-class TestWarmup:
-    def test_warmup_excludes_early_queries(self):
-        metrics = MetricsCollector(measure_from=2 * DAY)
-        early = make_query(1, "dtn://fox/a", ["a"], created_at=DAY,
-                           expires_at=5 * DAY)
-        late = make_query(1, "dtn://fox/b", ["b"], created_at=3 * DAY,
-                          expires_at=6 * DAY)
-        metrics.register_query(early, access_node=False)
-        metrics.register_query(late, access_node=False)
-        metrics.on_file_complete(NodeId(1), Uri("dtn://fox/a"), 1.5 * DAY)
-        result = metrics.result()
-        # Only the post-warm-up query counts; it was not delivered.
-        assert result.queries_generated == 1
-        assert result.file_delivery_ratio == 0.0
-
-    def test_warmup_config_changes_population(self):
-        trace = generate_dieselnet_trace(
-            DieselNetConfig(num_buses=12, num_days=5), seed=7
-        )
-        full = Simulation(trace, SimulationConfig(seed=7, files_per_day=20)).run()
-        warm = Simulation(
-            trace, SimulationConfig(seed=7, files_per_day=20, warmup_days=2.0)
-        ).run()
-        assert warm.queries_generated < full.queries_generated
-        assert warm.queries_generated > 0
 
 
 # ------------------------------------------------------- engine properties
