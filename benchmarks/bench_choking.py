@@ -41,11 +41,11 @@ def run_grid():
             sim.run()
             coop = frozenset(
                 n for n in sim.states
-                if not sim.states[n].selfish and n not in sim.access_nodes
+                if n not in sim.selfish_nodes and n not in sim.access_nodes
             )
             riders = frozenset(
                 n for n in sim.states
-                if sim.states[n].selfish and n not in sim.access_nodes
+                if n in sim.selfish_nodes and n not in sim.access_nodes
             )
             __, coop_file, __ = sim.metrics.ratios_for(coop)
             __, rider_file, rider_count = sim.metrics.ratios_for(riders)

@@ -36,11 +36,11 @@ def main() -> None:
     def group_files(sim):
         coop = frozenset(
             n for n in sim.states
-            if not sim.states[n].selfish and n not in sim.access_nodes
+            if n not in sim.selfish_nodes and n not in sim.access_nodes
         )
         riders = frozenset(
             n for n in sim.states
-            if sim.states[n].selfish and n not in sim.access_nodes
+            if n in sim.selfish_nodes and n not in sim.access_nodes
         )
         coop_file = sim.metrics.ratios_for(coop)[1]
         rider = sim.metrics.ratios_for(riders)
@@ -73,11 +73,13 @@ def main() -> None:
 
     cooperative = [
         earned[node]
-        for node, state in last_tft_sim.states.items()
-        if not state.selfish
+        for node in last_tft_sim.states
+        if node not in last_tft_sim.selfish_nodes
     ]
     selfish = [
-        earned[node] for node, state in last_tft_sim.states.items() if state.selfish
+        earned[node]
+        for node in last_tft_sim.states
+        if node in last_tft_sim.selfish_nodes
     ]
     print(f"  cooperative nodes: {mean(cooperative):10.1f} total credit earned")
     print(f"  free-riders:       {mean(selfish):10.1f} total credit earned")

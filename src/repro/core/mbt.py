@@ -475,10 +475,20 @@ class MobileBitTorrent:
                 if peer != node:
                     state.neighbor_last_heard[peer] = now
                     state.remember_peer_requests(peer, wanted[peer], now)
+        self.store_frequent_queries(states, now)
+
+    def store_frequent_queries(
+        self, states: Mapping[NodeId, NodeState], now: float
+    ) -> None:
+        """Full MBT: members store their frequent contacts' own queries.
+
+        A local action on hello contents, shared by the simulator and
+        the wire-level runtime; other variants store nothing.
+        """
         if not self._config.variant.distributes_queries:
             return
         for node, state in states.items():
-            if state.selfish or not state.strategy.carries_queries:
+            if not state.strategy.carries_queries:
                 continue  # free-riders do not carry anyone's queries
             for peer, peer_state in states.items():
                 if peer != node and peer in state.frequent_contacts:
@@ -628,8 +638,8 @@ class MobileBitTorrent:
             sender_id = order[position % len(order)]
             position += 1
             sender = states[sender_id]
-            if sender.selfish or not sender.strategy.serves:
-                if self._adversary is not None and not sender.strategy.serves:
+            if not sender.strategy.serves:
+                if self._adversary is not None:
                     self._adversary.count("turns_skipped")
                 idle_turns += 1
                 continue
@@ -662,11 +672,7 @@ class MobileBitTorrent:
     ) -> List[NodeId]:
         if not cand.missing:
             return []
-        return [
-            n
-            for n in cand.holders
-            if not states[n].selfish and states[n].strategy.serves
-        ]
+        return [n for n in cand.holders if states[n].strategy.serves]
 
     def _transmit_metadata(
         self,
@@ -861,14 +867,8 @@ class MobileBitTorrent:
             sender_id = order[position % len(order)]
             position += 1
             sender = states[sender_id]
-            if (
-                sender.selfish
-                or not sender.strategy.serves
-                or not sender.strategy.serves_pieces
-            ):
-                if self._adversary is not None and not (
-                    sender.strategy.serves and sender.strategy.serves_pieces
-                ):
+            if not (sender.strategy.serves and sender.strategy.serves_pieces):
+                if self._adversary is not None:
                     self._adversary.count("turns_skipped")
                 idle_turns += 1
                 continue
@@ -904,9 +904,7 @@ class MobileBitTorrent:
         return [
             n
             for n in cand.holders
-            if not states[n].selfish
-            and states[n].strategy.serves
-            and states[n].strategy.serves_pieces
+            if states[n].strategy.serves and states[n].strategy.serves_pieces
         ]
 
     def _transmit_piece(

@@ -11,7 +11,8 @@ A node runs a file-discovery process and a file-download process
   shorten file discovery time");
 * a **neighbor table** fed by hello messages;
 * a tit-for-tat **credit ledger**;
-* flags: Internet access (§VI-A) and selfishness (§IV-B/§V-B).
+* an Internet-access flag (§VI-A) and a behavior :class:`Strategy`
+  (selfish free-riders of §IV-B/§V-B get ``free_rider``).
 """
 
 from __future__ import annotations
@@ -268,7 +269,6 @@ class NodeState:
         node: NodeId,
         registry: PublisherRegistry,
         internet_access: bool = False,
-        selfish: bool = False,
         metadata_capacity: Optional[int] = None,
         metadata_policy: str = "popularity",
         piece_capacity: Optional[int] = None,
@@ -284,13 +284,13 @@ class NodeState:
             raise ValueError(f"unknown selection policy {selection_policy!r}")
         self.node = node
         self.internet_access = internet_access
-        self.selfish = selfish
         self.registry = registry
         self.verify_signatures = verify_signatures
         self.selection_policy = selection_policy
         #: Behavior profile consulted by the protocol engine; honest
-        #: unless an :class:`~repro.core.strategies.AdversaryPlan`
-        #: assigned this node otherwise.
+        #: unless the node is selfish (``free_rider``) or an
+        #: :class:`~repro.core.strategies.AdversaryPlan` assigned it
+        #: another strategy.
         self.strategy = HONEST if strategy is None else strategy
         self.metadata = MetadataStore(metadata_capacity, metadata_policy)
         self.pieces = PieceStore(payload_length)

@@ -13,8 +13,9 @@ constraint end-to-end (the paper's declared future work, §VII:
 * :mod:`repro.runtime.node` — the device runtime: beaconing, neighbor
   tables, local candidate selection from hello-carried state summaries,
   cyclic-order transmission (no coordinator messages needed).
-* :mod:`repro.runtime.harness` — drives a contact trace through real
-  frames and reports the same delivery metrics as the simulator.
+* :mod:`repro.runtime.harness` — a :class:`~repro.sim.runner.Simulation`
+  whose contacts run through real frames; the day loop and the delivery
+  metrics are the simulator's own.
 
 The test-suite validates the runtime against the simulator: with
 identical traces, catalogs and budgets, the wire-level implementation

@@ -111,7 +111,7 @@ class DTNNode:
         proposal — and all members would agree, having the same hello
         information.
         """
-        if self.state.selfish:
+        if not self.state.strategy.serves:
             return None
         peers = [p for p in clique if p != self.node_id]
         best_key: Optional[Tuple] = None
@@ -173,7 +173,8 @@ class DTNNode:
         self, now: float, clique: FrozenSet[NodeId]
     ) -> Optional[Tuple[Tuple, Uri, int]]:
         """Best local piece candidate as (key, uri, index), or None (§V-A)."""
-        if self.state.selfish:
+        strategy = self.state.strategy
+        if not (strategy.serves and strategy.serves_pieces):
             return None
         peers = [p for p in clique if p != self.node_id]
         best_key: Optional[Tuple] = None

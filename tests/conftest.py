@@ -11,6 +11,7 @@ from repro.catalog.files import piece_checksums
 from repro.catalog.metadata import Metadata, PublisherRegistry, sign_metadata
 from repro.catalog.query import Query
 from repro.core.node import NodeState
+from repro.core.strategies import STRATEGIES
 from repro.traces.base import Contact, ContactTrace
 from repro.types import DAY, NodeId, Uri
 
@@ -79,7 +80,7 @@ def make_node(
         node=NodeId(node),
         registry=registry,
         internet_access=internet_access,
-        selfish=selfish,
+        strategy=STRATEGIES["free_rider"] if selfish else None,
         metadata_capacity=metadata_capacity,
     )
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.mbt import ProtocolVariant
+from repro.core.node import NodeState
+from repro.core.strategies import STRATEGIES
+from repro.runtime.harness import RuntimeHarness
 from repro.sim.runner import Simulation, SimulationConfig, run_simulation
 from repro.traces.base import ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
@@ -63,6 +66,13 @@ class TestConfigValidation:
     def test_frequent_contact_gap_must_be_positive(self, gap):
         with pytest.raises(ValueError, match="frequent_contact_max_gap_days"):
             SimulationConfig(frequent_contact_max_gap_days=gap)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
+    def test_bandwidth_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
+            SimulationConfig(use_duration_budgets=True, bandwidth_bytes_per_s=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
+            SimulationConfig(bandwidth_bytes_per_s=bandwidth)
 
     def test_with_variant(self):
         config = SimulationConfig()
@@ -182,6 +192,35 @@ class TestSelfishAndTFT:
         honest = run(diesel_trace, selfish_fraction=0.0)
         selfish = run(diesel_trace, selfish_fraction=0.6)
         assert selfish.file_delivery_ratio < honest.file_delivery_ratio
+
+    @pytest.mark.parametrize("runner", [Simulation, RuntimeHarness])
+    def test_selfish_nodes_are_free_riders(self, diesel_trace, runner, monkeypatch):
+        carriers = set()
+        store = NodeState.store_foreign_queries
+
+        def recording_store(state, peer, queries):
+            queries = list(queries)
+            if queries:
+                carriers.add(state.node)
+            store(state, peer, queries)
+
+        monkeypatch.setattr(NodeState, "store_foreign_queries", recording_store)
+        sim = runner(
+            diesel_trace,
+            SimulationConfig(seed=1, files_per_day=20, selfish_fraction=0.3),
+        )
+        sim.run()
+        assert sim.selfish_nodes
+        for node in sim.selfish_nodes:
+            state = sim.states[node]
+            assert state.strategy is STRATEGIES["free_rider"]
+            assert state.stats.metadata_sent == state.stats.pieces_sent == 0
+        assert carriers and carriers.isdisjoint(sim.selfish_nodes)
+        assert any(
+            sim.states[node].stats.pieces_sent > 0
+            for node in sim.states
+            if node not in sim.selfish_nodes
+        )
 
     def test_tit_for_tat_runs(self, diesel_trace):
         result = run(diesel_trace, tit_for_tat=True, selfish_fraction=0.3)
