@@ -326,6 +326,25 @@ class TestHarnessEquivalence:
         assert result.extra["radio_frames"] > 0
         assert result.extra["radio_bytes"] > result.extra["radio_frames"]
 
+    def test_transmission_counters_count_radio_sends(self):
+        trace = generate_dieselnet_trace(
+            DieselNetConfig(num_buses=10, num_days=3), seed=1
+        )
+        harness = RuntimeHarness(trace, SimulationConfig(seed=1, files_per_day=10))
+        result = harness.run()
+        stats = [device.state.stats for device in harness.devices.values()]
+        metadata_sent = sum(s.metadata_sent for s in stats)
+        pieces_sent = sum(s.pieces_sent for s in stats)
+        assert metadata_sent > 0 and pieces_sent > 0
+        assert result.extra["metadata_transmissions"] == metadata_sent
+        assert result.extra["piece_transmissions"] == pieces_sent
+        assert harness._metrics.metadata_transmissions == metadata_sent
+        assert harness._metrics.piece_transmissions == pieces_sent
+        counters = result.counters
+        assert counters["contacts_processed"] == counters["cliques_processed"] > 0
+        assert 0 < counters["contact_batches"] <= counters["contacts_processed"]
+        assert counters["hello_exchanges"] >= 2 * counters["contacts_processed"]
+
     def test_corrupted_radio_degrades_but_never_corrupts_state(self):
         trace = generate_dieselnet_trace(
             DieselNetConfig(num_buses=12, num_days=4), seed=1
