@@ -3,12 +3,12 @@
 * :mod:`repro.core.node` — per-node protocol state (stores, queries,
   neighbors, frequent contacts).
 * :mod:`repro.core.credits` — the tit-for-tat credit ledger (§IV-B).
-* :mod:`repro.core.discovery` — cooperative and tit-for-tat metadata
-  selection (§IV).
-* :mod:`repro.core.download` — cooperative and tit-for-tat piece
-  selection, broadcast and pair-wise scheduling (§V).
-* :mod:`repro.core.coordinator` — clique coordinator election and the
-  seeded cyclic broadcast order (§V-A/B).
+* :mod:`repro.core.discovery` — metadata candidates and their
+  cooperative and tit-for-tat rank keys (§IV).
+* :mod:`repro.core.download` — piece candidates and their cooperative
+  and tit-for-tat rank keys (§V).
+* :mod:`repro.core.coordinator` — the seeded cyclic broadcast order
+  (§V-B).
 * :mod:`repro.core.mbt` — the MBT / MBT-Q / MBT-QM protocol engine.
 """
 

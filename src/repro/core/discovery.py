@@ -12,15 +12,15 @@ policy:
   the credits of the nodes requesting it* from the sender's ledger;
   un-requested records fall back to popularity order.
 
-This module is pure policy: it builds and ranks candidates. The phase
-loop that spends the budget lives in :mod:`repro.core.mbt`.
+This module is pure policy: it builds candidates and defines their rank
+keys. The scheduler that spends the budget — shared with the download
+phase — lives in :mod:`repro.core.mbt` and ranks with these keys.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.catalog.metadata import Metadata
 from repro.core.cliqueview import CliqueView
@@ -199,9 +199,12 @@ def cooperative_rank_key(candidate: MetadataCandidate) -> Tuple:
     *own* queries outrank records only requested on behalf of absent
     frequent contacts. Popularity breaks ties; un-requested records
     follow in decreasing popularity. URI is the deterministic final
-    tie-break.
+    tie-break, so keys are unique within a clique.
+
+    Reads only the candidate's fields, so it ranks the protocol
+    engine's mutable scheduler copies as well as frozen candidates.
     """
-    phase = 0 if candidate.requested else 1
+    phase = 0 if (candidate.own_requesters or candidate.proxy_requesters) else 1
     return (
         phase,
         -len(candidate.own_requesters),
@@ -211,51 +214,21 @@ def cooperative_rank_key(candidate: MetadataCandidate) -> Tuple:
     )
 
 
-def tit_for_tat_rank_key(candidate: MetadataCandidate, sender: NodeState) -> Tuple:
-    """Credit-weighted order for a specific sender (§IV-B).
+def tit_for_tat_rank_key(
+    candidate: MetadataCandidate, sender: NodeState, now: float
+) -> Tuple:
+    """Credit-weighted order for a specific sender at time ``now`` (§IV-B).
 
-    Primary key: the sum of the sender's credits for the requesters.
-    Requested records still precede un-requested at equal weight, and
-    popularity breaks remaining ties.
+    Primary key: the sum of the sender's credits for the requesters
+    (reputation-weighted, decayed to ``now``, under the reputation
+    policy). Requested records still precede un-requested at equal
+    weight, and popularity breaks remaining ties.
     """
-    weight = sender.credits.weight_of_requesters(candidate.requesters)
-    phase = 0 if candidate.requested else 1
+    weight = sender.credits.weight_of_requesters(candidate.requesters, now)
+    phase = 0 if (candidate.own_requesters or candidate.proxy_requesters) else 1
     return (
         -weight,
         phase,
         -candidate.metadata.popularity,
         candidate.metadata.uri,
     )
-
-
-def select_cooperative(
-    candidates: Sequence[MetadataCandidate],
-    limit: Optional[int] = None,
-) -> List[MetadataCandidate]:
-    """Globally rank candidates for the coordinator (§IV-A).
-
-    With ``limit`` (e.g. the contact's metadata budget), only the best
-    ``limit`` candidates are materialized via a lazy top-k instead of a
-    full sort; the rank key's URI tie-break makes the prefix identical
-    to ``sorted(...)[:limit]``.
-    """
-    if limit is not None:
-        return heapq.nsmallest(limit, candidates, key=cooperative_rank_key)
-    return sorted(candidates, key=cooperative_rank_key)
-
-
-def select_for_sender(
-    candidates: Sequence[MetadataCandidate],
-    sender: NodeState,
-    tit_for_tat: bool,
-    limit: Optional[int] = None,
-) -> List[MetadataCandidate]:
-    """Rank the candidates a given sender can transmit (top-k with ``limit``)."""
-    own = [c for c in candidates if sender.node in c.holders]
-    if tit_for_tat:
-        key = lambda c: tit_for_tat_rank_key(c, sender)  # noqa: E731
-    else:
-        key = cooperative_rank_key
-    if limit is not None:
-        return heapq.nsmallest(limit, own, key=key)
-    return sorted(own, key=key)

@@ -23,9 +23,8 @@ the *only* way metadata spread.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.catalog.files import bit_indices
 from repro.catalog.metadata import Metadata
@@ -196,8 +195,13 @@ def build_piece_candidates_reference(
 
 
 def cooperative_rank_key(candidate: PieceCandidate) -> Tuple:
-    """Two-phase cooperative order (§V-A)."""
-    phase = 0 if candidate.requested else 1
+    """Two-phase cooperative order (§V-A).
+
+    The (URI, index) tie-break makes keys unique within a clique. Reads
+    only the candidate's fields, so it ranks the protocol engine's
+    mutable scheduler copies as well as frozen candidates.
+    """
+    phase = 0 if candidate.requesters else 1
     return (
         phase,
         -len(candidate.requesters),
@@ -207,10 +211,12 @@ def cooperative_rank_key(candidate: PieceCandidate) -> Tuple:
     )
 
 
-def tit_for_tat_rank_key(candidate: PieceCandidate, sender: NodeState) -> Tuple:
-    """Credit-weighted order for a specific sender (§V-B)."""
-    weight = sender.credits.weight_of_requesters(candidate.requesters)
-    phase = 0 if candidate.requested else 1
+def tit_for_tat_rank_key(
+    candidate: PieceCandidate, sender: NodeState, now: float
+) -> Tuple:
+    """Credit-weighted order for a specific sender at time ``now`` (§V-B)."""
+    weight = sender.credits.weight_of_requesters(candidate.requesters, now)
+    phase = 0 if candidate.requesters else 1
     return (
         -weight,
         phase,
@@ -218,35 +224,3 @@ def tit_for_tat_rank_key(candidate: PieceCandidate, sender: NodeState) -> Tuple:
         candidate.uri,
         candidate.index,
     )
-
-
-def select_cooperative(
-    candidates: Sequence[PieceCandidate],
-    limit: Optional[int] = None,
-) -> List[PieceCandidate]:
-    """Globally rank piece candidates for the coordinator (§V-A).
-
-    With ``limit`` (the contact's piece budget), a lazy top-k replaces
-    the full sort; the (URI, index) tie-break makes the prefix
-    identical to ``sorted(...)[:limit]``.
-    """
-    if limit is not None:
-        return heapq.nsmallest(limit, candidates, key=cooperative_rank_key)
-    return sorted(candidates, key=cooperative_rank_key)
-
-
-def select_for_sender(
-    candidates: Sequence[PieceCandidate],
-    sender: NodeState,
-    tit_for_tat: bool,
-    limit: Optional[int] = None,
-) -> List[PieceCandidate]:
-    """Rank the piece candidates a sender can transmit (top-k with ``limit``)."""
-    own = [c for c in candidates if sender.node in c.holders]
-    if tit_for_tat:
-        key = lambda c: tit_for_tat_rank_key(c, sender)  # noqa: E731
-    else:
-        key = cooperative_rank_key
-    if limit is not None:
-        return heapq.nsmallest(limit, own, key=key)
-    return sorted(own, key=key)

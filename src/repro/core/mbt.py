@@ -12,21 +12,27 @@ evaluated protocol variants (§VI-A):
   file pieces (the prior content-distribution model the paper compares
   against).
 
-Scheduling modes:
+Both contact phases, discovery and download, run through one
+scheduler (``MobileBitTorrent._schedule``) with one of two modes; the
+phase supplies only its candidates, its serving members, its transmit
+step and its policy module, whose rank keys define the order:
 
-* ``COORDINATOR`` (cooperative, §IV-A/§V-A): an elected coordinator
-  picks the globally best transmission each slot.
+* ``COORDINATOR`` (cooperative, §IV-A/§V-A): the coordinator picks the
+  globally best transmission each slot by ``cooperative_rank_key``.
 * ``CYCLIC`` (selfish-tolerant, §IV-B/§V-B): members transmit in the
   agreed-upon seeded cyclic order; each sender picks its own best item
-  (credit-weighted under tit-for-tat). Selfish nodes skip their turn.
+  by the credit-weighted ``tit_for_tat_rank_key``. Members whose
+  strategy does not serve the phase skip their turn.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from types import ModuleType
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, TypeVar
 
 from repro.catalog.adversary import PIRATE_URI_PREFIX
 from repro.catalog.files import IntegrityError, piece_payload
@@ -35,7 +41,7 @@ from repro.catalog.metadata import Metadata
 from repro.catalog.server import FileServer, MetadataServer
 from repro.core import discovery, download
 from repro.core.cliqueview import CliqueView
-from repro.core.coordinator import cyclic_order, elect_coordinator
+from repro.core.coordinator import cyclic_order
 from repro.core.node import NodeState
 from repro.core.strategies import AdversaryState
 from repro.faults import FaultInjector, corrupt_payload
@@ -196,6 +202,11 @@ class _MutablePieceCandidate:
     @property
     def uri(self) -> Uri:
         return self.metadata.uri
+
+
+#: Either scheduler copy; the shared phase loops only touch ``holders``
+#: and ``missing`` and hand the candidate to the phase's rank keys.
+_C = TypeVar("_C", _MutableMetaCandidate, _MutablePieceCandidate)
 
 
 class MobileBitTorrent:
@@ -371,7 +382,7 @@ class MobileBitTorrent:
             if seeded >= self._config.popular_file_downloads:
                 break
             if not state.pieces.is_complete(record.uri, record.num_pieces):
-                self._accept_metadata(state, record, now, force=True)
+                self._accept_metadata(state, record, now)
                 self._download_from_internet(state, record.uri, now)
                 seeded += 1
 
@@ -383,9 +394,7 @@ class MobileBitTorrent:
         state.stats.files_completed += 1
         self._metrics.on_file_complete(state.node, uri, now)
 
-    def _accept_metadata(
-        self, state: NodeState, record: Metadata, now: float, force: bool = False
-    ) -> bool:
+    def _accept_metadata(self, state: NodeState, record: Metadata, now: float) -> bool:
         """Store a record from the Internet (always trusted/signed)."""
         new = state.accept_metadata(record, now)
         if new:
@@ -545,6 +554,81 @@ class MobileBitTorrent:
                 cand.missing.add(node)
                 adversary.count("holdings_hidden")
 
+    # -- scheduling ------------------------------------------------------------
+
+    def _schedule(
+        self,
+        states: Mapping[NodeId, NodeState],
+        members: FrozenSet[NodeId],
+        candidates: List[_C],
+        serving: FrozenSet[NodeId],
+        budget: int,
+        now: float,
+        ranks: ModuleType,
+        transmit: Callable[[_C, NodeId], bool],
+    ) -> None:
+        """Spend one phase's budget; both phases share this scheduler.
+
+        ``ranks`` is the phase's policy module (:mod:`~repro.core.discovery`
+        or :mod:`~repro.core.download`), which defines the rank keys;
+        ``serving`` holds the members whose strategy sends in this
+        phase, and ``transmit(cand, sender)`` returns True if it sent.
+        The rank keys are unique (URI, and piece index, tie-break), so
+        ``min()`` and the heap never compare candidates.
+        """
+        self._hide_holdings(candidates)
+        self._screen_rejected(candidates, states)
+        if not candidates:
+            return
+        if self._config.effective_scheduling() is SchedulingMode.COORDINATOR:
+            # The coordinator sees the whole clique: each slot goes to
+            # the globally best candidate, sent by its lowest-id serving
+            # holder.
+            rank = ranks.cooperative_rank_key
+            for __ in range(budget):
+                sendable = [
+                    (rank(c), c)
+                    for c in candidates
+                    if c.missing and not serving.isdisjoint(c.holders)
+                ]
+                if not sendable:
+                    return
+                __, best = min(sendable)
+                if not transmit(best, min(best.holders & serving)) or not best.missing:
+                    candidates.remove(best)
+            return
+        rank_for = ranks.tit_for_tat_rank_key
+        turns = itertools.cycle(cyclic_order(members))
+        spent = idle_turns = 0
+        while spent < budget and idle_turns < len(members):
+            sender_id = next(turns)
+            if sender_id not in serving:
+                if self._adversary is not None:
+                    self._adversary.count("turns_skipped")
+                idle_turns += 1
+                continue
+            # Lazy top-k: heapify the sender's candidates and pop until
+            # one transmits; the pop order equals a full sort's order
+            # while usually materializing only the first element.
+            sender = states[sender_id]
+            heap = [
+                (rank_for(c, sender, now), c)
+                for c in candidates
+                if sender_id in c.holders and c.missing
+            ]
+            heapq.heapify(heap)
+            sent = False
+            while heap and not sent:
+                __, cand = heapq.heappop(heap)
+                sent = transmit(cand, sender_id)
+                if not cand.missing:
+                    candidates.remove(cand)
+            if sent:
+                spent += 1
+                idle_turns = 0
+            else:
+                idle_turns += 1
+
     # -- metadata phase ------------------------------------------------------------
 
     def _run_metadata_phase(
@@ -552,127 +636,21 @@ class MobileBitTorrent:
         states: Mapping[NodeId, NodeState],
         members: FrozenSet[NodeId],
         now: float,
-        budget: Optional[int] = None,
-        view: Optional[CliqueView] = None,
+        budget: int,
+        view: CliqueView,
     ) -> None:
-        if budget is None:
-            budget = self._config.budget.metadata
         if budget <= 0:
             return
         include_foreign = self._config.variant.distributes_queries
         raw = discovery.build_metadata_candidates(states, now, include_foreign, view)
         candidates = [_MutableMetaCandidate(c) for c in raw]
-        self._hide_holdings(candidates)
-        self._screen_rejected(candidates, states)
         self.perf.count("meta_candidates", len(candidates))
-        if not candidates:
-            return
+        serving = frozenset(n for n in members if states[n].strategy.serves)
 
-        if self._config.effective_scheduling() is SchedulingMode.COORDINATOR:
-            self._metadata_coordinator_loop(states, members, candidates, budget, now, view)
-        else:
-            self._metadata_cyclic_loop(states, members, candidates, budget, now, view)
+        def transmit(cand: _MutableMetaCandidate, sender: NodeId) -> bool:
+            return self._transmit_metadata(states, members, cand, sender, now, view)
 
-    def _meta_key(self, cand: _MutableMetaCandidate) -> Tuple:
-        phase = 0 if (cand.own_requesters or cand.proxy_requesters) else 1
-        return (
-            phase,
-            -len(cand.own_requesters),
-            -len(cand.proxy_requesters),
-            -cand.metadata.popularity,
-            cand.metadata.uri,
-        )
-
-    def _meta_tft_key(
-        self, cand: _MutableMetaCandidate, sender: NodeState, now: float
-    ) -> Tuple:
-        weight = sender.credits.weight_of_requesters(cand.requesters, now)
-        phase = 0 if (cand.own_requesters or cand.proxy_requesters) else 1
-        return (-weight, phase, -cand.metadata.popularity, cand.metadata.uri)
-
-    def _metadata_coordinator_loop(
-        self,
-        states: Mapping[NodeId, NodeState],
-        members: FrozenSet[NodeId],
-        candidates: List[_MutableMetaCandidate],
-        budget: int,
-        now: float,
-        view: Optional[CliqueView] = None,
-    ) -> None:
-        # Coordinator election is deterministic; with full clique
-        # knowledge it always schedules the globally best candidate.
-        elect_coordinator(members)
-        for __ in range(budget):
-            # One sender scan per candidate per turn; the rank keys are
-            # unique (URI tie-break), so min() over (key, cand, senders)
-            # tuples never compares past the key.
-            sendable = []
-            for c in candidates:
-                senders = self._senders_of(c, states)
-                if senders:
-                    sendable.append((self._meta_key(c), c, senders))
-            if not sendable:
-                break
-            __key, best, senders = min(sendable)
-            sender = min(senders)
-            if not self._transmit_metadata(states, members, best, sender, now, view):
-                candidates.remove(best)
-                continue
-            if not best.missing:
-                candidates.remove(best)
-
-    def _metadata_cyclic_loop(
-        self,
-        states: Mapping[NodeId, NodeState],
-        members: FrozenSet[NodeId],
-        candidates: List[_MutableMetaCandidate],
-        budget: int,
-        now: float,
-        view: Optional[CliqueView] = None,
-    ) -> None:
-        order = cyclic_order(members)
-        spent = 0
-        idle_turns = 0
-        position = 0
-        while spent < budget and idle_turns < len(order):
-            sender_id = order[position % len(order)]
-            position += 1
-            sender = states[sender_id]
-            if not sender.strategy.serves:
-                if self._adversary is not None:
-                    self._adversary.count("turns_skipped")
-                idle_turns += 1
-                continue
-            # Lazy top-k: heapify the sender's candidates and pop until
-            # one transmits — the rank keys are unique (URI tie-break),
-            # so the pop order equals the former full sort's order while
-            # usually materializing only the first element.
-            heap = [
-                (self._meta_tft_key(c, sender, now), c)
-                for c in candidates
-                if sender_id in c.holders and c.missing
-            ]
-            heapq.heapify(heap)
-            sent = False
-            while heap:
-                __, cand = heapq.heappop(heap)
-                sent = self._transmit_metadata(states, members, cand, sender_id, now, view)
-                if not cand.missing:
-                    candidates.remove(cand)
-                if sent:
-                    break
-            if sent:
-                spent += 1
-                idle_turns = 0
-            else:
-                idle_turns += 1
-
-    def _senders_of(
-        self, cand: _MutableMetaCandidate, states: Mapping[NodeId, NodeState]
-    ) -> List[NodeId]:
-        if not cand.missing:
-            return []
-        return [n for n in cand.holders if states[n].strategy.serves]
+        self._schedule(states, members, candidates, serving, budget, now, discovery, transmit)
 
     def _transmit_metadata(
         self,
@@ -681,7 +659,7 @@ class MobileBitTorrent:
         cand: _MutableMetaCandidate,
         sender: NodeId,
         now: float,
-        view: Optional[CliqueView] = None,
+        view: CliqueView,
     ) -> bool:
         """Broadcast (or unicast) one record; return True if sent."""
         if self._medium.name == "broadcast":
@@ -712,13 +690,12 @@ class MobileBitTorrent:
             evictions_before = state.metadata.evictions
             rejected_before = state.stats.metadata_rejected_auth
             new = state.accept_metadata(record, now)
-            if view is not None:
-                if state.metadata.evictions != evictions_before:
-                    # The insert displaced some other record; the view's
-                    # holder sets for that record are now stale.
-                    view.mark_dirty()
-                elif state.metadata.mutations != mutations_before:
-                    view.note_holder(receiver, record)
+            if state.metadata.evictions != evictions_before:
+                # The insert displaced some other record; the view's
+                # holder sets for that record are now stale.
+                view.mark_dirty()
+            elif state.metadata.mutations != mutations_before:
+                view.note_holder(receiver, record)
             if new:
                 self._metrics.on_metadata(receiver, record.uri, now)
                 if requested:
@@ -779,133 +756,30 @@ class MobileBitTorrent:
         states: Mapping[NodeId, NodeState],
         members: FrozenSet[NodeId],
         now: float,
-        budget: Optional[int] = None,
-        view: Optional[CliqueView] = None,
+        budget: int,
+        view: CliqueView,
     ) -> None:
-        if budget is None:
-            budget = self._config.budget.pieces
         if budget <= 0:
             return
-        if view is not None:
-            # Reuse the discovery phase's view; a mid-contact eviction
-            # (rare) forces one full rebuild here.
-            if view.refresh():
-                self.perf.count("view_rebuilds")
-            else:
-                self.perf.count("view_reuses")
+        # Reuse the discovery phase's view; a mid-contact eviction
+        # (rare) forces one full rebuild here.
+        if view.refresh():
+            self.perf.count("view_rebuilds")
+        else:
+            self.perf.count("view_reuses")
         raw = download.build_piece_candidates(states, now, view)
         candidates = [_MutablePieceCandidate(c) for c in raw]
-        self._hide_holdings(candidates)
-        self._screen_rejected(candidates, states)
         self.perf.count("piece_candidates", len(candidates))
-        if not candidates:
-            return
-
-        if self._config.effective_scheduling() is SchedulingMode.COORDINATOR:
-            self._piece_coordinator_loop(states, members, candidates, budget, now)
-        else:
-            self._piece_cyclic_loop(states, members, candidates, budget, now)
-
-    def _piece_key(self, cand: _MutablePieceCandidate) -> Tuple:
-        phase = 0 if cand.requesters else 1
-        return (
-            phase,
-            -len(cand.requesters),
-            -cand.metadata.popularity,
-            cand.uri,
-            cand.index,
+        serving = frozenset(
+            n
+            for n in members
+            if states[n].strategy.serves and states[n].strategy.serves_pieces
         )
 
-    def _piece_tft_key(
-        self, cand: _MutablePieceCandidate, sender: NodeState, now: float
-    ) -> Tuple:
-        weight = sender.credits.weight_of_requesters(cand.requesters, now)
-        phase = 0 if cand.requesters else 1
-        return (-weight, phase, -cand.metadata.popularity, cand.uri, cand.index)
+        def transmit(cand: _MutablePieceCandidate, sender: NodeId) -> bool:
+            return self._transmit_piece(states, members, candidates, cand, sender, now)
 
-    def _piece_coordinator_loop(
-        self,
-        states: Mapping[NodeId, NodeState],
-        members: FrozenSet[NodeId],
-        candidates: List[_MutablePieceCandidate],
-        budget: int,
-        now: float,
-    ) -> None:
-        elect_coordinator(members)
-        for __ in range(budget):
-            # One sender scan per candidate per turn (see the metadata
-            # coordinator loop); keys are unique via the (uri, index)
-            # tie-break.
-            sendable = []
-            for c in candidates:
-                senders = self._piece_senders(c, states)
-                if senders:
-                    sendable.append((self._piece_key(c), c, senders))
-            if not sendable:
-                break
-            __key, best, senders = min(sendable)
-            sender = min(senders)
-            if not self._transmit_piece(states, members, candidates, best, sender, now):
-                candidates.remove(best)
-                continue
-            if not best.missing:
-                candidates.remove(best)
-
-    def _piece_cyclic_loop(
-        self,
-        states: Mapping[NodeId, NodeState],
-        members: FrozenSet[NodeId],
-        candidates: List[_MutablePieceCandidate],
-        budget: int,
-        now: float,
-    ) -> None:
-        order = cyclic_order(members)
-        spent = 0
-        idle_turns = 0
-        position = 0
-        while spent < budget and idle_turns < len(order):
-            sender_id = order[position % len(order)]
-            position += 1
-            sender = states[sender_id]
-            if not (sender.strategy.serves and sender.strategy.serves_pieces):
-                if self._adversary is not None:
-                    self._adversary.count("turns_skipped")
-                idle_turns += 1
-                continue
-            # Lazy top-k, as in the metadata cyclic loop: unique rank
-            # keys make heap-pop order equal the former full sort.
-            heap = [
-                (self._piece_tft_key(c, sender, now), c)
-                for c in candidates
-                if sender_id in c.holders and c.missing
-            ]
-            heapq.heapify(heap)
-            sent = False
-            while heap:
-                __, cand = heapq.heappop(heap)
-                sent = self._transmit_piece(
-                    states, members, candidates, cand, sender_id, now
-                )
-                if not cand.missing:
-                    candidates.remove(cand)
-                if sent:
-                    break
-            if sent:
-                spent += 1
-                idle_turns = 0
-            else:
-                idle_turns += 1
-
-    def _piece_senders(
-        self, cand: _MutablePieceCandidate, states: Mapping[NodeId, NodeState]
-    ) -> List[NodeId]:
-        if not cand.missing:
-            return []
-        return [
-            n
-            for n in cand.holders
-            if states[n].strategy.serves and states[n].strategy.serves_pieces
-        ]
+        self._schedule(states, members, candidates, serving, budget, now, download, transmit)
 
     def _transmit_piece(
         self,

@@ -4,8 +4,10 @@ Small randomized traces and configurations — protocol variant,
 scheduling mode, budgets, tit-for-tat, both credit policies, fault
 plans, adversary plans and files of more than 64 pieces — must each
 run to completion, reproduce bitwise under the detcheck sanitizer,
-report delivery ratios in [0, 1], and never transmit more than the
-per-contact budgets allow.
+report delivery ratios in [0, 1], never transmit more than the
+per-contact budgets allow, and never let a node whose strategy does
+not serve a phase send in it. Budgets and serving are checked at every
+contact, not only on run totals.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mbt import ProtocolVariant, SchedulingMode
+from repro.core.mbt import MobileBitTorrent, ProtocolVariant, SchedulingMode
 from repro.core.strategies import AdversaryPlan
 from repro.detlint.sanitizer import checked_run
 from repro.faults import FaultPlan
@@ -99,8 +102,31 @@ def _random_config(rng: random.Random) -> SimulationConfig:
 
 
 def _check(trace: ContactTrace, config: SimulationConfig) -> SimulationResult:
-    """Run under the sanitizer and assert the run-level invariants."""
-    result = checked_run(trace, config, runs=2)
+    """Run under the sanitizer and assert per-contact and run-level invariants."""
+    handle_contact = MobileBitTorrent.handle_contact
+    contacts_checked = 0
+
+    def checked_contact(engine: MobileBitTorrent, contact: Contact, now: float) -> None:
+        nonlocal contacts_checked
+        counters = engine.counters
+        meta_before = counters.metadata_transmissions
+        pieces_before = counters.piece_transmissions
+        members = [engine.states[node] for node in sorted(contact.members)]
+        sent_before = [(s.stats.metadata_sent, s.stats.pieces_sent) for s in members]
+        handle_contact(engine, contact, now)
+        contacts_checked += 1
+        # Fixed budgets: faults and truncation only shrink them.
+        assert counters.metadata_transmissions - meta_before <= config.metadata_per_contact
+        assert counters.piece_transmissions - pieces_before <= config.files_per_contact
+        for state, (meta_sent, pieces_sent) in zip(members, sent_before):
+            strategy = state.strategy
+            if not strategy.serves:
+                assert state.stats.metadata_sent == meta_sent, state.node
+            if not (strategy.serves and strategy.serves_pieces):
+                assert state.stats.pieces_sent == pieces_sent, state.node
+
+    with mock.patch.object(MobileBitTorrent, "handle_contact", checked_contact):
+        result = checked_run(trace, config, runs=2)
     assert 0.0 <= result.metadata_delivery_ratio <= 1.0
     assert 0.0 <= result.file_delivery_ratio <= 1.0
     counters = result.counters
@@ -108,6 +134,7 @@ def _check(trace: ContactTrace, config: SimulationConfig) -> SimulationResult:
     # Every clique gets one budget per phase; faults only shrink it.
     assert counters["metadata_transmissions"] <= cliques * config.metadata_per_contact
     assert counters["piece_transmissions"] <= cliques * config.files_per_contact
+    assert contacts_checked == 2 * counters["contacts_processed"]
     return result
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coordinator import cyclic_order, elect_coordinator, turn_iterator
+from repro.core.coordinator import cyclic_order
 from repro.core.credits import REQUESTED_METADATA_CREDIT, CreditLedger
 from repro.types import NodeId
 
@@ -59,13 +59,6 @@ class TestCreditLedger:
 
 
 class TestCoordinator:
-    def test_elects_min_id(self):
-        assert elect_coordinator(frozenset({NodeId(5), NodeId(2), NodeId(9)})) == 2
-
-    def test_empty_clique_raises(self):
-        with pytest.raises(ValueError):
-            elect_coordinator(frozenset())
-
     def test_cyclic_order_is_permutation(self):
         members = frozenset(NodeId(i) for i in range(6))
         order = cyclic_order(members)
@@ -86,12 +79,3 @@ class TestCoordinator:
         with pytest.raises(ValueError):
             cyclic_order(frozenset())
 
-    def test_turn_iterator_round_robin(self):
-        order = [NodeId(1), NodeId(2), NodeId(3)]
-        turns = turn_iterator(order)
-        seen = [next(turns) for __ in range(7)]
-        assert seen == [1, 2, 3, 1, 2, 3, 1]
-
-    def test_turn_iterator_rejects_empty(self):
-        with pytest.raises(ValueError):
-            next(turn_iterator([]))

@@ -7,8 +7,9 @@ from typing import Dict
 import pytest
 
 from repro.core import discovery
+from repro.core.credits import ReputationCreditLedger
 from repro.core.node import NodeState
-from repro.types import NodeId
+from repro.types import DAY, NodeId
 
 from conftest import make_metadata, make_node, make_query
 
@@ -93,7 +94,9 @@ class TestCooperativeRanking:
 
     def test_requested_precede_popular(self, registry, clique):
         # Phase 1 (matching queries) before phase 2 (popularity), §IV-A.
-        ranked = discovery.select_cooperative(self._candidates(registry, clique))
+        ranked = sorted(
+            self._candidates(registry, clique), key=discovery.cooperative_rank_key
+        )
         assert ranked[0].metadata.uri == "dtn://fox/req"
         assert ranked[1].metadata.uri == "dtn://fox/pop"
 
@@ -105,8 +108,9 @@ class TestCooperativeRanking:
         clique[NodeId(1)].add_own_query(make_query(1, two.uri, ["desert"]))
         clique[NodeId(2)].add_own_query(make_query(2, two.uri, ["drama"]))
         clique[NodeId(1)].add_own_query(make_query(1, one.uri, ["island"]))
-        ranked = discovery.select_cooperative(
-            discovery.build_metadata_candidates(clique, 0.0, False)
+        ranked = sorted(
+            discovery.build_metadata_candidates(clique, 0.0, False),
+            key=discovery.cooperative_rank_key,
         )
         assert ranked[0].metadata.uri == "dtn://fox/two"
 
@@ -115,8 +119,9 @@ class TestCooperativeRanking:
         high = make_metadata(registry, uri="dtn://fox/high", popularity=0.8)
         clique[NodeId(0)].accept_metadata(low, 0.0)
         clique[NodeId(0)].accept_metadata(high, 0.0)
-        ranked = discovery.select_cooperative(
-            discovery.build_metadata_candidates(clique, 0.0, False)
+        ranked = sorted(
+            discovery.build_metadata_candidates(clique, 0.0, False),
+            key=discovery.cooperative_rank_key,
         )
         assert ranked[0].metadata.uri == "dtn://fox/high"
 
@@ -129,8 +134,9 @@ class TestCooperativeRanking:
         clique[NodeId(2)].store_foreign_queries(
             NodeId(9), [make_query(9, proxy.uri, ["desert"])]
         )
-        ranked = discovery.select_cooperative(
-            discovery.build_metadata_candidates(clique, 0.0, True)
+        ranked = sorted(
+            discovery.build_metadata_candidates(clique, 0.0, True),
+            key=discovery.cooperative_rank_key,
         )
         assert ranked[0].metadata.uri == "dtn://fox/own"
 
@@ -149,7 +155,9 @@ class TestTitForTatRanking:
         # Node 1 has earned credit with the sender; node 2 has not.
         sender.credits.reward_requested(NodeId(1))
         cands = discovery.build_metadata_candidates(clique, 0.0, False)
-        ranked = discovery.select_for_sender(cands, sender, tit_for_tat=True)
+        ranked = sorted(
+            cands, key=lambda c: discovery.tit_for_tat_rank_key(c, sender, 0.0)
+        )
         assert ranked[0].metadata.uri == "dtn://fox/rich"
 
     def test_zero_credit_falls_back_to_phase_and_popularity(self, registry, clique):
@@ -162,14 +170,55 @@ class TestTitForTatRanking:
         sender.accept_metadata(popular, 0.0)
         clique[NodeId(1)].add_own_query(make_query(1, requested.uri, ["island"]))
         cands = discovery.build_metadata_candidates(clique, 0.0, False)
-        ranked = discovery.select_for_sender(cands, sender, tit_for_tat=True)
+        ranked = sorted(
+            cands, key=lambda c: discovery.tit_for_tat_rank_key(c, sender, 0.0)
+        )
         assert ranked[0].metadata.uri == "dtn://fox/req"
 
+    def test_reputation_decay_reorders_by_now(self, registry, clique):
+        # Under the reputation ledger the weight depends on when it is
+        # read: a penalised requester's reputation decays back toward
+        # neutral, so its records regain rank as time passes.
+        penalised = make_metadata(registry, uri="dtn://fox/pen", name="news island s01e01",
+                                  popularity=0.1)
+        stranger = make_metadata(registry, uri="dtn://fox/str", name="drama desert s01e02",
+                                 popularity=0.9)
+        sender = clique[NodeId(0)]
+        sender.credits = ReputationCreditLedger(sender.node)
+        sender.accept_metadata(penalised, 0.0)
+        sender.accept_metadata(stranger, 0.0)
+        clique[NodeId(1)].add_own_query(make_query(1, penalised.uri, ["island"]))
+        clique[NodeId(2)].add_own_query(make_query(2, stranger.uri, ["desert"]))
+        for _ in range(2):
+            sender.credits.reward_requested(NodeId(1), 0.0)
+        for _ in range(3):
+            sender.credits.penalize(NodeId(1), 0.0)
+        sender.credits.reward_unrequested(NodeId(2), 0.5, 0.0)
+        cands = discovery.build_metadata_candidates(clique, 0.0, False)
+        later = 10 * DAY
+        for now in (0.0, later):
+            for cand in cands:
+                weight = sender.credits.weight_of_requesters(cand.requesters, now)
+                assert discovery.tit_for_tat_rank_key(cand, sender, now)[0] == -weight
+
+        def order(now):
+            ranked = sorted(
+                cands, key=lambda c: discovery.tit_for_tat_rank_key(c, sender, now)
+            )
+            return [c.metadata.uri for c in ranked]
+
+        assert order(0.0) == ["dtn://fox/str", "dtn://fox/pen"]
+        assert order(later) == ["dtn://fox/pen", "dtn://fox/str"]
+
     def test_select_for_sender_filters_to_held_records(self, registry, clique):
+        # A cyclic-order sender ranks only the candidates it holds.
         mine = make_metadata(registry, uri="dtn://fox/mine")
         theirs = make_metadata(registry, uri="dtn://fox/theirs")
         clique[NodeId(0)].accept_metadata(mine, 0.0)
         clique[NodeId(1)].accept_metadata(theirs, 0.0)
         cands = discovery.build_metadata_candidates(clique, 0.0, False)
-        ranked = discovery.select_for_sender(cands, clique[NodeId(0)], tit_for_tat=False)
+        ranked = sorted(
+            (c for c in cands if NodeId(0) in c.holders),
+            key=discovery.cooperative_rank_key,
+        )
         assert [c.metadata.uri for c in ranked] == ["dtn://fox/mine"]

@@ -8,8 +8,9 @@ import pytest
 
 from repro.catalog.files import piece_payload
 from repro.core import download
+from repro.core.credits import ReputationCreditLedger
 from repro.core.node import NodeState
-from repro.types import NodeId
+from repro.types import DAY, NodeId
 
 from conftest import make_metadata, make_node, make_query
 
@@ -76,8 +77,9 @@ class TestCooperativeRanking:
         give_pieces(clique[NodeId(0)], popular, [0])
         clique[NodeId(1)].accept_metadata(wanted, 0.0)
         clique[NodeId(1)].add_own_query(make_query(1, wanted.uri, ["island"]))
-        ranked = download.select_cooperative(
-            download.build_piece_candidates(clique, 0.0)
+        ranked = sorted(
+            download.build_piece_candidates(clique, 0.0),
+            key=download.cooperative_rank_key,
         )
         assert ranked[0].uri == "dtn://fox/want"
 
@@ -91,8 +93,9 @@ class TestCooperativeRanking:
             clique[NodeId(node)].add_own_query(make_query(node, two.uri, ["desert"]))
         clique[NodeId(1)].accept_metadata(one, 0.0)
         clique[NodeId(1)].add_own_query(make_query(1, one.uri, ["island"]))
-        ranked = download.select_cooperative(
-            download.build_piece_candidates(clique, 0.0)
+        ranked = sorted(
+            download.build_piece_candidates(clique, 0.0),
+            key=download.cooperative_rank_key,
         )
         assert ranked[0].uri == "dtn://fox/two"
 
@@ -101,16 +104,18 @@ class TestCooperativeRanking:
         high = make_metadata(registry, uri="dtn://fox/high", popularity=0.8)
         give_pieces(clique[NodeId(0)], low, [0])
         give_pieces(clique[NodeId(0)], high, [0])
-        ranked = download.select_cooperative(
-            download.build_piece_candidates(clique, 0.0)
+        ranked = sorted(
+            download.build_piece_candidates(clique, 0.0),
+            key=download.cooperative_rank_key,
         )
         assert ranked[0].uri == "dtn://fox/high"
 
     def test_piece_index_is_final_tiebreak(self, registry, clique):
         record = make_metadata(registry, num_pieces=3)
         give_pieces(clique[NodeId(0)], record, [0, 1, 2])
-        ranked = download.select_cooperative(
-            download.build_piece_candidates(clique, 0.0)
+        ranked = sorted(
+            download.build_piece_candidates(clique, 0.0),
+            key=download.cooperative_rank_key,
         )
         assert [c.index for c in ranked] == [0, 1, 2]
 
@@ -133,8 +138,43 @@ class TestTitForTatRanking:
         cands = download.build_piece_candidates(clique, 0.0)
         # Requesters may be empty if the sampled token missed; ensure setup.
         assert any(c.requesters for c in cands)
-        ranked = download.select_for_sender(cands, sender, tit_for_tat=True)
+        ranked = sorted(
+            cands, key=lambda c: download.tit_for_tat_rank_key(c, sender, 0.0)
+        )
         assert ranked[0].uri == "dtn://fox/rich"
+
+    def test_reputation_decay_reorders_by_now(self, registry, clique):
+        # Same ledger history as the discovery twin: the penalised
+        # requester's pieces regain rank as its reputation decays back.
+        penalised = make_metadata(registry, uri="dtn://fox/pen",
+                                  name="news island s01e01", popularity=0.1)
+        stranger = make_metadata(registry, uri="dtn://fox/str",
+                                 name="drama desert s01e02", popularity=0.9)
+        sender = clique[NodeId(0)]
+        sender.credits = ReputationCreditLedger(sender.node)
+        give_pieces(sender, penalised, [0])
+        give_pieces(sender, stranger, [0])
+        for node, record, token in ((1, penalised, "island"), (2, stranger, "desert")):
+            clique[NodeId(node)].accept_metadata(record, 0.0)
+            clique[NodeId(node)].add_own_query(make_query(node, record.uri, [token]))
+        for _ in range(2):
+            sender.credits.reward_requested(NodeId(1), 0.0)
+        for _ in range(3):
+            sender.credits.penalize(NodeId(1), 0.0)
+        sender.credits.reward_unrequested(NodeId(2), 0.5, 0.0)
+        cands = download.build_piece_candidates(clique, 0.0)
+        later = 10 * DAY
+        for now in (0.0, later):
+            for cand in cands:
+                weight = sender.credits.weight_of_requesters(cand.requesters, now)
+                assert download.tit_for_tat_rank_key(cand, sender, now)[0] == -weight
+
+        def order(now):
+            ranked = sorted(cands, key=lambda c: download.tit_for_tat_rank_key(c, sender, now))
+            return [c.uri for c in ranked]
+
+        assert order(0.0) == ["dtn://fox/str", "dtn://fox/pen"]
+        assert order(later) == ["dtn://fox/pen", "dtn://fox/str"]
 
     def test_select_for_sender_filters(self, registry, clique):
         mine = make_metadata(registry, uri="dtn://fox/mine")
@@ -142,7 +182,11 @@ class TestTitForTatRanking:
         give_pieces(clique[NodeId(0)], mine, [0])
         give_pieces(clique[NodeId(1)], theirs, [0])
         cands = download.build_piece_candidates(clique, 0.0)
-        ranked = download.select_for_sender(cands, clique[NodeId(0)], tit_for_tat=False)
+        # A cyclic-order sender ranks only the pieces it holds.
+        ranked = sorted(
+            (c for c in cands if NodeId(0) in c.holders),
+            key=download.cooperative_rank_key,
+        )
         assert [c.uri for c in ranked] == ["dtn://fox/mine"]
 
     def test_advertised_downloads_view(self, registry, clique):

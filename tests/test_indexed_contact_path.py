@@ -83,6 +83,25 @@ def _build_clique(registry, seed: int) -> Dict[NodeId, NodeState]:
     return states
 
 
+def _assert_same_ranking(ranks, indexed, reference, states, now) -> None:
+    """Both candidate lists sort identically under ``ranks``' keys.
+
+    Checks the coordinator's global order and, per member, the order in
+    which a cyclic-mode sender would pop the candidates it holds.
+    """
+    coop = ranks.cooperative_rank_key
+    assert sorted(indexed, key=coop) == sorted(reference, key=coop)
+    for sender in states.values():
+        held_indexed = [c for c in indexed if sender.node in c.holders]
+        held_reference = [c for c in reference if sender.node in c.holders]
+        assert sorted(held_indexed, key=coop) == sorted(held_reference, key=coop)
+
+        def tft(c, sender=sender):
+            return ranks.tit_for_tat_rank_key(c, sender, now)
+
+        assert sorted(held_indexed, key=tft) == sorted(held_reference, key=tft)
+
+
 class TestBuilderEquivalence:
     """Indexed builders must equal their naive reference on any clique."""
 
@@ -100,18 +119,7 @@ class TestBuilderEquivalence:
         )
         assert set(indexed) == set(reference)
         # Ranked order must be identical too, not just the sets.
-        assert discovery.select_cooperative(indexed) == discovery.select_cooperative(
-            reference
-        )
-        limit = (seed % 3) + 1
-        assert discovery.select_cooperative(indexed, limit=limit) == (
-            discovery.select_cooperative(reference)[:limit]
-        )
-        for sender in states.values():
-            for tft in (False, True):
-                assert discovery.select_for_sender(
-                    indexed, sender, tft
-                ) == discovery.select_for_sender(reference, sender, tft)
+        _assert_same_ranking(discovery, indexed, reference, states, now)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -124,18 +132,7 @@ class TestBuilderEquivalence:
         indexed = download.build_piece_candidates(states, now)
         reference = download.build_piece_candidates_reference(states, now)
         assert set(indexed) == set(reference)
-        assert download.select_cooperative(indexed) == download.select_cooperative(
-            reference
-        )
-        limit = (seed % 3) + 1
-        assert download.select_cooperative(indexed, limit=limit) == (
-            download.select_cooperative(reference)[:limit]
-        )
-        for sender in states.values():
-            for tft in (False, True):
-                assert download.select_for_sender(
-                    indexed, sender, tft
-                ) == download.select_for_sender(reference, sender, tft)
+        _assert_same_ranking(download, indexed, reference, states, now)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
