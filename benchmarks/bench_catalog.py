@@ -25,7 +25,7 @@ every sync for real. The headline number is publish+search throughput
 ranked-over-reference::
 
     PYTHONPATH=src python benchmarks/bench_catalog.py --min-speedup 5.0 \
-        [--files 1000000 --nodes 10000] [--record BENCH_core.json]
+        [--files 1000000 --nodes 10000]
 
 Before any server is timed, a scripted equivalence check builds both
 servers from the generated catalog and asserts they return identical
@@ -39,7 +39,6 @@ brute-force reference).
 from __future__ import annotations
 
 import argparse
-import json
 import multiprocessing
 import os
 import sys
@@ -338,20 +337,6 @@ def _report(m: Dict[str, Any]) -> None:
     )
 
 
-def _merge_into(path: str, measurement: Dict[str, Any]) -> None:
-    """Attach the measurement to BENCH_core.json (schema 2 aware)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        recorded = json.load(handle)
-    recorded.setdefault("current", {})["bench_catalog"] = measurement
-    cores = str(os.cpu_count() or 1)
-    by_cores = recorded.get("by_cores")
-    if isinstance(by_cores, dict) and cores in by_cores:
-        by_cores[cores]["bench_catalog"] = measurement
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(recorded, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
 def test_catalog_smoke(benchmark):
     measurement = benchmark.pedantic(
         lambda: measure_catalog(SMOKE_FILES, SMOKE_NODES), rounds=1, iterations=1
@@ -377,16 +362,9 @@ def main(argv=None) -> int:
         help=f"fail below this ranked-over-reference throughput ratio "
              f"(default {SPEEDUP_TARGET})",
     )
-    parser.add_argument(
-        "--record", metavar="BENCH_JSON", default=None,
-        help="merge the measurement into this BENCH_core.json",
-    )
     args = parser.parse_args(argv)
     measurement = measure_catalog(args.files, args.nodes, args.procs)
     _report(measurement)
-    if args.record:
-        _merge_into(args.record, measurement)
-        print(f"recorded bench_catalog into {args.record}")
     if measurement["speedup"] < args.min_speedup:
         print(
             f"::error title=catalog ranked-view regression::throughput ratio "
