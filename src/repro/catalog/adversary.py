@@ -57,14 +57,12 @@ class FakeFileFactory:
         self,
         seed: int = 0,
         claimed_popularity: float = 0.9,
-        payload_length: int = 64,
         tag: str = "x",
     ) -> None:
         if not 0.0 <= claimed_popularity <= 1.0:
             raise ValueError("claimed_popularity must be in [0, 1]")
         self._rng = random.Random(seed ^ 0xFA4E)
         self._claimed_popularity = claimed_popularity
-        self._payload_length = payload_length
         #: URI discriminator: factories with distinct tags can coexist
         #: in one run (e.g. the legacy pirate and strategy polluters)
         #: without their serial numbers minting colliding fake URIs.
@@ -88,9 +86,7 @@ class FakeFileFactory:
                     name=real.name,  # same keywords: every query matches
                     publisher=real.publisher,  # impersonation attempt
                     description=real.description,
-                    checksums=piece_checksums(
-                        fake_uri, real.num_pieces, self._payload_length
-                    ),
+                    checksums=piece_checksums(fake_uri, real.num_pieces),
                     size_bytes=real.num_pieces * PIECE_SIZE,
                     created_at=real.created_at,
                     ttl=real.ttl,

@@ -21,6 +21,11 @@ from repro.types import Uri
 #: Piece size from the paper, in bytes.
 PIECE_SIZE: int = 256 * 1024
 
+#: Length of the synthetic piece payloads, in bytes. Real pieces are
+#: 256 KB; simulations only need payloads long enough to make
+#: checksumming meaningful.
+PAYLOAD_LENGTH: int = 64
+
 
 class IntegrityError(ValueError):
     """Raised when a piece payload fails checksum verification."""
@@ -33,22 +38,21 @@ def num_pieces_for_size(size_bytes: int) -> int:
     return -(-size_bytes // PIECE_SIZE)  # ceiling division
 
 
-def piece_payload(uri: Uri, index: int, length: int = 64) -> bytes:
+def piece_payload(uri: Uri, index: int) -> bytes:
     """Deterministic pseudo-random payload for one piece.
 
-    Real pieces are 256 KB; simulations only need payloads long enough
-    to make checksumming meaningful, so ``length`` defaults to a small
-    stand-in. The bytes are a SHA-256 stream keyed by ``(uri, index)``.
+    :data:`PAYLOAD_LENGTH` bytes of a SHA-256 stream keyed by
+    ``(uri, index)``.
     """
     if index < 0:
         raise ValueError(f"piece index must be non-negative, got {index}")
     out = bytearray()
     counter = 0
-    while len(out) < length:
+    while len(out) < PAYLOAD_LENGTH:
         block = hashlib.sha256(f"{uri}#{index}#{counter}".encode()).digest()
         out.extend(block)
         counter += 1
-    return bytes(out[:length])
+    return bytes(out[:PAYLOAD_LENGTH])
 
 
 def piece_checksum(payload: bytes) -> str:
@@ -56,12 +60,9 @@ def piece_checksum(payload: bytes) -> str:
     return hashlib.sha1(payload).hexdigest()
 
 
-def piece_checksums(uri: Uri, num_pieces: int, payload_length: int = 64) -> Tuple[str, ...]:
+def piece_checksums(uri: Uri, num_pieces: int) -> Tuple[str, ...]:
     """Checksums for all pieces of a file, in piece order."""
-    return tuple(
-        piece_checksum(piece_payload(uri, index, payload_length))
-        for index in range(num_pieces)
-    )
+    return tuple(piece_checksum(piece_payload(uri, index)) for index in range(num_pieces))
 
 
 @dataclass(frozen=True)
@@ -155,10 +156,9 @@ class PieceStore:
     frozenset for callers that want one.
     """
 
-    def __init__(self, payload_length: int = 64) -> None:
+    def __init__(self) -> None:
         self._bitmaps: Dict[Uri, int] = {}
         self._completed: Dict[Uri, int] = {}
-        self._payload_length = payload_length
 
     def __contains__(self, uri: Uri) -> bool:
         return uri in self._bitmaps

@@ -31,10 +31,6 @@ class CatalogConfig:
     #: Pieces per file; the paper's evaluation exchanges whole files,
     #: which corresponds to one piece per file.
     pieces_per_file: int = 1
-    #: Target average queries per node per day (fixes λ = n / this).
-    queries_per_node_per_day: float = 2.0
-    #: Length of synthetic piece payloads (bytes) for checksumming.
-    payload_length: int = 64
 
     def __post_init__(self) -> None:
         if self.files_per_day < 1:
@@ -54,9 +50,7 @@ class CatalogConfig:
         return self.pieces_per_file * PIECE_SIZE
 
     def popularity_model(self) -> PopularityModel:
-        return PopularityModel.for_files_per_day(
-            self.files_per_day, self.queries_per_node_per_day
-        )
+        return PopularityModel.for_files_per_day(self.files_per_day)
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,6 @@ class CatalogGenerator:
                     descriptor.title_tokens, descriptor.publisher
                 ),
                 registry=self._registry,
-                payload_length=self._config.payload_length,
             )
             metadata.append(record)
         queries = tuple(self._make_queries(descriptors, noon))

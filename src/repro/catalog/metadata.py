@@ -164,7 +164,6 @@ def metadata_for_file(
     descriptor: FileDescriptor,
     description: str,
     registry: Optional[PublisherRegistry] = None,
-    payload_length: int = 64,
 ) -> Metadata:
     """Build (and optionally sign) the metadata of a file descriptor."""
     record = Metadata(
@@ -172,7 +171,7 @@ def metadata_for_file(
         name=" ".join(descriptor.title_tokens),
         publisher=descriptor.publisher,
         description=description,
-        checksums=piece_checksums(descriptor.uri, descriptor.num_pieces, payload_length),
+        checksums=piece_checksums(descriptor.uri, descriptor.num_pieces),
         size_bytes=descriptor.size_bytes,
         created_at=descriptor.created_at,
         ttl=descriptor.ttl,

@@ -210,11 +210,8 @@ class MetadataServer:
 class FileServer:
     """Internet-side piece source for Internet-access nodes."""
 
-    def __init__(
-        self, payload_length: int = 64, perf: Optional[PerfRecorder] = None
-    ) -> None:
+    def __init__(self, perf: Optional[PerfRecorder] = None) -> None:
         self._files: Dict[Uri, FileDescriptor] = {}
-        self._payload_length = payload_length
         self._expiry = ExpiryHeap()
         self._perf = perf if perf is not None else PerfRecorder()
 
@@ -242,13 +239,13 @@ class FileServer:
         descriptor = self._files[uri]
         if not 0 <= index < descriptor.num_pieces:
             raise IndexError(f"piece {index} out of range for {uri}")
-        return piece_payload(uri, index, self._payload_length)
+        return piece_payload(uri, index)
 
     def fetch_all(self, uri: Uri) -> Iterable[Tuple[int, bytes]]:
         """Yield ``(index, payload)`` for every piece of ``uri``."""
         descriptor = self._files[uri]
         for index in range(descriptor.num_pieces):
-            yield index, piece_payload(uri, index, self._payload_length)
+            yield index, piece_payload(uri, index)
 
     def _expires_at_of(self, uri: str) -> Optional[float]:
         descriptor = self._files.get(Uri(uri))

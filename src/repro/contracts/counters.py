@@ -82,7 +82,6 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     CounterSpec("choked_sends", "deterministic", surfaced=True),
     CounterSpec("internet_syncs", "deterministic", surfaced=True),
     CounterSpec("metadata_evictions", "deterministic", surfaced=True),
-    CounterSpec("piece_evictions", "deterministic", surfaced=True),
     CounterSpec("checksum_rejections", "deterministic", surfaced=True),
     CounterSpec("metadata_rejected_auth", "deterministic", surfaced=True),
     CounterSpec("events_fault", "deterministic", surfaced=True),

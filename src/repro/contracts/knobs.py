@@ -64,7 +64,6 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("num_days", api_only="derived from --scale / the trace span"),
         KnobSpec("metadata_capacity", api_only=_PYTHON_API),
         KnobSpec("metadata_policy", api_only=_PYTHON_API),
-        KnobSpec("piece_capacity", api_only=_PYTHON_API),
         KnobSpec("use_duration_budgets", api_only=_PYTHON_API),
         KnobSpec("bandwidth_bytes_per_s", api_only=_PYTHON_API),
         KnobSpec("fake_files_per_day", api_only=_PYTHON_API),
@@ -72,11 +71,6 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("verify_signatures", api_only=_PYTHON_API),
         KnobSpec("encrypted_choking", api_only=_PYTHON_API),
         KnobSpec("selection_policy", api_only=_PYTHON_API),
-        KnobSpec("pull_limit", api_only=_PYTHON_API),
-        KnobSpec("push_limit", api_only=_PYTHON_API),
-        KnobSpec("popular_file_downloads", api_only=_PYTHON_API),
-        KnobSpec("proxy_downloads_per_sync", api_only=_PYTHON_API),
-        KnobSpec("queries_per_node_per_day", api_only=_PYTHON_API),
         KnobSpec("track_popularity", api_only=_PYTHON_API),
         KnobSpec(
             "faults",

@@ -52,6 +52,24 @@ from repro.traces.base import Contact
 from repro.types import NodeId, Uri
 
 
+#: Internet-sync limits: metadata records pulled per query, records
+#: pushed per sync, and popular files downloaded per sync for seeding.
+PULL_LIMIT = 5
+PUSH_LIMIT = 10
+POPULAR_FILE_DOWNLOADS = 2
+#: Files an access node proxy-downloads per sync on behalf of the DTN
+#: peers whose requests it heard.
+PROXY_DOWNLOADS = 5
+#: Share of a contact's byte volume reserved for the discovery phase
+#: when budgets derive from the contact duration.
+METADATA_SHARE = 0.2
+#: Credit a receiver must *exceed* with the sender to be unchoked under
+#: encrypted choking. Strict 0.0 admits any peer that ever contributed
+#: anything (one metadata transfer suffices) and blocks exactly the
+#: pure free-riders.
+CHOKE_CREDIT_THRESHOLD = 0.0
+
+
 class ProtocolVariant(enum.Enum):
     """The three protocols compared in §VI."""
 
@@ -84,14 +102,6 @@ class ProtocolConfig:
     tit_for_tat: bool = False
     scheduling: Optional[SchedulingMode] = None
     broadcast: bool = True
-    #: Internet-sync limits: metadata pulled per query, pushed per sync,
-    #: and popular files downloaded per sync for seeding.
-    pull_limit: int = 5
-    push_limit: int = 10
-    popular_file_downloads: int = 2
-    #: Files an access node proxy-downloads per sync on behalf of the
-    #: DTN peers whose requests it heard (0 disables cooperation).
-    proxy_downloads: int = 5
     #: Derive per-contact budgets from contact duration and channel
     #: bandwidth instead of the paper's fixed counts. Short contacts
     #: then carry discovery only (§V: "file discovery uses the starting
@@ -99,8 +109,6 @@ class ProtocolConfig:
     duration_budgets: bool = False
     #: Effective channel bandwidth for duration-derived budgets.
     bandwidth_bytes_per_s: float = 100_000.0
-    #: Share of a contact's byte volume reserved for the discovery phase.
-    metadata_share: float = 0.2
     #: The paper's future-work extension (§IV-B footnote: "Peers can
     #: still be choked if encryption is used"): piece payloads are
     #: encrypted per transmission and the key is released only to
@@ -110,14 +118,8 @@ class ProtocolConfig:
     #: earns the credit that unchokes the piece channel. Only
     #: meaningful together with tit_for_tat.
     encrypted_choking: bool = False
-    #: Credit a receiver must *exceed* with the sender to be unchoked.
-    #: The default (0.0, strict) admits any peer that ever contributed
-    #: anything — one metadata transfer suffices — and blocks exactly
-    #: the pure free-riders. Raise it to demand sustained contribution.
-    choke_credit_threshold: float = 0.0
     #: How long heard peer requests are remembered (seconds).
     request_memory: float = 3 * 86400.0
-    payload_length: int = 64
 
     def effective_scheduling(self) -> SchedulingMode:
         """Default: coordinator when altruistic, cyclic under TFT (§V)."""
@@ -319,20 +321,20 @@ class MobileBitTorrent:
         for query in own:
             self._metadata_server.record_request(query.target_uri, node, now)
             for record in self._metadata_server.search(
-                query.tokens, now, limit=self._config.pull_limit
+                query.tokens, now, limit=PULL_LIMIT
             ):
                 self._accept_metadata(state, record, now)
         if self._config.variant.distributes_queries:
             for query in state.foreign_queries(now):
                 for record in self._metadata_server.search(
-                    query.tokens, now, limit=self._config.pull_limit
+                    query.tokens, now, limit=PULL_LIMIT
                 ):
                     self._accept_metadata(state, record, now)
 
         # Download: access nodes have enough bandwidth for what they need.
-        # Sorted: each download touches LRU recency and the bounded
-        # piece buffer, so raw set-iteration order (which varies with
-        # the interpreter's string-hash seed) would leak into results.
+        # Sorted: each download touches LRU recency, so raw set-iteration
+        # order (which varies with the interpreter's string-hash seed)
+        # would leak into results.
         for uri in sorted(state.wanted_uris(now)):
             self._download_from_internet(state, uri, now)
 
@@ -340,7 +342,7 @@ class MobileBitTorrent:
         # under MBT-QM where independent metadata distribution is off.
         if self._config.variant.distributes_metadata:
             for record in self._metadata_server.top_popular(
-                now, self._config.push_limit, exclude=state.metadata.uris
+                now, PUSH_LIMIT, exclude=state.metadata.uris
             ):
                 self._accept_metadata(state, record, now)
 
@@ -351,7 +353,7 @@ class MobileBitTorrent:
         # where discovery delivered metadata, so MBT-QM barely uses it.
         proxied = 0
         for uri in state.top_peer_requests(now, self._config.request_memory):
-            if proxied >= self._config.proxy_downloads:
+            if proxied >= PROXY_DOWNLOADS:
                 break
             record = self._metadata_server.get(uri)
             if record is None or not record.is_live(now):
@@ -365,9 +367,9 @@ class MobileBitTorrent:
         # Under full MBT, also fetch the files matching the queries
         # carried for frequent contacts (the node collects on their
         # behalf, §IV).
-        if self._config.variant.distributes_queries and proxied < self._config.proxy_downloads:
+        if self._config.variant.distributes_queries and proxied < PROXY_DOWNLOADS:
             for query in state.foreign_queries(now):
-                if proxied >= self._config.proxy_downloads:
+                if proxied >= PROXY_DOWNLOADS:
                     break
                 for record in self._metadata_server.search(query.tokens, now, limit=1):
                     if state.pieces.is_complete(record.uri, record.num_pieces):
@@ -378,8 +380,8 @@ class MobileBitTorrent:
 
         # Seed the DTN: grab a few globally popular files as well.
         seeded = 0
-        for record in self._metadata_server.top_popular(now, self._config.push_limit):
-            if seeded >= self._config.popular_file_downloads:
+        for record in self._metadata_server.top_popular(now, PUSH_LIMIT):
+            if seeded >= POPULAR_FILE_DOWNLOADS:
                 break
             if not state.pieces.is_complete(record.uri, record.num_pieces):
                 self._accept_metadata(state, record, now)
@@ -472,7 +474,7 @@ class MobileBitTorrent:
             bandwidth_bytes_per_s=self._config.bandwidth_bytes_per_s,
             metadata_size=METADATA_BASE_SIZE,
             piece_size=PIECE_SIZE,
-            metadata_share=self._config.metadata_share,
+            metadata_share=METADATA_SHARE,
         )
 
     def _exchange_hellos(self, states: Mapping[NodeId, NodeState], now: float) -> None:
@@ -674,7 +676,6 @@ class MobileBitTorrent:
             receivers = self._faults.deliverable(receivers, "metadata")
         states[sender].stats.metadata_sent += 1
         self.counters.metadata_transmissions += 1
-        self._metrics.count_metadata_transmission(len(receivers))
         record = cand.metadata
         # The popularity the sender *claims* for this broadcast; only
         # exploiter strategies raise it above the signed record value.
@@ -721,7 +722,7 @@ class MobileBitTorrent:
         """Receivers that get the decryption key (§IV-B future work).
 
         A receiver is unchoked when its credit with the sender strictly
-        exceeds ``choke_credit_threshold``. The open metadata phase is
+        exceeds :data:`CHOKE_CREDIT_THRESHOLD`. The open metadata phase is
         the bootstrap: any peer that ever sent the sender a useful
         record has positive credit, so only nodes that transmit
         *nothing* stay choked.
@@ -734,9 +735,10 @@ class MobileBitTorrent:
         """
         if sender.internet_access:
             return receivers
-        threshold = self._config.choke_credit_threshold
         return frozenset(
-            r for r in receivers if sender.credits.effective_credit(r, now) > threshold
+            r
+            for r in receivers
+            if sender.credits.effective_credit(r, now) > CHOKE_CREDIT_THRESHOLD
         )
 
     @staticmethod
@@ -810,9 +812,8 @@ class MobileBitTorrent:
             receivers = self._faults.deliverable(receivers, "piece")
         states[sender].stats.pieces_sent += 1
         self.counters.piece_transmissions += 1
-        self._metrics.count_piece_transmission(len(receivers))
         record = cand.metadata
-        payload = piece_payload(record.uri, cand.index, self._config.payload_length)
+        payload = piece_payload(record.uri, cand.index)
         checksum = record.checksums[cand.index]
         claimed = record.popularity
         if self._adversary is not None:
@@ -831,7 +832,7 @@ class MobileBitTorrent:
                 # blames the sender (no-op under plain credits).
                 try:
                     state.accept_piece(
-                        record.uri, cand.index, corrupt_payload(payload), checksum, now
+                        record.uri, cand.index, corrupt_payload(payload), checksum
                     )
                 except IntegrityError:
                     assert self._faults is not None
@@ -850,7 +851,7 @@ class MobileBitTorrent:
                 # Piggybacked metadata failed signature verification:
                 # first-hand evidence against the sender.
                 state.credits.penalize(sender, now)
-            new = state.accept_piece(record.uri, cand.index, payload, checksum, now)
+            new = state.accept_piece(record.uri, cand.index, payload, checksum)
             if new:
                 if wanted_before or receiver in newly_interested:
                     state.credits.reward_requested(sender, now)

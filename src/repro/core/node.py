@@ -18,7 +18,7 @@ A node runs a file-discovery process and a file-download process
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.catalog.files import IntegrityError, PieceStore
 from repro.catalog.metadata import Metadata, PublisherRegistry, verify_metadata
@@ -42,7 +42,6 @@ class NodeStats:
     files_completed: int = 0
     internet_syncs: int = 0
     metadata_evictions: int = 0
-    piece_evictions: int = 0
     checksum_rejections: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -57,7 +56,6 @@ class NodeStats:
             "files_completed": self.files_completed,
             "internet_syncs": self.internet_syncs,
             "metadata_evictions": self.metadata_evictions,
-            "piece_evictions": self.piece_evictions,
             "checksum_rejections": self.checksum_rejections,
         }
 
@@ -142,10 +140,6 @@ class MetadataStore:
     def records(self) -> List[Metadata]:
         """All records, unordered."""
         return list(self._records.values())
-
-    def uris_in_order(self) -> Iterator[Uri]:
-        """URIs in store order (insertion order; LRU recency order)."""
-        return iter(self._records)
 
     def matching_uris(self, tokens: FrozenSet[str]) -> Set[Uri]:
         """URIs whose records match the conjunctive token set.
@@ -271,15 +265,11 @@ class NodeState:
         internet_access: bool = False,
         metadata_capacity: Optional[int] = None,
         metadata_policy: str = "popularity",
-        piece_capacity: Optional[int] = None,
-        payload_length: int = 64,
         verify_signatures: bool = True,
         selection_policy: str = "all",
         strategy: Optional[Strategy] = None,
         credit_policy: str = "plain",
     ) -> None:
-        if piece_capacity is not None and piece_capacity < 1:
-            raise ValueError("piece_capacity must be >= 1 or None")
         if selection_policy not in ("all", "best"):
             raise ValueError(f"unknown selection policy {selection_policy!r}")
         self.node = node
@@ -293,8 +283,7 @@ class NodeState:
         #: another strategy.
         self.strategy = HONEST if strategy is None else strategy
         self.metadata = MetadataStore(metadata_capacity, metadata_policy)
-        self.pieces = PieceStore(payload_length)
-        self.piece_capacity = piece_capacity
+        self.pieces = PieceStore()
         self.credits = make_ledger(credit_policy, node)
         #: URIs whose metadata failed verification in this node's own
         #: hands. First-hand evidence of forgery: under the reputation
@@ -460,25 +449,10 @@ class NodeState:
         self.wanted_cache_misses += 1
         peek = self.metadata.peek
         wanted: Set[Uri] = set()
-        # Equal frozensets built in different element orders can still
-        # iterate differently (hash-collision layout), and callers such
-        # as internet_sync iterate this set to sequence downloads — so
-        # insert in the historical (query, store-scan) order the full
-        # scan produced, not in index-intersection order. The position
-        # map is O(store), so build it only once a query matches.
-        position: Optional[Dict[Uri, int]] = None
         for query in self.own_queries(now):
-            hits = self.metadata.matching_uris(query.tokens)
-            if not hits:
-                continue
-            if position is None:
-                position = {
-                    uri: i for i, uri in enumerate(self.metadata.uris_in_order())
-                }
-            matched = sorted(hits, key=position.__getitem__)
             matches = [
                 record
-                for record in map(peek, matched)
+                for record in map(peek, self.metadata.matching_uris(query.tokens))
                 if record is not None and record.is_live(now)
             ]
             if not matches:
@@ -545,18 +519,8 @@ class NodeState:
             self.stats.metadata_duplicates += 1
         return new
 
-    def accept_piece(
-        self, uri: Uri, index: int, payload: bytes, checksum: str, now: float = 0.0
-    ) -> bool:
-        """Verify and store a received piece; True if new and admitted.
-
-        With a bounded piece buffer, room is made by evicting pieces of
-        files the node does not want (lowest popularity first); if
-        everything stored is wanted, an unwanted incoming piece is
-        refused instead.
-        """
-        if not self._make_room_for_piece(uri, now):
-            return False
+    def accept_piece(self, uri: Uri, index: int, payload: bytes, checksum: str) -> bool:
+        """Verify and store a received piece; True if it was new."""
         try:
             new = self.pieces.add(uri, index, payload, checksum)
         except IntegrityError:
@@ -568,45 +532,6 @@ class NodeState:
         else:
             self.stats.piece_duplicates += 1
         return new
-
-    def _make_room_for_piece(self, incoming_uri: Uri, now: float) -> bool:
-        """Evict until the buffer has room; False if the piece must be refused.
-
-        Pieces of files matching the owner's queries — still downloading
-        *or already completed* — are kept; relay-cached pieces of other
-        files are evicted lowest-popularity first.
-        """
-        if self.piece_capacity is None:
-            return True
-        keep = self.protected_uris(now)
-        while self.pieces.total_pieces() >= self.piece_capacity:
-            # Sorted: the eviction key reads each victim's metadata via
-            # get(), which touches LRU recency — set-iteration order
-            # here would make the touch sequence hash-seed dependent.
-            victims = sorted(
-                uri
-                for uri in self.pieces.uris
-                if uri != incoming_uri and uri not in keep
-            )
-            if not victims:
-                # Everything stored is the owner's (or the incoming
-                # file): only admit the piece if it is itself wanted,
-                # evicting the least popular other kept file.
-                if incoming_uri not in keep:
-                    return False
-                victims = sorted(uri for uri in self.pieces.uris if uri != incoming_uri)
-                if not victims:
-                    return True  # buffer holds only this file's pieces
-            victim = min(victims, key=self._eviction_key)
-            self.stats.piece_evictions += self.pieces.count_of(victim)
-            self.pieces.drop(victim)
-            self._version += 1
-        return True
-
-    def _eviction_key(self, uri: Uri) -> Tuple[float, Uri]:
-        record = self.metadata.get(uri)
-        popularity = record.popularity if record is not None else -1.0
-        return (popularity, uri)
 
     # -- peer requests ---------------------------------------------------------------
 

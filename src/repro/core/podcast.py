@@ -42,7 +42,6 @@ class PodcastConfig:
     entries_per_contact: int = 3
     #: Maximum channels a node subscribes to.
     max_subscriptions: int = 8
-    queries_per_node_per_day: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -58,7 +57,6 @@ class PodcastConfig:
             files_per_day=self.files_per_day,
             ttl_days=self.ttl_days,
             pieces_per_file=1,
-            queries_per_node_per_day=self.queries_per_node_per_day,
         )
 
 
@@ -111,6 +109,8 @@ class PodcastSimulation:
         )
         self._published: Dict[Uri, Metadata] = {}
         self._metrics = MetricsCollector()
+        #: Whole entries pulled over contacts.
+        self._piece_transmissions = 0
 
     @property
     def access_nodes(self) -> FrozenSet[NodeId]:
@@ -181,7 +181,7 @@ class PodcastSimulation:
         others.sort(key=lambda e: (-e.popularity, e.uri))
         for record in (subscribed + others)[:budget]:
             receiver.entries[record.uri] = record
-            self._metrics.count_piece_transmission()
+            self._piece_transmissions += 1
             self._metrics.on_metadata(receiver.node, record.uri, now)
             self._metrics.on_file_complete(receiver.node, record.uri, now)
 
@@ -202,7 +202,12 @@ class PodcastSimulation:
                 break
             sim.schedule(contact.start, self._make_contact(contact), priority=1)
         sim.run(until=horizon)
-        return self._metrics.result({"num_days": float(days)})
+        return self._metrics.result(
+            {
+                "num_days": float(days),
+                "piece_transmissions": float(self._piece_transmissions),
+            }
+        )
 
     def _make_noon(self, day: int, noon: float):
         return lambda: self._on_noon(day, noon)

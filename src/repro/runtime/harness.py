@@ -56,8 +56,6 @@ UNSUPPORTED_FIELDS = (
 class RuntimeConfig:
     """Runtime-specific knobs on top of :class:`SimulationConfig`."""
 
-    #: Hello beacon rounds at contact start (≥1; 2 stabilizes 'heard').
-    hello_rounds: int = 1
     #: Optional radio fault hook installed on every contact:
     #: (sender, frame bytes) -> delivered bytes, or None to drop.
     #: Corrupted frames are rejected by the codec at the receivers.
@@ -140,9 +138,8 @@ class RuntimeHarness(Simulation):
             )
 
         # Hello handshake.
-        for __ in range(self.runtime_config.hello_rounds):
-            for node in sorted(members):
-                radio.broadcast(node, self._devices[node].hello_bytes(now))
+        for node in sorted(members):
+            radio.broadcast(node, self._devices[node].hello_bytes(now))
 
         # Frequent-contact query storage is a local action on the hello
         # contents exchanged above, so the engine's own step applies.
@@ -186,11 +183,9 @@ class RuntimeHarness(Simulation):
         if phase == "metadata":
             device.state.stats.metadata_sent += 1
             self._engine.counters.metadata_transmissions += 1
-            self._metrics.count_metadata_transmission()
         else:
             device.state.stats.pieces_sent += 1
             self._engine.counters.piece_transmissions += 1
-            self._metrics.count_piece_transmission()
 
     def _run_coordinated_phase(
         self,

@@ -209,7 +209,7 @@ class DTNNode:
         record = self.state.metadata.get(uri)
         if record is None or index not in self.state.pieces.pieces_of(uri):
             raise KeyError(f"node {self.node_id} does not hold {uri}#{index}")
-        payload = piece_payload(uri, index, self.config.payload_length)
+        payload = piece_payload(uri, index)
         return codec.build_piece_frame(self.node_id, now, record, index, payload)
 
     def next_piece_frame(
@@ -315,7 +315,7 @@ class DTNNode:
             return
         try:
             new = self.state.accept_piece(
-                record.uri, index, payload, record.checksums[index], now
+                record.uri, index, payload, record.checksums[index]
             )
         except IntegrityError:
             self.frames_dropped += 1

@@ -58,7 +58,6 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "choked_sends",
     "internet_syncs",
     "metadata_evictions",
-    "piece_evictions",
     "checksum_rejections",
     "metadata_rejected_auth",
     # Fault-injection counters (present only when a run has a non-clean
@@ -200,8 +199,6 @@ class MetricsCollector:
         self._records: List[QueryRecord] = []
         #: (node, target_uri) -> records awaiting delivery.
         self._pending: Dict[Tuple[NodeId, Uri], List[QueryRecord]] = {}
-        self.metadata_transmissions = 0
-        self.piece_transmissions = 0
 
     def register_query(self, query: Query, access_node: bool) -> QueryRecord:
         """Start tracking a freshly generated query."""
@@ -224,12 +221,6 @@ class MetricsCollector:
                     record.metadata_delivered_at = now
                 if record.file_delivered_at is None:
                     record.file_delivered_at = now
-
-    def count_metadata_transmission(self, receivers: int = 1) -> None:
-        self.metadata_transmissions += 1
-
-    def count_piece_transmission(self, receivers: int = 1) -> None:
-        self.piece_transmissions += 1
 
     @property
     def records(self) -> List[QueryRecord]:
@@ -282,10 +273,7 @@ class MetricsCollector:
 
         total, meta, file = ratios(non_access)
         a_total, a_meta, a_file = ratios(access)
-        merged_extra = {
-            "metadata_transmissions": float(self.metadata_transmissions),
-            "piece_transmissions": float(self.piece_transmissions),
-        }
+        merged_extra: Dict[str, float] = {}
         for prefix, delays in (
             ("metadata_delay", self.metadata_delays()),
             ("file_delay", self.file_delays()),

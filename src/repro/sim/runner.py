@@ -81,10 +81,8 @@ class SimulationConfig:
     num_days: Optional[int] = None
     #: Bound on each node's metadata store (None = unbounded).
     metadata_capacity: Optional[int] = None
-    #: Eviction policy of bounded stores: popularity | fifo | lru.
+    #: Eviction policy of bounded stores: popularity | fifo | lru | utility.
     metadata_policy: str = "popularity"
-    #: Bound on each node's piece buffer, in pieces (None = unbounded).
-    piece_capacity: Optional[int] = None
     #: Derive per-contact budgets from contact duration and bandwidth
     #: instead of the fixed counts above (§V's realistic regime).
     use_duration_budgets: bool = False
@@ -101,14 +99,6 @@ class SimulationConfig:
     #: User selection among matched metadata: "all" (evaluation model)
     #: or "best" (§III-B: pick one — verified publisher, top popularity).
     selection_policy: str = "all"
-    #: Internet-side limits (see ProtocolConfig).
-    pull_limit: int = 5
-    push_limit: int = 10
-    popular_file_downloads: int = 2
-    #: Files each access node proxy-downloads per sync for its peers.
-    proxy_downloads_per_sync: int = 5
-    #: Average standing queries generated per node per day.
-    queries_per_node_per_day: float = 2.0
     #: When True, the metadata server re-estimates popularities from
     #: the access nodes' requests in the past 24 h (the paper's §IV-A
     #: server-side definition) instead of using the generation-time
@@ -161,16 +151,6 @@ class SimulationConfig:
                 f"credit_policy must be one of {CREDIT_POLICIES}, "
                 f"got {self.credit_policy!r}"
             )
-        if min(
-            self.pull_limit,
-            self.push_limit,
-            self.popular_file_downloads,
-            self.proxy_downloads_per_sync,
-        ) < 0:
-            raise ValueError(
-                "pull_limit, push_limit, popular_file_downloads and "
-                "proxy_downloads_per_sync must be non-negative"
-            )
 
     def protocol_config(self) -> ProtocolConfig:
         return ProtocolConfig(
@@ -181,10 +161,6 @@ class SimulationConfig:
             tit_for_tat=self.tit_for_tat,
             scheduling=self.scheduling,
             broadcast=self.broadcast,
-            pull_limit=self.pull_limit,
-            push_limit=self.push_limit,
-            popular_file_downloads=self.popular_file_downloads,
-            proxy_downloads=self.proxy_downloads_per_sync,
             request_memory=self.ttl_days * DAY,
             duration_budgets=self.use_duration_budgets,
             bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
@@ -196,7 +172,6 @@ class SimulationConfig:
             files_per_day=self.files_per_day,
             ttl_days=self.ttl_days,
             pieces_per_file=self.pieces_per_file,
-            queries_per_node_per_day=self.queries_per_node_per_day,
         )
 
     def with_variant(self, variant: ProtocolVariant) -> "SimulationConfig":
@@ -237,7 +212,6 @@ class Simulation:
                 internet_access=node in self._access_nodes,
                 metadata_capacity=config.metadata_capacity,
                 metadata_policy=config.metadata_policy,
-                piece_capacity=config.piece_capacity,
                 verify_signatures=config.verify_signatures,
                 selection_policy=config.selection_policy,
                 strategy=self._strategy_of(node),
@@ -465,7 +439,6 @@ class Simulation:
             sum(s.metadata_rejected_auth for s in stats)
         )
         counters["metadata_evictions"] = float(sum(s.metadata_evictions for s in stats))
-        counters["piece_evictions"] = float(sum(s.piece_evictions for s in stats))
         counters["checksum_rejections"] = float(
             sum(s.checksum_rejections for s in stats)
         )

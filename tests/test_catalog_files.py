@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.files import (
+    PAYLOAD_LENGTH,
     PIECE_SIZE,
     FileDescriptor,
     IntegrityError,
@@ -59,8 +60,7 @@ class TestPayloads:
         assert piece_payload(URI, 0) != piece_payload(other, 0)
 
     def test_payload_length_honored(self):
-        assert len(piece_payload(URI, 0, length=100)) == 100
-        assert len(piece_payload(URI, 0, length=7)) == 7
+        assert len(piece_payload(URI, 0)) == PAYLOAD_LENGTH
 
     def test_payload_rejects_negative_index(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,7 @@
-"""Metadata-server ranked view, expiry heap and catalog knobs."""
+"""Metadata-server ranked view and expiry heap."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,20 +176,3 @@ def test_ranked_view_matches_brute_force_under_interleaving(ops):
         assert len(server) == len(reference)
         for uri, md in reference.items():
             assert uri in server and server.get(uri) == md
-
-
-# -- catalog knobs -----------------------------------------------------------------
-
-
-def test_config_validates_catalog_knobs():
-    from repro.sim.runner import SimulationConfig
-
-    for knob in (
-        "pull_limit",
-        "push_limit",
-        "popular_file_downloads",
-        "proxy_downloads_per_sync",
-    ):
-        with pytest.raises(ValueError, match=knob):
-            SimulationConfig(**{knob: -1})
-        assert getattr(SimulationConfig(**{knob: 0}), knob) == 0

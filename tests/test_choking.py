@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from repro.catalog.files import piece_payload
+from repro.core import mbt
 from repro.core.mbt import (
     MobileBitTorrent,
     ProtocolConfig,
@@ -45,12 +47,13 @@ class TestUnchokedSet:
         assert h.engine._unchoked(sender, receivers) == frozenset({NodeId(1)})
 
     def test_threshold_raises_the_bar(self, registry):
-        h = self._engine(registry, choke_credit_threshold=1.0)
+        h = self._engine(registry)
         sender = h.states[NodeId(0)]
         sender.credits.reward_unrequested(NodeId(1), 0.5)
         sender.credits.reward_requested(NodeId(2))  # 5.0
         receivers = frozenset({NodeId(1), NodeId(2)})
-        assert h.engine._unchoked(sender, receivers) == frozenset({NodeId(2)})
+        with mock.patch.object(mbt, "CHOKE_CREDIT_THRESHOLD", 1.0):
+            assert h.engine._unchoked(sender, receivers) == frozenset({NodeId(2)})
 
 
 class TestChokedExchange:

@@ -1,8 +1,9 @@
 """Property tests on the contact core: meaning checks on random runs.
 
-Small randomized traces and configurations — protocol variant,
-scheduling mode, budgets, tit-for-tat, both credit policies, fault
-plans, adversary plans and files of more than 64 pieces — must each
+Small randomized traces and configurations — every ``SimulationConfig``
+knob except the safety valve and the profiler (see
+:data:`NOT_DRAWN`), including fault plans, adversary plans, pollution,
+duration-derived budgets and files of more than 64 pieces — must each
 run to completion, reproduce bitwise under the detcheck sanitizer,
 report delivery ratios in [0, 1], never transmit more than the
 per-contact budgets allow, and never let a node whose strategy does
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mbt import MobileBitTorrent, ProtocolVariant, SchedulingMode
+from repro.core.node import EVICTION_POLICIES
 from repro.core.strategies import AdversaryPlan
 from repro.detlint.sanitizer import checked_run
 from repro.faults import FaultPlan
@@ -33,6 +35,11 @@ from repro.types import DAY, NodeId
 
 #: Every non-honest strategy, for adversarial draws.
 ADVERSARIAL = ("exploiter", "free_rider", "polluter", "under_reporter")
+
+#: ``SimulationConfig`` fields the random configurations leave at their
+#: defaults: the event safety valve and the wall-clock profiler, which
+#: change no protocol behaviour.
+NOT_DRAWN = ("max_events", "profile")
 
 
 def _random_trace(rng: random.Random) -> ContactTrace:
@@ -62,15 +69,17 @@ def _batched_trace(seed: int) -> ContactTrace:
     return ContactTrace(contacts, name="batched")
 
 
-def _random_config(rng: random.Random) -> SimulationConfig:
-    faults = None
+def _random_kwargs(rng: random.Random) -> dict:
+    """One value for every ``SimulationConfig`` field outside :data:`NOT_DRAWN`."""
+    faults = FaultPlan()
     if rng.random() < 0.4:
         faults = FaultPlan(
             loss_rate=rng.choice((0.0, 0.2)),
+            contact_truncation_rate=rng.choice((0.0, 0.3)),
             churn_rate=rng.choice((0.0, 0.05)),
             seed=rng.randint(0, 99),
         )
-    adversaries = None
+    adversaries = AdversaryPlan()
     if rng.random() < 0.4:
         names = rng.sample(ADVERSARIAL, rng.randint(1, 3))
         adversaries = AdversaryPlan(
@@ -78,36 +87,63 @@ def _random_config(rng: random.Random) -> SimulationConfig:
             mix=tuple(sorted((name, 1.0) for name in names)),
             seed=rng.randint(0, 99),
         )
-    kwargs = dict(
+    polluted = rng.random() < 0.3
+    return dict(
         internet_access_fraction=rng.choice((0.0, 0.4, 1.0)),
         files_per_day=rng.randint(4, 12),
-        ttl_days=rng.choice((1.0, 3.0)),
+        ttl_days=rng.choice((0.5, 1.0, 1.75, 3.0)),
         metadata_per_contact=rng.randint(1, 4),
         files_per_contact=rng.randint(1, 4),
         pieces_per_file=rng.choice((1, 3, 70)),
         variant=rng.choice(list(ProtocolVariant)),
         tit_for_tat=rng.random() < 0.5,
+        selfish_fraction=rng.choice((0.0, 0.0, 0.25)),
         broadcast=rng.random() < 0.7,
-        metadata_capacity=rng.choice((None, None, 8)),
-        selection_policy=rng.choice(("all", "best")),
-        credit_policy=rng.choice(("plain", "reputation")),
+        scheduling=rng.choice((None, *SchedulingMode)),
+        frequent_contact_max_gap_days=rng.choice((0.5, 1.0, 3.0)),
         num_days=2,
+        metadata_capacity=rng.choice((None, None, 8)),
+        metadata_policy=rng.choice(EVICTION_POLICIES),
+        use_duration_budgets=rng.random() < 0.3,
+        bandwidth_bytes_per_s=rng.choice((5_000.0, 100_000.0, 1_000_000.0)),
+        fake_files_per_day=rng.randint(1, 3) if polluted else 0,
+        malicious_fraction=rng.choice((0.25, 0.5)) if polluted else 0.0,
+        verify_signatures=rng.random() < 0.8,
+        encrypted_choking=rng.random() < 0.3,
+        selection_policy=rng.choice(("all", "best")),
+        track_popularity=rng.random() < 0.3,
+        faults=faults,
+        adversaries=adversaries,
+        credit_policy=rng.choice(("plain", "reputation")),
         seed=rng.randint(0, 999),
     )
-    if faults is not None:
-        kwargs["faults"] = faults
-    if adversaries is not None:
-        kwargs["adversaries"] = adversaries
-    return SimulationConfig(**kwargs)
+
+
+def _random_config(rng: random.Random) -> SimulationConfig:
+    return SimulationConfig(**_random_kwargs(rng))
 
 
 def _check(trace: ContactTrace, config: SimulationConfig) -> SimulationResult:
-    """Run under the sanitizer and assert per-contact and run-level invariants."""
+    """Run under the sanitizer and assert per-contact and run-level invariants.
+
+    Each contact is bounded by the configured fixed budgets, or, with
+    duration budgets, by the budget of the untruncated trace contact;
+    faults and truncation only shrink either.
+    """
     handle_contact = MobileBitTorrent.handle_contact
     contacts_checked = 0
+    #: Sum of the per-contact bounds over both sanitizer runs.
+    bound_totals = [0, 0]
 
     def checked_contact(engine: MobileBitTorrent, contact: Contact, now: float) -> None:
         nonlocal contacts_checked
+        if config.use_duration_budgets:
+            budget = engine._contact_budget(contact)
+            meta_bound, piece_bound = budget.metadata, budget.pieces
+        else:
+            meta_bound, piece_bound = config.metadata_per_contact, config.files_per_contact
+        bound_totals[0] += meta_bound
+        bound_totals[1] += piece_bound
         counters = engine.counters
         meta_before = counters.metadata_transmissions
         pieces_before = counters.piece_transmissions
@@ -115,9 +151,8 @@ def _check(trace: ContactTrace, config: SimulationConfig) -> SimulationResult:
         sent_before = [(s.stats.metadata_sent, s.stats.pieces_sent) for s in members]
         handle_contact(engine, contact, now)
         contacts_checked += 1
-        # Fixed budgets: faults and truncation only shrink them.
-        assert counters.metadata_transmissions - meta_before <= config.metadata_per_contact
-        assert counters.piece_transmissions - pieces_before <= config.files_per_contact
+        assert counters.metadata_transmissions - meta_before <= meta_bound
+        assert counters.piece_transmissions - pieces_before <= piece_bound
         for state, (meta_sent, pieces_sent) in zip(members, sent_before):
             strategy = state.strategy
             if not strategy.serves:
@@ -130,12 +165,26 @@ def _check(trace: ContactTrace, config: SimulationConfig) -> SimulationResult:
     assert 0.0 <= result.metadata_delivery_ratio <= 1.0
     assert 0.0 <= result.file_delivery_ratio <= 1.0
     counters = result.counters
-    cliques = counters["cliques_processed"]
-    # Every clique gets one budget per phase; faults only shrink it.
-    assert counters["metadata_transmissions"] <= cliques * config.metadata_per_contact
-    assert counters["piece_transmissions"] <= cliques * config.files_per_contact
     assert contacts_checked == 2 * counters["contacts_processed"]
+    if config.use_duration_budgets:
+        # The two sanitizer runs are bitwise equal, so each spent half.
+        assert 2 * counters["metadata_transmissions"] <= bound_totals[0]
+        assert 2 * counters["piece_transmissions"] <= bound_totals[1]
+    else:
+        # Every clique gets one budget per phase; faults only shrink it.
+        cliques = counters["cliques_processed"]
+        assert counters["metadata_transmissions"] <= cliques * config.metadata_per_contact
+        assert counters["piece_transmissions"] <= cliques * config.files_per_contact
     return result
+
+
+def test_random_configs_draw_every_knob():
+    """A new ``SimulationConfig`` field must be drawn or listed in NOT_DRAWN."""
+    knobs = {f.name for f in fields(SimulationConfig)}
+    drawn = set(_random_kwargs(random.Random(0)))
+    assert not drawn & set(NOT_DRAWN)
+    assert set(NOT_DRAWN) <= knobs
+    assert drawn == knobs - set(NOT_DRAWN)
 
 
 class TestRandomRuns:

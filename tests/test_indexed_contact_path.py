@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from typing import Dict, List
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -273,22 +274,48 @@ class TestTokenIndexConsistency:
         assert store.matching_uris(frozenset()) == {r.uri for r in store.records()}
 
 
+class _IterInOrder(frozenset):
+    """A frozenset that iterates its elements sorted, or reverse-sorted."""
+
+    reverse = False
+
+    def __iter__(self):
+        return iter(sorted(frozenset.__iter__(self), reverse=self.reverse))
+
+
 class TestWantedOrderDeterminism:
-    def test_wanted_set_iterates_in_scan_order(self, registry):
-        """wanted_uris inserts in (query, store-scan) order — the layout
-        internet_sync used to depend on. The sorted() at the consumer is
-        the real guard; this pins the insertion order contract."""
-        state = make_node(registry, node=0)
+    def test_internet_sync_ignores_wanted_iteration_order(self, registry):
+        """How the wanted set iterates must not reach results.
+
+        Each Internet download touches LRU recency, so ``internet_sync``
+        sorts the wanted set first; two opposite iteration orders must
+        leave the same store, downloaded in URI order.
+        """
+        from test_mbt_engine import Harness
+
+        wanted_uris = NodeState.wanted_uris
         records = [
             make_metadata(registry, uri=f"dtn://fox/f{i}", name="news island")
-            for i in range(6)
+            for i in (3, 0, 5, 1, 4, 2)
         ]
-        for record in records:
-            state.accept_metadata(record, 0.0)
-        state.add_own_query(make_query(0, "dtn://fox/f0", ["island"]))
-        wanted = state.wanted_uris(0.0)
-        assert wanted == {r.uri for r in records}
-        rebuilt = set()
-        for record in records:  # store-scan order
-            rebuilt.add(record.uri)
-        assert list(wanted) == list(frozenset(rebuilt))
+        store_orders = []
+        for reverse in (False, True):
+            h = Harness(registry, access=[0])
+            state = h.states[NodeId(0)]
+            state.metadata = MetadataStore(policy="lru")
+            for record in records:
+                h.publish(record)
+                state.accept_metadata(record, 0.0)
+            state.add_own_query(make_query(0, "dtn://fox/f0", ["island"]))
+
+            def ordered(self, now, reverse=reverse):
+                wanted = _IterInOrder(wanted_uris(self, now))
+                wanted.reverse = reverse
+                return wanted
+
+            with mock.patch.object(NodeState, "wanted_uris", ordered):
+                h.engine.internet_sync(NodeId(0), now=0.0)
+            assert all(state.pieces.is_complete(r.uri, 1) for r in records)
+            store_orders.append([record.uri for record in state.metadata.records()])
+        assert store_orders[0] == store_orders[1]
+        assert store_orders[0] == sorted(r.uri for r in records)

@@ -24,7 +24,7 @@ from repro.traces.base import Contact, ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.types import DAY, NodeId, noon_of_day
 
-from conftest import make_metadata, make_node, make_query, pair_contact
+from conftest import pair_contact
 
 
 class TestInterContact:
@@ -186,67 +186,6 @@ class TestPollutionSimulation:
             SimulationConfig(malicious_fraction=1.5)
         with pytest.raises(ValueError):
             SimulationConfig(fake_files_per_day=-1)
-
-
-class TestPieceBuffer:
-    def test_capacity_validated(self, registry):
-        from repro.core.node import NodeState
-
-        with pytest.raises(ValueError):
-            NodeState(NodeId(0), registry, piece_capacity=0)
-
-    def test_unwanted_pieces_evicted_first(self, registry):
-        node = make_node(registry)
-        node.piece_capacity = 2
-        low = make_metadata(registry, uri="dtn://fox/low", popularity=0.1)
-        high = make_metadata(registry, uri="dtn://fox/high", popularity=0.9)
-        third = make_metadata(registry, uri="dtn://fox/third", popularity=0.5)
-        for record in (low, high, third):
-            node.accept_metadata(record, 0.0)
-        for record in (low, high):
-            node.accept_piece(
-                record.uri, 0, piece_payload(record.uri, 0), record.checksums[0], 0.0
-            )
-        node.accept_piece(
-            third.uri, 0, piece_payload(third.uri, 0), third.checksums[0], 0.0
-        )
-        # The least popular unwanted file was evicted.
-        assert node.pieces.pieces_of("dtn://fox/low") == frozenset()
-        assert node.pieces.pieces_of("dtn://fox/high") == {0}
-        assert node.pieces.pieces_of("dtn://fox/third") == {0}
-
-    def test_unwanted_piece_refused_when_buffer_full_of_wanted(self, registry):
-        node = make_node(registry)
-        node.piece_capacity = 1
-        wanted = make_metadata(registry, uri="dtn://fox/want",
-                               name="news island s01e01")
-        junk = make_metadata(registry, uri="dtn://fox/junk",
-                             name="drama desert s01e02")
-        node.accept_metadata(wanted, 0.0)
-        node.accept_metadata(junk, 0.0)
-        node.add_own_query(make_query(0, wanted.uri, ["island"]))
-        # Buffer full with a wanted file's only piece...
-        assert node.accept_piece(
-            wanted.uri, 0, piece_payload(wanted.uri, 0), wanted.checksums[0], 0.0
-        )
-        # ...an unwanted piece must be refused, not displace it.
-        wanted_before = node.pieces.pieces_of(wanted.uri)
-        assert not node.accept_piece(
-            junk.uri, 0, piece_payload(junk.uri, 0), junk.checksums[0], 0.0
-        )
-        assert node.pieces.pieces_of(wanted.uri) == wanted_before
-
-    def test_simulation_with_piece_capacity_degrades(self):
-        trace = generate_dieselnet_trace(
-            DieselNetConfig(num_buses=14, num_days=5), seed=3
-        )
-        unbounded = Simulation(
-            trace, SimulationConfig(seed=3, files_per_day=30)
-        ).run()
-        tight = Simulation(
-            trace, SimulationConfig(seed=3, files_per_day=30, piece_capacity=5)
-        ).run()
-        assert tight.file_delivery_ratio <= unbounded.file_delivery_ratio
 
 
 class TestDurationBudgets:

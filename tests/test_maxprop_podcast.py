@@ -147,6 +147,14 @@ class TestPodcastBaseline:
         assert 0.0 < result.file_delivery_ratio <= 1.0
         assert result.file_delivery_ratio == result.metadata_delivery_ratio
 
+    def test_entry_pulls_counted_in_extra(self, trace):
+        idle = PodcastSimulation(
+            trace, PodcastConfig(seed=5, entries_per_contact=0)
+        ).run()
+        busy = PodcastSimulation(trace, PodcastConfig(seed=5)).run()
+        assert idle.extra["piece_transmissions"] == 0.0
+        assert busy.extra["piece_transmissions"] > 0.0
+
     def test_more_budget_helps(self, trace):
         small = PodcastSimulation(
             trace, PodcastConfig(seed=5, entries_per_contact=1)

@@ -9,6 +9,7 @@ import pytest
 from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_payload
 from repro.catalog.server import FileServer, MetadataServer
 from repro.core.mbt import (
+    POPULAR_FILE_DOWNLOADS,
     MobileBitTorrent,
     ProtocolConfig,
     ProtocolVariant,
@@ -66,6 +67,17 @@ class Harness:
                 )
             )
 
+    def publish_decoys(self, count: int) -> list:
+        """Publish ``count`` files more popular than any test record."""
+        decoys = [
+            make_metadata(self.registry, uri=f"dtn://fox/decoy{i}",
+                          name=f"decoy show s01e{i:02d}", popularity=0.99 - 0.01 * i)
+            for i in range(count)
+        ]
+        for record in decoys:
+            self.publish(record)
+        return decoys
+
     def give_piece(self, node: int, record, index: int) -> None:
         state = self.states[NodeId(node)]
         state.accept_metadata(record, 0.0)
@@ -94,7 +106,7 @@ class TestMetadataPhase:
             )
         h.contact([0, 1])
         assert len(h.states[NodeId(1)].metadata) == 2
-        assert h.metrics.metadata_transmissions == 2
+        assert h.engine.counters.metadata_transmissions == 2
 
     def test_requested_metadata_sent_under_tight_budget(self, registry):
         h = Harness(registry, config=ProtocolConfig(budget=ContactBudget(1, 0)))
@@ -303,15 +315,18 @@ class TestInternetSync:
         assert record.uri in h.states[NodeId(0)].metadata
 
     def test_no_push_under_mbt_qm(self, registry):
-        h = Harness(
-            registry, access=[0],
-            config=ProtocolConfig(variant=ProtocolVariant.MBT_QM,
-                                  popular_file_downloads=0),
-        )
-        record = make_metadata(registry, popularity=0.9)
-        h.publish(record)
-        h.engine.internet_sync(NodeId(0), now=0.0)
-        assert record.uri not in h.states[NodeId(0)].metadata
+        for variant, expect in (
+            (ProtocolVariant.MBT, True),
+            (ProtocolVariant.MBT_QM, False),
+        ):
+            h = Harness(registry, access=[0], config=ProtocolConfig(variant=variant))
+            # More popular decoys use up the seeding downloads, which
+            # would otherwise fetch the record (and its metadata).
+            h.publish_decoys(POPULAR_FILE_DOWNLOADS)
+            record = make_metadata(registry, popularity=0.9)
+            h.publish(record)
+            h.engine.internet_sync(NodeId(0), now=0.0)
+            assert (record.uri in h.states[NodeId(0)].metadata) is expect, variant
 
     def test_proxy_download_for_heard_requests(self, registry):
         h = Harness(registry, access=[0])
@@ -331,11 +346,8 @@ class TestInternetSync:
             (ProtocolVariant.MBT, True),
             (ProtocolVariant.MBT_Q, False),
         ):
-            h = Harness(
-                registry, access=[0],
-                config=ProtocolConfig(variant=variant, popular_file_downloads=0,
-                                      push_limit=0),
-            )
+            h = Harness(registry, access=[0], config=ProtocolConfig(variant=variant))
+            h.publish_decoys(POPULAR_FILE_DOWNLOADS)
             record = make_metadata(registry, name="news island s01e01",
                                    popularity=0.0)
             h.publish(record)
@@ -349,15 +361,13 @@ class TestInternetSync:
             assert complete is expect, variant
 
     def test_seeds_popular_files(self, registry):
-        h = Harness(registry, access=[0],
-                    config=ProtocolConfig(popular_file_downloads=1))
+        h = Harness(registry, access=[0])
         low = make_metadata(registry, uri="dtn://fox/low", popularity=0.1)
-        high = make_metadata(registry, uri="dtn://fox/high", popularity=0.9)
         h.publish(low)
-        h.publish(high)
+        highs = h.publish_decoys(POPULAR_FILE_DOWNLOADS)
         h.engine.internet_sync(NodeId(0), now=0.0)
         state = h.states[NodeId(0)]
-        assert state.pieces.is_complete(high.uri, 1)
+        assert all(state.pieces.is_complete(high.uri, 1) for high in highs)
         assert not state.pieces.is_complete(low.uri, 1)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.metrics import MetricsCollector
+from repro.sim.runner import Simulation, SimulationConfig
+from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.types import NodeId, Uri
 
 from conftest import make_query
@@ -81,14 +83,19 @@ class TestMetricsCollector:
         assert result.file_delivery_ratio == 0.0
 
     def test_transmission_counters_in_extra(self):
-        metrics = MetricsCollector()
-        metrics.count_metadata_transmission()
-        metrics.count_piece_transmission()
-        metrics.count_piece_transmission()
-        result = metrics.result(extra={"custom": 7.0})
-        assert result.extra["metadata_transmissions"] == 1.0
-        assert result.extra["piece_transmissions"] == 2.0
-        assert result.extra["custom"] == 7.0
+        trace = generate_dieselnet_trace(
+            DieselNetConfig(num_buses=8, num_days=2), seed=1
+        )
+        sim = Simulation(trace, SimulationConfig(seed=1, files_per_day=10))
+        result = sim.run()
+        counters = sim.engine.counters
+        stats = [state.stats for state in sim.states.values()]
+        assert counters.metadata_transmissions > 0 and counters.piece_transmissions > 0
+        assert result.extra["metadata_transmissions"] == counters.metadata_transmissions
+        assert result.extra["piece_transmissions"] == counters.piece_transmissions
+        assert counters.metadata_transmissions == sum(s.metadata_sent for s in stats)
+        assert counters.piece_transmissions == sum(s.pieces_sent for s in stats)
+        assert MetricsCollector().result(extra={"custom": 7.0}).extra["custom"] == 7.0
 
     def test_duplicate_queries_same_target_both_tracked(self):
         metrics = MetricsCollector()

@@ -12,6 +12,7 @@ from repro.analysis.capacity import (
     pairwise_per_node_capacity,
 )
 from repro.catalog.files import (
+    PAYLOAD_LENGTH,
     PieceStore,
     piece_checksum,
     piece_payload,
@@ -72,13 +73,12 @@ def test_capacities_sum_and_order(n):
 @given(
     uri=st.text(alphabet="abc/:", min_size=1, max_size=12),
     index=st.integers(min_value=0, max_value=500),
-    length=st.integers(min_value=1, max_value=256),
 )
-def test_piece_payload_deterministic_and_sized(uri, index, length):
-    a = piece_payload(Uri(uri), index, length)
-    b = piece_payload(Uri(uri), index, length)
+def test_piece_payload_deterministic_and_sized(uri, index):
+    a = piece_payload(Uri(uri), index)
+    b = piece_payload(Uri(uri), index)
     assert a == b
-    assert len(a) == length
+    assert len(a) == PAYLOAD_LENGTH
 
 
 @given(indices=st.sets(st.integers(min_value=0, max_value=30), min_size=1, max_size=20))

@@ -107,17 +107,6 @@ class TestBoundedStores:
         for state in sim.states.values():
             assert len(state.metadata) <= 10
 
-    def test_piece_capacity_respected_throughout(self, trace):
-        sim = Simulation(
-            trace,
-            SimulationConfig(seed=5, files_per_day=30, piece_capacity=8),
-        )
-        sim.run()
-        for state in sim.states.values():
-            if state.internet_access:
-                continue  # direct downloads bypass the DTN buffer
-            assert state.pieces.total_pieces() <= 8
-
     def test_utility_policy_end_to_end(self, trace):
         result = Simulation(
             trace,

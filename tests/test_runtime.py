@@ -338,8 +338,8 @@ class TestHarnessEquivalence:
         assert metadata_sent > 0 and pieces_sent > 0
         assert result.extra["metadata_transmissions"] == metadata_sent
         assert result.extra["piece_transmissions"] == pieces_sent
-        assert harness._metrics.metadata_transmissions == metadata_sent
-        assert harness._metrics.piece_transmissions == pieces_sent
+        assert harness.engine.counters.metadata_transmissions == metadata_sent
+        assert harness.engine.counters.piece_transmissions == pieces_sent
         counters = result.counters
         assert counters["contacts_processed"] == counters["cliques_processed"] > 0
         assert 0 < counters["contact_batches"] <= counters["contacts_processed"]
