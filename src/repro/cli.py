@@ -22,7 +22,6 @@ Examples
     python -m repro sweep fig3a --jobs 4              # 4 worker processes
     python -m repro sweep --all --jobs 4 --format csv
     python -m repro figures fig3a --scale fast
-    python -m repro --trace-cache ~/.cache/repro sweep fig3a --jobs 4
     python -m repro trace --kind nus --seed 7 --out campus.trace
     python -m repro stats campus.trace
     python -m repro capacity --max-n 16
@@ -31,7 +30,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -39,7 +37,7 @@ from repro.analysis.capacity import capacity_table
 from repro.core.credits import CREDIT_POLICIES
 from repro.core.mbt import ProtocolVariant
 from repro.core.strategies import AdversaryPlan, parse_mix
-from repro.exec import TRACE_CACHE_ENV, TraceSpec, build_trace
+from repro.exec import TraceSpec, build_trace
 from repro.experiments import FIGURES
 from repro.faults import FaultPlan
 from repro.experiments.workloads import dieselnet_trace, nus_trace
@@ -78,8 +76,6 @@ def _trace_spec(kind: str, seed: int, scale: str = "fast") -> TraceSpec:
 
 
 def _build_trace(kind: str, seed: int, scale: str = "fast") -> ContactTrace:
-    # Routed through the kernel so --trace-cache / REPRO_TRACE_CACHE
-    # serves CLI builds from the same disk artifacts as sweep workers.
     return build_trace(_trace_spec(kind, seed, scale))
 
 
@@ -151,14 +147,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"\n-- {name} adversary report --")
             print(_format_adversary_report(result))
     if args.counters or args.profile:
-        from repro.exec import trace_perf_counters
         from repro.sim.metrics import format_counters
 
         for name, result in results.items():
             print(f"\n-- {name} instrumentation counters --")
             print(format_counters(result.counters))
-        print("\n-- trace pipeline counters (process-local) --")
-        print(format_counters(trace_perf_counters()))
     return 0
 
 
@@ -269,13 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Cooperative file sharing in hybrid DTNs (ICDCS'11 reproduction)",
-    )
-    parser.add_argument(
-        "--trace-cache",
-        metavar="DIR",
-        default=None,
-        help="persist built traces in DIR and reuse them across runs and "
-             f"worker processes (same as setting {TRACE_CACHE_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -432,10 +418,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.trace_cache:
-        # Exported (not just set in-process) so sweep worker processes
-        # inherit the cache directory and share the build artifacts.
-        os.environ[TRACE_CACHE_ENV] = args.trace_cache
     return args.handler(args)
 
 

@@ -11,7 +11,7 @@ This package turns each convention into data plus an AST check:
 ``counters``
     every counter key family (``perf.*``, ``faults.*``,
     ``adversary.*``, ``detcheck.*``) with its fingerprint class
-    (deterministic / excluded / process-local) — rules CON001/CON002;
+    (deterministic / excluded) — rules CON001/CON002;
 ``knobs``
     every :class:`SimulationConfig` field mapped to its CLI flags and
     ``docs/API.md`` anchor — rule CON003;

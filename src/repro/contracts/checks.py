@@ -491,9 +491,8 @@ def _check_knobs(tree: _Tree) -> List[Finding]:
             findings.append(
                 _finding(
                     path, line, 1, "CON003",
-                    f"field {name!r} sets repr=False, excluding it from the "
-                    "RunSpec/checkpoint identity (spec_fingerprint hashes "
-                    "the config repr)",
+                    f"field {name!r} sets repr=False, so two runs that differ "
+                    "in it print alike (errors, assertion diffs, logs)",
                 )
             )
         if not spec.flags and not spec.api_only:

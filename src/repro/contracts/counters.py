@@ -9,8 +9,6 @@ the *spelling* of a key, so a typo silently creates a new counter:
   (``fingerprint="deterministic"``) or exclude it from bitwise
   comparisons (``"excluded"``, the ``FINGERPRINT_IGNORED_PREFIXES``
   list in :mod:`repro.detlint.sanitizer`);
-* whether it is process-local diagnostics that must never be folded
-  into a result at all (``"local"``, the ``perf.trace.*`` family);
 * whether it is surfaced in :data:`repro.sim.metrics.COUNTER_KEYS`
   (``surfaced=True``) for the ``--counters`` rendering.
 
@@ -46,10 +44,7 @@ class CounterSpec:
     ``"excluded"``
         varies between identical runs (wall-clock timers) or between
         implementations (catalog-server internals); stripped by
-        :func:`repro.detlint.sanitizer.result_fingerprint`;
-    ``"local"``
-        process-local diagnostics (trace-cache hits) that are never
-        folded into a :class:`SimulationResult` in the first place.
+        :func:`repro.detlint.sanitizer.result_fingerprint`.
 
     ``open_prefix`` (prefixes only) allows unregistered exact keys
     beneath the prefix — for families whose suffixes are genuinely
@@ -57,7 +52,7 @@ class CounterSpec:
     """
 
     key: str
-    fingerprint: str  # "deterministic" | "excluded" | "local"
+    fingerprint: str  # "deterministic" | "excluded"
     surfaced: bool = False  # listed in repro.sim.metrics.COUNTER_KEYS
     open_prefix: bool = False
     note: str = ""
@@ -135,9 +130,6 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     CounterSpec("perf.catalog.", "excluded", note="metadata-server internals"),
     CounterSpec("perf.catalog.heap_expiries", "excluded"),
     CounterSpec("perf.catalog.ranked_rebuilds", "excluded"),
-    # perf.trace.*: process-local trace-pipeline diagnostics (LRU and
-    # disk-cache outcomes); never folded into a SimulationResult.
-    CounterSpec("perf.trace.", "local", open_prefix=True, note="trace-cache diagnostics"),
 )
 
 #: Registered exact keys, by key.
@@ -174,9 +166,8 @@ SELF_RECORDER_MODULES: Dict[str, str] = {
 def excluded_prefixes() -> Tuple[str, ...]:
     """The prefixes the fingerprint sanitizer must strip, sorted.
 
-    Exactly the registered ``excluded`` prefixes: ``local`` families
-    never reach a result, and exact excluded keys are covered by their
-    family prefix.
+    Exactly the registered ``excluded`` prefixes: exact excluded keys
+    are covered by their family prefix.
     """
     return tuple(
         sorted(

@@ -8,10 +8,11 @@ sync with the dataclass field:
   ``faults`` plan; a field with no flags must say why in ``api_only``);
 * the ``docs/API.md`` anchor — the backticked field name must appear
   in the API reference (``doc`` overrides the anchor text);
-* the RunSpec identity: :func:`repro.exec.kernel.spec_fingerprint`
-  derives the checkpoint key from ``repr(config)``, so every field
-  must participate in the dataclass repr (``repr=False`` on a field
-  would silently alias distinct runs in checkpoint files).
+* the printed identity of a run: the config's repr is what a
+  :class:`~repro.exec.RunError`, a failed equality assertion or a log
+  line shows of a run, so every field must participate in the
+  dataclass repr (``repr=False`` on a field would make two runs that
+  differ in it print alike).
 
 CON003 parses ``SimulationConfig`` out of ``sim/runner.py`` and checks
 each field against this registry, each registered flag against the

@@ -29,12 +29,12 @@ Determinism
 An :class:`AdversaryPlan` is a frozen, picklable dataclass mirroring
 :class:`~repro.faults.FaultPlan` and travels inside
 :class:`~repro.sim.runner.SimulationConfig`, so it is part of a run's
-identity for caching, checkpointing and reproducibility. Strategy
-assignment draws from one ``random.Random`` seeded via SHA-256 from
-``(plan.seed, run_seed)``; strategies themselves are *pure* — every
-in-run decision is a deterministic function of protocol state, so
-adversarial runs stay bitwise reproducible. All strategy effects act
-on the shared scheduler layer, after the candidate builders ran.
+identity for reproducibility. Strategy assignment draws from one
+``random.Random`` seeded via SHA-256 from ``(plan.seed, run_seed)``;
+strategies themselves are *pure* — every in-run decision is a
+deterministic function of protocol state, so adversarial runs stay
+bitwise reproducible. All strategy effects act on the shared
+scheduler layer, after the candidate builders ran.
 
 The all-zero plan (:meth:`AdversaryPlan.is_clean`) is the default and
 is never instantiated into an :class:`AdversaryState`, so the honest

@@ -1,9 +1,9 @@
 """repro.detlint — AST determinism & invariant linter + runtime sanitizer.
 
 Every reproduced figure rests on bitwise-deterministic simulation:
-``run_many(jobs=4)`` must equal ``jobs=1``, checkpoint resume must
-equal a fresh sweep, and the grid contact extractor must equal the
-all-pairs reference. This package defends that property *before* the
+``run_many(jobs=4)`` must equal ``jobs=1``, a rerun must equal the
+first run, and the grid contact extractor must equal the all-pairs
+reference. This package defends that property *before* the
 tests do:
 
 * the **static pass** (``repro lint`` / :func:`lint_paths`) walks the

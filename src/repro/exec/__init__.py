@@ -15,47 +15,29 @@ See :mod:`repro.exec.kernel` for the full story. Typical use::
 """
 
 from repro.exec.kernel import (
-    TRACE_CACHE_ENV,
     RunError,
-    RunManyError,
     RunResult,
     RunSpec,
     TraceSpec,
     as_trace_spec,
     build_trace,
-    derive_seed,
     execute,
     resolve_callable,
     resolve_execution_mode,
     run_many,
-    set_trace_cache_dir,
-    spec_fingerprint,
     trace_cache_clear,
-    trace_cache_dir,
-    trace_cache_info,
-    trace_perf_counters,
-    trace_spec_fingerprint,
 )
 
 __all__ = [
-    "TRACE_CACHE_ENV",
     "RunError",
-    "RunManyError",
     "RunResult",
     "RunSpec",
     "TraceSpec",
     "as_trace_spec",
     "build_trace",
-    "derive_seed",
     "execute",
     "resolve_callable",
     "resolve_execution_mode",
     "run_many",
-    "set_trace_cache_dir",
-    "spec_fingerprint",
     "trace_cache_clear",
-    "trace_cache_dir",
-    "trace_cache_info",
-    "trace_perf_counters",
-    "trace_spec_fingerprint",
 ]

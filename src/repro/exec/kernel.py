@@ -14,26 +14,18 @@ processes with bitwise-identical results:
   :class:`~repro.sim.runner.SimulationConfig` and an optional seed
   override, plus an opaque ``tag`` that round-trips to the result;
 * :func:`execute` — the pure mapping ``RunSpec -> RunResult``;
-* :func:`run_many` — submission-based fan-out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``,
+* :func:`run_many` — one pass over the specs, serially or with one
+  future per spec on a :class:`~concurrent.futures.ProcessPoolExecutor`,
   preserving input order.
 
-Resilience
-----------
-``run_many`` is built for multi-hour campaigns where a single worker
-crash must not cost the whole sweep:
-
-* each spec is submitted as its own future with an optional per-spec
-  ``timeout``;
-* a crashed worker (``BrokenProcessPool``) or timed-out spec is retried
-  on a fresh pool, up to ``retries`` times with exponential ``backoff``;
-* ordinary exceptions raised by the simulation itself are treated as
-  deterministic and never retried — ``on_error`` picks between raising
-  immediately (``"fail_fast"``) and recording a :class:`RunError` in
-  the result slot (``"collect"``);
-* with ``checkpoint=path``, every completed run is appended to a JSONL
-  file keyed by :func:`spec_fingerprint`; a re-invocation with the same
-  path re-runs only the specs not yet completed.
+Errors
+------
+A spec whose simulation raises, or whose worker process dies
+(``BrokenExecutor``), either aborts the sweep (``on_error="fail_fast"``,
+the exception propagates) or leaves a :class:`RunError` in its result
+slot (``on_error="collect"``). Failed specs are not re-run: simulation
+errors are deterministic, and a paper-scale sweep takes seconds, so a
+crashed sweep is simply started again.
 
 Determinism
 -----------
@@ -42,84 +34,59 @@ seeded by the spec's arguments and the simulation by
 ``config.seed`` (or the spec's ``seed`` override), each through its own
 ``random.Random`` instance. No module-level RNG is consulted, so the
 results are independent of execution order and of the process the run
-lands in — ``run_many(specs, jobs=4)`` equals ``jobs=1`` exactly, even
-when workers crash and specs are retried.
+lands in — ``run_many(specs, jobs=4)`` equals ``jobs=1`` exactly.
 
-Trace caching
--------------
-Building a trace can rival the simulation itself in cost, and a sweep
-reuses one trace across many (x, protocol) cells. ``execute`` therefore
-caches built traces in two layers:
-
-* a small **per-process LRU table** keyed by the *full* trace spec
-  (builder path + every argument) — each worker builds any distinct
-  trace at most once while it stays hot;
-* an optional **persistent disk cache** (:mod:`repro.traces.cache`)
-  layered underneath, keyed by :func:`trace_spec_fingerprint`, so all
-  sweep workers — and all future invocations — share a single build.
-  Enable it with :func:`set_trace_cache_dir`, the
-  ``REPRO_TRACE_CACHE`` environment variable (inherited by worker
-  processes) or the CLI ``--trace-cache DIR`` flag.
-
-Literal traces bypass both layers (they are already built and travel
-inside the pickled spec).
+Trace memo
+----------
+A sweep reuses one trace across many (x, protocol) cells, so each
+process memoizes built traces in a small least-recently-used table
+keyed by the full builder recipe (dotted path + every argument). Specs
+with unhashable arguments are built every time, and literal traces are
+already built: they travel inside the pickled spec.
 
 Execution modes
 ---------------
 ``run_many(..., mode="auto")`` (the default) only spins up a process
 pool when it can actually help: with ``jobs <= 1`` or on a single-CPU
 machine it executes inline — no pool, no pickling, no fork overhead.
-``mode="processes"`` forces the pool (crash/timeout isolation is worth
-the overhead even on one CPU); ``mode="inline"`` forces serial
-execution. :func:`resolve_execution_mode` exposes the decision.
+``mode="processes"`` forces the pool (a worker crash then cannot take
+the caller down); ``mode="inline"`` forces serial execution.
+:func:`resolve_execution_mode` exposes the decision.
+
+Pool workers are handed the module-level :func:`execute` by name, looked
+up when :func:`run_many` is called, so a caller that rebinds
+``repro.exec.kernel.execute`` (a profiler wrapping every run) reaches
+inline runs and, through ``fork``, worker processes alike.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import importlib
-import json
 import os
 import time
-from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.detlint.hashseed import ensure_hash_seed
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import Simulation, SimulationConfig
-from repro.traces import cache as trace_disk_cache
 from repro.traces.base import ContactTrace
 
 __all__ = [
     "RunError",
-    "RunManyError",
     "RunResult",
     "RunSpec",
-    "TRACE_CACHE_ENV",
     "TraceSpec",
     "as_trace_spec",
     "build_trace",
-    "derive_seed",
     "execute",
     "resolve_callable",
     "resolve_execution_mode",
     "run_many",
-    "set_trace_cache_dir",
-    "spec_fingerprint",
     "trace_cache_clear",
-    "trace_cache_dir",
-    "trace_cache_info",
-    "trace_perf_counters",
-    "trace_spec_fingerprint",
 ]
-
-#: Environment variable naming the persistent trace-cache directory.
-#: Read per build (not at import), so it propagates to worker processes
-#: and tests can flip it at runtime.
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
 
 def resolve_callable(fn: Callable[..., Any]) -> Optional[str]:
@@ -264,225 +231,46 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunError:
-    """Terminal failure of one spec (``on_error="collect"`` slot value).
+    """Failure of one spec (``on_error="collect"`` slot value).
 
-    ``error`` is a human-readable description of the last failure and
-    ``attempts`` the number of execution attempts made (1 for
-    non-retryable simulation errors, up to ``retries + 1`` for worker
-    crashes and timeouts).
+    ``error`` is ``"ExceptionType: message"`` of the exception the
+    simulation raised, or of the ``BrokenExecutor`` that a dead worker
+    process left behind.
     """
 
     spec: RunSpec
     error: str
-    attempts: int
 
     def labels(self) -> Dict[str, Any]:
         """The spec's tag as a plain dict (mirrors ``RunSpec.labels``)."""
         return dict(self.spec.tag)
 
 
-class RunManyError(RuntimeError):
-    """A spec failed terminally under ``on_error="fail_fast"``."""
-
-    def __init__(self, errors: Sequence[RunError]) -> None:
-        self.errors = list(errors)
-        first = self.errors[0]
-        super().__init__(
-            f"{len(self.errors)} spec(s) failed; first: {first.error} "
-            f"after {first.attempts} attempt(s) (tag={first.labels()})"
-        )
-
-
-def derive_seed(*components: Any) -> int:
-    """Deterministic 63-bit seed derived from arbitrary components.
-
-    Stable across processes and Python invocations (unlike ``hash``,
-    which is salted): hashes the repr of the components with SHA-256.
-    Use to give each run of a family an independent but reproducible
-    RNG stream: ``derive_seed(base_seed, "sweep", x, index)``.
-    """
-    digest = hashlib.sha256(repr(components).encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _trace_identity(spec: TraceSpec) -> Tuple[Any, ...]:
-    """Value identity of a trace spec (never its memory address)."""
-    if spec.builder is not None:
-        return ("builder", spec.builder, repr(spec.args), repr(spec.kwargs))
-    trace = spec.trace
-    assert trace is not None
-    digest = hashlib.sha256()
-    for contact in trace:
-        digest.update(
-            repr((contact.start, contact.end, tuple(sorted(contact.members)))).encode()
-        )
-    return ("literal", trace.name, len(trace), digest.hexdigest())
-
-
-def spec_fingerprint(spec: RunSpec) -> str:
-    """Stable hex identity of a run spec, the checkpoint-file key.
-
-    Covers the trace (builder path + arguments, or the literal trace's
-    full contact content), the resolved config (including the fault
-    plan and seed) and the tag — everything that determines the run's
-    output. Stable across processes and Python invocations.
-    """
-    identity = (
-        _trace_identity(spec.trace),
-        repr(spec.resolved_config()),
-        repr(spec.tag),
-    )
-    return hashlib.sha256(repr(identity).encode()).hexdigest()
-
-
-def trace_spec_fingerprint(spec: TraceSpec) -> str:
-    """Stable hex identity of a trace spec — the disk-cache key.
-
-    Covers the builder's dotted path and every argument (or a literal
-    trace's full contact content), so any change to the recipe is a
-    different cache entry. Stable across processes and Python
-    invocations.
-    """
-    return hashlib.sha256(repr(_trace_identity(spec)).encode()).hexdigest()
-
-
-class _LRUCache:
-    """Tiny LRU map with hit/miss counters (per-process trace cache)."""
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError(f"cache limit must be >= 1, got {limit}")
-        self._limit = limit
-        self._data: "OrderedDict[Tuple[Any, ...], ContactTrace]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Tuple[Any, ...]) -> bool:
-        return key in self._data  # membership probe; no recency touch
-
-    def get(self, key: Tuple[Any, ...]) -> Optional[ContactTrace]:
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)  # a hit refreshes recency
-        self.hits += 1
-        return value
-
-    def put(self, key: Tuple[Any, ...], value: ContactTrace) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self._limit:
-            self._data.popitem(last=False)  # evict least recently used
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
-#: Per-process trace cache: full spec key -> built trace. Bounded so a
-#: long-lived worker sweeping many trace parameters cannot grow without
-#: limit; eviction is least-recently-used (a sweep's hot trace stays
-#: cached however many cold ones pass through).
+#: Distinct traces one process keeps built. Bounded so a long-lived
+#: worker sweeping many trace parameters cannot grow without limit;
+#: eviction is least-recently-used, so a sweep's hot trace stays cached
+#: however many cold ones pass through.
 _TRACE_CACHE_LIMIT = 16
-_TRACE_CACHE = _LRUCache(_TRACE_CACHE_LIMIT)
-
-#: Builds performed by this process (disk + LRU both missed).
-_TRACE_BUILDS = {"count": 0}
-
-_DIR_UNSET = object()
-#: Programmatic override of the cache directory; when left unset, the
-#: ``REPRO_TRACE_CACHE`` environment variable decides.
-_TRACE_CACHE_DIR_OVERRIDE: Any = _DIR_UNSET
 
 
-def set_trace_cache_dir(path: Optional[str]) -> Optional[str]:
-    """Set the persistent trace-cache directory for this process.
-
-    ``None`` clears the override, falling back to ``REPRO_TRACE_CACHE``
-    (or no disk layer when the variable is unset too). Returns the
-    previous override so callers can restore it. Note: worker processes
-    inherit the *environment variable*, not this override — parallel
-    sweeps should export ``REPRO_TRACE_CACHE`` instead (the CLI flag
-    does exactly that).
-    """
-    global _TRACE_CACHE_DIR_OVERRIDE
-    previous = _TRACE_CACHE_DIR_OVERRIDE
-    _TRACE_CACHE_DIR_OVERRIDE = _DIR_UNSET if path is None else path
-    return None if previous is _DIR_UNSET else previous
-
-
-def trace_cache_dir() -> Optional[str]:
-    """The effective persistent trace-cache directory, or ``None``."""
-    if _TRACE_CACHE_DIR_OVERRIDE is not _DIR_UNSET:
-        return _TRACE_CACHE_DIR_OVERRIDE
-    return os.environ.get(TRACE_CACHE_ENV) or None
-
-
-def _trace_for(spec: TraceSpec) -> ContactTrace:
-    key = spec.cache_key
-    if key is None:
-        return spec.build()
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    cache_dir = trace_cache_dir()
-    fingerprint = trace_spec_fingerprint(spec) if cache_dir is not None else None
-    if cache_dir is not None:
-        loaded = trace_disk_cache.load(cache_dir, fingerprint)
-        if loaded is not None:
-            _TRACE_CACHE.put(key, loaded)
-            return loaded
-    trace = spec.build()
-    _TRACE_BUILDS["count"] += 1
-    _TRACE_CACHE.put(key, trace)
-    if cache_dir is not None:
-        trace_disk_cache.store(cache_dir, fingerprint, trace)
-    return trace
+@functools.lru_cache(maxsize=_TRACE_CACHE_LIMIT)
+def _cached_build(spec: TraceSpec) -> ContactTrace:
+    # A builder spec's equality and hash are those of its recipe
+    # (builder, args, kwargs), so this memo is keyed by that triple.
+    return spec.build()
 
 
 def build_trace(spec: "TraceSpec | ContactTrace") -> ContactTrace:
-    """Materialize a trace through both cache layers (LRU, then disk)."""
-    return _trace_for(as_trace_spec(spec))
-
-
-def trace_cache_info() -> Dict[str, int]:
-    """Hit/miss counters of this process's trace cache (diagnostics)."""
-    return {
-        "size": len(_TRACE_CACHE),
-        "hits": _TRACE_CACHE.hits,
-        "misses": _TRACE_CACHE.misses,
-    }
+    """Materialize a trace through this process's trace memo."""
+    spec = as_trace_spec(spec)
+    if spec.cache_key is None:
+        return spec.build()
+    return _cached_build(spec)
 
 
 def trace_cache_clear() -> None:
-    """Drop this process's in-memory LRU (cold-cache tests and benches).
-
-    Leaves the disk layer untouched: the next :func:`build_trace` for a
-    known spec is served from disk, not rebuilt.
-    """
-    _TRACE_CACHE.clear()
-
-
-def trace_perf_counters() -> Dict[str, int]:
-    """Every trace-pipeline tally in the flat ``perf.trace.*`` namespace.
-
-    Combines this process's LRU layer, its build count and the disk
-    layer (:func:`repro.traces.cache.cache_counters`). Process-local
-    and wall-clock-dependent, so deliberately kept out of
-    :class:`~repro.sim.metrics.SimulationResult` counters.
-    """
-    out = {
-        "perf.trace.lru_size": len(_TRACE_CACHE),
-        "perf.trace.lru_hits": _TRACE_CACHE.hits,
-        "perf.trace.lru_misses": _TRACE_CACHE.misses,
-        "perf.trace.builds": _TRACE_BUILDS["count"],
-    }
-    out.update(trace_disk_cache.cache_counters())
-    return out
+    """Drop this process's trace memo (cold-cache tests and benches)."""
+    _cached_build.cache_clear()
 
 
 def execute(spec: RunSpec) -> RunResult:
@@ -498,10 +286,10 @@ def execute(spec: RunSpec) -> RunResult:
     """
     # Pin PYTHONHASHSEED before the run so the recorded
     # detcheck.pythonhashseed counter is identical whether this spec
-    # executes inline, in a worker, or in a resumed sweep.
+    # executes inline or in a worker.
     ensure_hash_seed()
     start = time.perf_counter()
-    trace = _trace_for(spec.trace)
+    trace = build_trace(spec.trace)
     from repro.detlint import sanitizer  # deferred: pulls in hashing/json only
 
     if sanitizer.detcheck_enabled():
@@ -509,33 +297,6 @@ def execute(spec: RunSpec) -> RunResult:
     else:
         result = Simulation(trace, spec.resolved_config()).run()
     return RunResult(spec=spec, result=result, wall_time=time.perf_counter() - start)
-
-
-def _load_checkpoint(path: str) -> Dict[str, List[Dict[str, Any]]]:
-    """Completed payloads from a checkpoint file, keyed by fingerprint.
-
-    Duplicate fingerprints (identical specs run twice) are kept as a
-    queue in file order. Torn or malformed lines — the tail of a run
-    killed mid-write — are skipped rather than fatal.
-    """
-    completed: Dict[str, List[Dict[str, Any]]] = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:
-        return completed
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                fingerprint = payload["fingerprint"]
-                payload["result"]
-            except (ValueError, KeyError, TypeError):
-                continue
-            completed.setdefault(fingerprint, []).append(payload)
-    return completed
 
 
 def resolve_execution_mode(
@@ -547,8 +308,8 @@ def resolve_execution_mode(
     a pool is only used when ``jobs > 1`` *and* the machine has more
     than one CPU — on a single core, pool + pickling overhead beats the
     win, so the sweep runs inline instead. ``"processes"`` forces the
-    pool (its crash/timeout isolation can be worth the overhead
-    anywhere); ``"inline"`` forces serial execution.
+    pool (its crash isolation can be worth the overhead anywhere);
+    ``"inline"`` forces serial execution.
     """
     if mode not in ("auto", "inline", "processes"):
         raise ValueError(
@@ -568,17 +329,13 @@ def run_many(
     specs: Sequence[RunSpec],
     jobs: Optional[int] = None,
     *,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff: float = 0.1,
     on_error: str = "fail_fast",
-    checkpoint: Optional[str] = None,
     mode: str = "auto",
 ) -> List[Union[RunResult, RunError]]:
-    """Execute every spec, preserving input order.
+    """Execute every spec once, preserving input order.
 
     ``jobs`` <= 1 (the default) runs serially in-process; larger values
-    submit each spec as its own future to a
+    submit each spec as its own future to one
     :class:`ProcessPoolExecutor` with up to ``jobs`` workers — unless
     ``mode`` (see :func:`resolve_execution_mode`) decides the pool
     cannot pay for itself, in which case the sweep runs inline with no
@@ -586,166 +343,44 @@ def run_many(
     are self-contained and :func:`execute` consults no shared mutable
     state.
 
-    Fault handling (parallel mode):
-
-    * ``timeout`` — seconds granted per spec once its result is
-      awaited; a spec exceeding it counts as a retryable failure and
-      its (possibly stuck) worker pool is abandoned without waiting.
-    * ``retries`` — how many times a retryable failure (worker crash,
-      broken pool, timeout) is re-executed on a fresh pool; waits
-      ``backoff`` seconds before the first retry round, doubling each
-      round. Exceptions raised *by the simulation itself* are
-      deterministic and never retried.
-    * ``on_error`` — ``"fail_fast"`` (default) re-raises the first
-      terminal failure; ``"collect"`` puts a :class:`RunError` in the
-      failed spec's result slot and keeps going.
-    * ``checkpoint`` — path of a JSONL file; every completed run is
-      appended (fingerprint + result) and, on re-invocation, specs
-      whose fingerprint is already present are restored from the file
-      instead of re-run. Errors are never checkpointed, so failed
-      specs are retried by a resumed sweep.
-
-    Serial mode honors ``on_error`` and ``checkpoint`` (there is no
-    worker to crash or time out, so ``timeout``/``retries`` do not
-    apply).
+    ``on_error="fail_fast"`` (the default) re-raises the first failure
+    in input order: the simulation's own exception, or the
+    ``BrokenExecutor`` of a worker that died. ``"collect"`` puts a
+    :class:`RunError` in the failed spec's slot and keeps going; a dead
+    worker breaks the pool, so every spec still unfinished at that
+    moment is collected as failed too.
     """
     specs = list(specs)
     # Worker bootstrap: pool workers inherit the parent environment, so
     # pinning PYTHONHASHSEED here (when the caller left it unset)
     # guarantees every spawned interpreter runs unsalted — and that the
     # detcheck.pythonhashseed counter recorded by each run is identical
-    # across serial, parallel and resumed executions of the same sweep.
+    # across serial and parallel executions of the same sweep.
     ensure_hash_seed()
     __, jobs = resolve_execution_mode(jobs, mode)
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if backoff < 0:
-        raise ValueError(f"backoff must be >= 0, got {backoff}")
     if on_error not in ("fail_fast", "collect"):
         raise ValueError(f'on_error must be "fail_fast" or "collect", got {on_error!r}')
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
 
-    slots: List[Optional[Union[RunResult, RunError]]] = [None] * len(specs)
-    pending: List[int] = list(range(len(specs)))
-    fingerprints: List[str] = []
-    writer = None
-    if checkpoint is not None:
-        fingerprints = [spec_fingerprint(spec) for spec in specs]
-        done = _load_checkpoint(checkpoint)
-        pending = []
-        for index, fingerprint in enumerate(fingerprints):
-            queue = done.get(fingerprint)
-            if queue:
-                payload = queue.pop(0)
-                slots[index] = RunResult(
-                    spec=specs[index],
-                    result=SimulationResult.from_dict(payload["result"]),
-                    wall_time=float(payload.get("wall_time", 0.0)),
-                )
-            else:
-                pending.append(index)
-        writer = open(checkpoint, "a", encoding="utf-8")
+    results: List[Union[RunResult, RunError]] = []
 
-    def record(index: int, run: RunResult) -> None:
-        slots[index] = run
-        if writer is not None:
-            writer.write(
-                json.dumps(
-                    {
-                        "fingerprint": fingerprints[index],
-                        "wall_time": run.wall_time,
-                        "result": run.result.to_dict(),
-                    }
-                )
-                + "\n"
-            )
-            writer.flush()
-
-    try:
-        if jobs == 1 or not pending:
-            for index in pending:
-                try:
-                    run = execute(specs[index])
-                except Exception as exc:
-                    if on_error == "fail_fast":
-                        raise
-                    slots[index] = RunError(
-                        spec=specs[index],
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=1,
-                    )
-                else:
-                    record(index, run)
-        else:
-            _run_parallel(
-                specs, pending, slots, record, jobs, timeout, retries, backoff, on_error
-            )
-    finally:
-        if writer is not None:
-            writer.close()
-    assert all(slot is not None for slot in slots)
-    return slots  # type: ignore[return-value]
-
-
-def _run_parallel(
-    specs: List[RunSpec],
-    pending: List[int],
-    slots: List[Optional[Union[RunResult, RunError]]],
-    record: Callable[[int, RunResult], None],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    on_error: str,
-) -> None:
-    """Rounds of per-spec futures; retryable failures get a fresh pool."""
-    failures: Dict[int, int] = {index: 0 for index in pending}
-    delay = backoff
-    while pending:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        futures = {index: pool.submit(execute, specs[index]) for index in pending}
-        failed: List[Tuple[int, str]] = []
-        stuck = False
-        fatal: Optional[BaseException] = None
+    def settle(spec: RunSpec, outcome: Callable[[], RunResult]) -> None:
         try:
-            for index in pending:
-                try:
-                    run = futures[index].result(timeout=timeout)
-                except (FuturesTimeoutError, TimeoutError):
-                    stuck = True
-                    failed.append((index, f"timed out after {timeout:g}s"))
-                except (BrokenExecutor, CancelledError) as exc:
-                    failed.append((index, f"worker crashed ({type(exc).__name__})"))
-                except Exception as exc:
-                    # The simulation itself raised: deterministic, so a
-                    # retry would fail identically.
-                    if on_error == "fail_fast":
-                        fatal = exc
-                        break
-                    slots[index] = RunError(
-                        spec=specs[index],
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=failures[index] + 1,
-                    )
-                else:
-                    record(index, run)
-        finally:
-            # A timed-out worker cannot be interrupted; abandon the pool
-            # without waiting so the retry round starts immediately.
-            pool.shutdown(wait=not stuck, cancel_futures=True)
-        if fatal is not None:
-            raise fatal
-        pending = []
-        for index, reason in failed:
-            failures[index] += 1
-            if failures[index] <= retries:
-                pending.append(index)
-            else:
-                error = RunError(spec=specs[index], error=reason, attempts=failures[index])
-                if on_error == "fail_fast":
-                    raise RunManyError([error])
-                slots[index] = error
-        if pending and delay > 0:
-            time.sleep(delay)
-            delay = min(delay * 2, 2.0)
+            results.append(outcome())
+        except Exception as exc:
+            if on_error == "fail_fast":
+                raise
+            results.append(RunError(spec=spec, error=f"{type(exc).__name__}: {exc}"))
+
+    if jobs == 1 or not specs:
+        for spec in specs:
+            settle(spec, functools.partial(execute, spec))
+        return results
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+    try:
+        futures = [pool.submit(execute, spec) for spec in specs]
+        for spec, future in zip(specs, futures):
+            settle(spec, future.result)
+    finally:
+        # Under fail_fast, specs not yet started are dropped, not run.
+        pool.shutdown(wait=True, cancel_futures=True)
+    return results

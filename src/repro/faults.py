@@ -89,7 +89,7 @@ class FaultPlan:
     All rates are probabilities in ``[0, 1]``; the default plan is
     all-zero (no faults, no behavior change). The plan travels inside
     :class:`~repro.sim.runner.SimulationConfig`, so it is part of a
-    run's identity for caching, checkpointing and reproducibility.
+    run's identity for reproducibility.
     """
 
     #: Per-receiver probability that a transmission is lost.

@@ -4,8 +4,8 @@ Two kinds of signals, with different determinism contracts:
 
 * **Counters** — plain integers (index hits, cache misses, clique-view
   rebuilds). Always collected: they are deterministic functions of the
-  simulation inputs, so they survive the serial-vs-parallel and
-  checkpoint-resume equality checks and are safe to include in
+  simulation inputs, so they survive the serial-vs-parallel
+  equality checks and are safe to include in
   :class:`~repro.sim.metrics.SimulationResult` counters.
 * **Timers** — monotonic wall-clock phase accumulators. Only collected
   when profiling is explicitly enabled
@@ -13,14 +13,6 @@ Two kinds of signals, with different determinism contracts:
   CLI ``--profile`` flag), because wall-clock values differ between
   runs and would break result-equality invariants. They surface as
   integer microseconds under ``perf.time_us.<phase>``.
-
-A third family lives outside the recorder entirely: the **trace
-pipeline counters** under ``perf.trace.*`` (LRU hits/misses/builds from
-:func:`repro.exec.trace_perf_counters`, disk-cache outcomes from
-:func:`repro.traces.cache.cache_counters`). They are process-local —
-cache hits differ between a serial run and its sweep workers — so they
-are never folded into :class:`~repro.sim.metrics.SimulationResult` and
-only surface through the kernel/CLI diagnostics paths.
 
 Everything lands in the ``perf.*`` counter namespace, which downstream
 comparisons (golden results, bench baselines) treat as advisory and

@@ -167,20 +167,6 @@ class SimulationResult:
             "extra": dict(self.extra),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SimulationResult":
-        """Inverse of :meth:`to_dict` (checkpoint-file reconstruction)."""
-        return cls(
-            metadata_delivery_ratio=float(data["metadata_delivery_ratio"]),  # type: ignore[arg-type]
-            file_delivery_ratio=float(data["file_delivery_ratio"]),  # type: ignore[arg-type]
-            queries_generated=int(data["queries_generated"]),  # type: ignore[arg-type]
-            metadata_delivered=int(data["metadata_delivered"]),  # type: ignore[arg-type]
-            files_delivered=int(data["files_delivered"]),  # type: ignore[arg-type]
-            access_metadata_delivery_ratio=float(data["access_metadata_delivery_ratio"]),  # type: ignore[arg-type]
-            access_file_delivery_ratio=float(data["access_file_delivery_ratio"]),  # type: ignore[arg-type]
-            extra=dict(data.get("extra", {})),  # type: ignore[arg-type]
-        )
-
 
 def _percentile(sorted_values: List[float], q: float) -> float:
     """Nearest-rank percentile of pre-sorted values (q in [0, 1])."""

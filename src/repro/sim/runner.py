@@ -120,7 +120,7 @@ class SimulationConfig:
     #: Collect wall-clock phase timers (``perf.time_us.*``) alongside
     #: the always-on deterministic ``perf.*`` counters. Off by default:
     #: timer values differ between runs, which would break the
-    #: result-equality invariants (serial vs parallel, resume).
+    #: result-equality invariants (serial vs parallel, reruns).
     profile: bool = False
     #: Master seed: node roles, catalog and queries all derive from it.
     seed: int = 0
@@ -395,7 +395,7 @@ class Simulation:
             # Recorded so detcheck (and post-hoc result forensics) can
             # verify what the environment pinned; the kernel exports
             # PYTHONHASHSEED before fan-out, keeping this identical
-            # across serial, parallel and resumed executions.
+            # across serial and parallel executions.
             "detcheck.pythonhashseed": float(hash_seed_value()),
         }
         if self._adversary is not None:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.catalog.files import PIECE_SIZE, FileDescriptor
 from repro.catalog.metadata import (
-    Metadata,
     PublisherRegistry,
     metadata_for_file,
     sign_metadata,

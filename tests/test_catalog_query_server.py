@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_checksum, piece_payload
-from repro.catalog.query import Query, best_match, live_queries, matches
+from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_payload
+from repro.catalog.query import best_match, live_queries, matches
 from repro.catalog.server import FileServer, MetadataServer
 from repro.types import DAY, NodeId, Uri
 

@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from unittest import mock
 
-import pytest
-
-from repro.catalog.files import piece_payload
 from repro.core import mbt
-from repro.core.mbt import (
-    MobileBitTorrent,
-    ProtocolConfig,
-    SchedulingMode,
-)
+from repro.core.mbt import ProtocolConfig, SchedulingMode
 from repro.net.medium import ContactBudget
 from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import Simulation, SimulationConfig

@@ -78,4 +78,3 @@ class TestCoordinator:
     def test_empty_order_raises(self):
         with pytest.raises(ValueError):
             cyclic_order(frozenset())
-

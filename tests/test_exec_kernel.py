@@ -1,37 +1,47 @@
 """Tests for the shared execution kernel (:mod:`repro.exec`).
 
-Covers the picklable spec types, deterministic seed derivation,
-parallel-vs-serial equivalence of :func:`run_many`, independence from
-the module-level RNG, the per-process trace cache, and the
-instrumentation counters aggregated into ``SimulationResult``.
+Covers the picklable spec types, parallel-vs-serial equivalence of
+:func:`run_many` (also under fault injection), its error handling for
+failing simulations and crashed workers, the execution-mode decision,
+independence from the module-level RNG, the per-process trace memo, and
+the instrumentation counters aggregated into ``SimulationResult``.
+
+The builders handed to :meth:`TraceSpec.of` are module-level on purpose:
+worker processes re-import them by dotted path.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import pickle
 import random
+from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 
 import pytest
 
 from repro.catalog.files import IntegrityError, piece_payload
 from repro.exec import (
+    RunError,
+    RunResult,
     RunSpec,
     TraceSpec,
     as_trace_spec,
-    derive_seed,
     execute,
+    kernel,
     resolve_callable,
+    resolve_execution_mode,
     run_many,
-    trace_cache_info,
 )
 from repro.experiments.sweep import cached_trace_factory, run_sweep, sweep_specs
+from repro.faults import FaultPlan
 from repro.sim.metrics import COUNTER_KEYS, PERF_COUNTER_PREFIX, format_counters
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.base import ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 
 from conftest import make_metadata, make_node, pair_contact
-from dataclasses import replace
 
 
 def tiny_dieselnet(seed: int = 0) -> ContactTrace:
@@ -48,8 +58,25 @@ def micro_trace(seed: int) -> ContactTrace:
     return ContactTrace(contacts, name=f"micro{seed}")
 
 
+def crash_always_builder(seed: int = 0) -> ContactTrace:
+    """Kill the hosting process unconditionally."""
+    os._exit(1)
+
+
+def failing_builder(seed: int = 0) -> ContactTrace:
+    raise RuntimeError("deterministic builder failure")
+
+
 def _tiny_config(seed: int = 0) -> SimulationConfig:
     return SimulationConfig(files_per_day=5, num_days=3, seed=seed)
+
+
+def micro_spec(seed: int = 0) -> RunSpec:
+    return RunSpec(trace=TraceSpec.of(micro_trace, seed), config=_tiny_config(seed))
+
+
+def _dicts(runs) -> list:
+    return [run.result.to_dict() for run in runs]
 
 
 class TestResolveCallable:
@@ -132,18 +159,6 @@ class TestRunSpec:
         assert clone.config == spec.config
 
 
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(1, "sweep", 0.3) == derive_seed(1, "sweep", 0.3)
-
-    def test_distinct_components_distinct_seeds(self):
-        seeds = {derive_seed(i) for i in range(50)}
-        assert len(seeds) == 50
-
-    def test_fits_in_63_bits(self):
-        assert 0 <= derive_seed("anything") < 2**63
-
-
 class TestExecute:
     def test_pure_and_deterministic(self):
         spec = RunSpec(trace=TraceSpec.literal(tiny_dieselnet()), config=_tiny_config())
@@ -166,11 +181,24 @@ class TestExecute:
     def test_trace_cache_hit_on_repeat(self):
         spec = TraceSpec.of(generate_dieselnet_trace, DieselNetConfig(num_buses=6), 11)
         run = RunSpec(trace=spec, config=_tiny_config())
-        before = trace_cache_info()
+        before = kernel._cached_build.cache_info()
         execute(run)
         execute(run)
-        after = trace_cache_info()
-        assert after["hits"] >= before["hits"] + 1
+        after = kernel._cached_build.cache_info()
+        assert after.hits >= before.hits + 1
+
+    def test_trace_cache_stays_bounded(self):
+        kernel.trace_cache_clear()
+        for seed in range(kernel._TRACE_CACHE_LIMIT + 5):
+            kernel.build_trace(TraceSpec.of(micro_trace, seed))
+        assert kernel._cached_build.cache_info().currsize == kernel._TRACE_CACHE_LIMIT
+
+    def test_unhashable_arguments_build_uncached(self):
+        spec = TraceSpec.of(micro_trace, [4])
+        assert spec.cache_key is None
+        kernel.trace_cache_clear()
+        assert kernel.build_trace(spec).name == "micro[4]"
+        assert kernel._cached_build.cache_info().currsize == 0
 
 
 class TestRunMany:
@@ -213,6 +241,29 @@ class TestRunMany:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             run_many([], jobs=0)
+
+    def test_rejects_bad_on_error(self):
+        with pytest.raises(ValueError):
+            run_many([], on_error="explode")
+
+    @pytest.mark.parametrize("jobs, mode", [(1, "inline"), (2, "processes")])
+    def test_execute_is_looked_up_at_call_time(self, monkeypatch, jobs, mode):
+        """Rebinding ``kernel.execute`` reaches inline runs and workers.
+
+        Profilers wrap every run this way; pool workers are forked after
+        the rebinding and resolve ``execute`` by name, so they run the
+        wrapper too.
+        """
+        original = kernel.execute
+
+        @functools.wraps(original)
+        def tagging(spec):
+            run = original(spec)
+            return replace(run, wall_time=-1.0)
+
+        monkeypatch.setattr(kernel, "execute", tagging)
+        runs = run_many([micro_spec(0), micro_spec(1)], jobs=jobs, mode=mode)
+        assert [run.wall_time for run in runs] == [-1.0, -1.0]
 
     def test_sweep_parallel_equals_serial(self):
         kwargs = dict(
@@ -313,3 +364,105 @@ class TestCounters:
         # A good piece still goes through afterwards.
         payload = piece_payload(record.uri, 0)
         assert node.accept_piece(record.uri, 0, payload, record.checksums[0]) is True
+
+
+class TestExecutionMode:
+    def test_jobs_one_is_inline(self):
+        assert resolve_execution_mode(1) == ("inline", 1)
+
+    def test_explicit_processes_keeps_the_pool(self):
+        assert resolve_execution_mode(4, "processes") == ("processes", 4)
+
+    def test_explicit_inline_collapses_jobs(self):
+        assert resolve_execution_mode(8, "inline") == ("inline", 1)
+
+    def test_auto_follows_core_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert resolve_execution_mode(4) == ("inline", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_execution_mode(4) == ("processes", 4)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            resolve_execution_mode(0)
+        with pytest.raises(ValueError):
+            resolve_execution_mode(2, "threads")
+
+
+class TestDeterministicErrors:
+    def _specs(self):
+        return [
+            micro_spec(0),
+            RunSpec(trace=TraceSpec.of(failing_builder, 0), config=_tiny_config()),
+            micro_spec(1),
+        ]
+
+    def test_serial_fail_fast_raises(self):
+        with pytest.raises(RuntimeError, match="deterministic builder failure"):
+            run_many(self._specs(), jobs=1)
+
+    def test_serial_collect_fills_error_slot(self):
+        results = run_many(self._specs(), jobs=1, on_error="collect")
+        assert isinstance(results[0], RunResult)
+        assert isinstance(results[1], RunError)
+        assert isinstance(results[2], RunResult)
+        assert "deterministic builder failure" in results[1].error
+
+    def test_parallel_collect_fills_error_slot(self):
+        results = run_many(self._specs(), jobs=2, on_error="collect", mode="processes")
+        assert isinstance(results[0], RunResult)
+        assert isinstance(results[1], RunError)
+        assert isinstance(results[2], RunResult)
+        assert "deterministic builder failure" in results[1].error
+
+    def test_parallel_fail_fast_raises_original(self):
+        with pytest.raises(RuntimeError, match="deterministic builder failure"):
+            run_many(self._specs(), jobs=2, mode="processes")
+
+    def test_run_error_labels(self):
+        spec = replace(
+            RunSpec(trace=TraceSpec.of(failing_builder, 0), config=_tiny_config()),
+            tag=RunSpec.make_tag(protocol="mbt", x=0.3),
+        )
+        [error] = run_many([spec], jobs=1, on_error="collect")
+        assert error.labels() == {"protocol": "mbt", "x": 0.3}
+
+
+class TestWorkerCrashes:
+    def _specs(self):
+        return [RunSpec(trace=TraceSpec.of(crash_always_builder, 0), config=_tiny_config())]
+
+    def test_crashed_worker_collect(self):
+        [error] = run_many(self._specs(), jobs=2, on_error="collect", mode="processes")
+        assert isinstance(error, RunError)
+        assert "BrokenProcessPool" in error.error
+
+    def test_crashed_worker_fail_fast(self):
+        with pytest.raises(BrokenExecutor):
+            run_many(self._specs(), jobs=2, mode="processes")
+
+
+class TestFaultedParallelEquality:
+    def test_jobs_do_not_change_fault_injected_results(self):
+        plan = FaultPlan(
+            loss_rate=0.3,
+            corruption_rate=0.2,
+            contact_truncation_rate=0.3,
+            churn_rate=0.2,
+        )
+        specs = [
+            RunSpec(
+                trace=TraceSpec.of(
+                    generate_dieselnet_trace,
+                    DieselNetConfig(num_buses=6, num_days=2),
+                    seed,
+                ),
+                config=replace(_tiny_config(seed), faults=plan),
+            )
+            for seed in range(4)
+        ]
+        serial = run_many(specs, jobs=1)
+        parallel = run_many(specs, jobs=2, mode="processes")
+        assert _dicts(parallel) == _dicts(serial)
+        for run in serial:
+            assert run.result.extra.get("faults.metadata_losses", 0) > 0

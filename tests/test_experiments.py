@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.mbt import ProtocolVariant
 from repro.experiments import FIGURES
 from repro.experiments.sweep import cached_trace_factory, run_sweep
 from repro.experiments.workloads import (

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.files import IntegrityError, piece_payload
-from repro.catalog.metadata import sign_metadata
 from repro.core.node import MetadataStore
 from repro.sim.metrics import MetricsCollector, _percentile
 from repro.types import NodeId, Uri

@@ -8,10 +8,9 @@ from typing import Dict, Sequence
 
 import pytest
 
-from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_checksum
+from repro.catalog.files import piece_checksum
 from repro.catalog.server import FileServer, MetadataServer
 from repro.core.mbt import MobileBitTorrent, ProtocolConfig
-from repro.core.node import NodeState
 from repro.faults import (
     FAULT_COUNTER_NAMES,
     FaultInjector,

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.files import PieceStore, bit_indices, pack_bitmap, piece_payload
+from repro.catalog.files import PieceStore, bit_indices, pack_bitmap
 from repro.core import discovery, download
 from repro.core.cliqueview import CliqueView
 from repro.core.node import MetadataStore, NodeState

@@ -22,7 +22,7 @@ from repro.catalog.metadata import verify_metadata
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.base import Contact, ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
-from repro.types import DAY, NodeId, noon_of_day
+from repro.types import NodeId, noon_of_day
 
 from conftest import pair_contact
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.catalog.keywords import (
     PUBLISHERS,
     KeywordVocabulary,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import pytest
-
 from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_payload
 from repro.catalog.server import FileServer, MetadataServer
 from repro.core.mbt import (
@@ -18,8 +16,7 @@ from repro.core.mbt import (
 from repro.core.node import NodeState
 from repro.net.medium import ContactBudget
 from repro.sim.metrics import MetricsCollector
-from repro.traces.base import Contact
-from repro.types import DAY, NodeId, Uri
+from repro.types import NodeId
 
 from conftest import clique_contact, make_metadata, make_node, make_query
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.catalog.files import piece_checksum, piece_payload
-from repro.core.node import MetadataStore, NodeState
+from repro.catalog.files import piece_payload
+from repro.core.node import MetadataStore
 from repro.types import DAY, NodeId, Uri
 
 from conftest import make_metadata, make_node, make_query

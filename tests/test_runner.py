@@ -12,9 +12,6 @@ from repro.sim.runner import Simulation, SimulationConfig, run_simulation
 from repro.traces.base import ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.traces.nus import NUSConfig, generate_nus_trace
-from repro.types import DAY
-
-from conftest import pair_contact
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.traces.nus import NUSConfig, generate_nus_trace
-from repro.types import NodeId, Uri
+from repro.types import NodeId
 
 from conftest import make_metadata, make_node, make_query
 
@@ -80,9 +80,10 @@ class TestCodec:
             codec.decode_frame(b"MB")
 
     def test_unknown_type_rejected(self):
-        data = codec.encode_frame(FrameType.HELLO, NodeId(1), 0.0, {})
         # Craft a frame with an invalid type by editing the body.
-        import json, struct, binascii
+        import binascii
+        import json
+        import struct
 
         body = json.dumps(
             {"type": "warp", "sender": 1, "sent_at": 0.0},

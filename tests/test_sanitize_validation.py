@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.validation import Claim, format_report
 from repro.traces.base import Contact, ContactTrace
@@ -14,7 +16,7 @@ from repro.traces.sanitize import (
     sanitize,
     shift_to_zero,
 )
-from repro.types import NodeId
+from repro.types import DAY, NodeId
 
 from conftest import clique_contact, pair_contact
 
@@ -154,11 +156,6 @@ class TestValidationReport:
 
 
 # ------------------------------------------------- sanitize() properties
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.types import DAY
 
 
 @st.composite

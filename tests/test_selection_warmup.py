@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.files import piece_payload
-from repro.core.mbt import MobileBitTorrent, ProtocolConfig
+from repro.core.mbt import ProtocolConfig
 from repro.core.node import NodeState
 from repro.net.medium import ContactBudget
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.types import NodeId
 
-from conftest import clique_contact, make_metadata, make_node, make_query
+from conftest import make_metadata, make_node, make_query
 from test_mbt_engine import Harness
 
 

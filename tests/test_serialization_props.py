@@ -16,7 +16,7 @@ from repro.experiments.report import sweep_to_dict, sweep_to_json
 from repro.experiments.sweep import SweepPoint, SweepResult
 from repro.sim.metrics import MetricsCollector
 from repro.sim.spacetime import earliest_arrival
-from repro.traces.base import Contact, ContactTrace
+from repro.traces.base import ContactTrace
 from repro.types import NodeId, Uri
 
 from conftest import make_query, pair_contact
