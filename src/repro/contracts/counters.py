@@ -110,11 +110,14 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     # -- detcheck.* (environment attestation) -------------------------------
     CounterSpec("detcheck.pythonhashseed", "deterministic", surfaced=True),
     # -- perf.* (advisory instrumentation; see repro.perf) ------------------
-    CounterSpec("perf.wanted_cache_hits", "deterministic"),
-    CounterSpec("perf.wanted_cache_misses", "deterministic"),
-    CounterSpec("perf.query_cache_hits", "deterministic"),
-    CounterSpec("perf.query_cache_misses", "deterministic"),
-    CounterSpec("perf.token_index_queries", "deterministic"),
+    # perf.wanted_cache_* / perf.query_cache_*: node cache hits and misses
+    # count implementation work, like perf.catalog.*, so they are excluded.
+    CounterSpec("perf.wanted_cache_", "excluded", note="node wanted-set cache"),
+    CounterSpec("perf.wanted_cache_hits", "excluded"),
+    CounterSpec("perf.wanted_cache_misses", "excluded"),
+    CounterSpec("perf.query_cache_", "excluded", note="node live-query caches"),
+    CounterSpec("perf.query_cache_hits", "excluded"),
+    CounterSpec("perf.query_cache_misses", "excluded"),
     CounterSpec("perf.view_builds", "deterministic"),
     CounterSpec("perf.view_rebuilds", "deterministic"),
     CounterSpec("perf.view_reuses", "deterministic"),

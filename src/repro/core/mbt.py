@@ -479,13 +479,16 @@ class MobileBitTorrent:
 
     def _exchange_hellos(self, states: Mapping[NodeId, NodeState], now: float) -> None:
         """Mutual hello reception; MBT also stores frequent contacts' queries."""
-        wanted = {node: state.wanted_uris(now) for node, state in states.items()}
+        requests: Dict[Uri, Set[NodeId]] = {}  # advertised URI -> advertisers
+        for node, state in states.items():
+            for uri in state.wanted_uris(now):
+                requests.setdefault(uri, set()).add(node)
         self.counters.hello_exchanges += len(states)
         for node, state in states.items():
             for peer in states:
                 if peer != node:
                     state.neighbor_last_heard[peer] = now
-                    state.remember_peer_requests(peer, wanted[peer], now)
+            state.remember_peer_requests(requests, now)
         self.store_frequent_queries(states, now)
 
     def store_frequent_queries(

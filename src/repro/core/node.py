@@ -17,8 +17,9 @@ A node runs a file-discovery process and a file-download process
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.catalog.files import IntegrityError, PieceStore
 from repro.catalog.metadata import Metadata, PublisherRegistry, verify_metadata
@@ -84,13 +85,10 @@ class MetadataStore:
     files the node itself wants) are never evicted while an
     unprotected victim exists.
 
-    The store maintains an **inverted token→URI index** over its
-    records so conjunctive keyword matching (:meth:`matching_uris`) is
-    an intersection of per-token posting sets instead of a scan of
-    every record. The index covers *all* stored records; liveness is
-    the caller's concern (filter at query time). ``mutations`` counts
-    every content change and lets callers key derived caches off store
-    state without subscribing to individual operations.
+    Stores stay small (tens of records on the paper traces), so keyword
+    matching is a scan of :meth:`records`. ``mutations`` counts every
+    content change and lets callers key derived caches off store state
+    without subscribing to individual operations.
     """
 
     def __init__(self, capacity: Optional[int] = None, policy: str = "popularity") -> None:
@@ -105,12 +103,8 @@ class MetadataStore:
         #: Content mutations (adds, evictions, expiries, clears) over
         #: the store's lifetime; cache-key material for derived views.
         self.mutations = 0
-        #: Conjunctive-match queries answered through the token index.
-        self.index_queries = 0
         #: Insertion-ordered; LRU moves entries to the end on access.
         self._records: Dict[Uri, Metadata] = {}
-        #: Inverted index: name token -> URIs of records carrying it.
-        self._token_index: Dict[str, Set[Uri]] = {}
 
     def __contains__(self, uri: Uri) -> bool:
         return uri in self._records
@@ -127,7 +121,7 @@ class MetadataStore:
     def peek(self, uri: Uri) -> Optional[Metadata]:
         """Look up a record *without* touching LRU recency.
 
-        Index-driven scans (candidate builders, wanted-set refreshes)
+        Bookkeeping lookups (candidate builders, wanted-set upkeep)
         must use this instead of :meth:`get`: they are bookkeeping, not
         user accesses, and must not perturb the eviction order.
         """
@@ -140,43 +134,6 @@ class MetadataStore:
     def records(self) -> List[Metadata]:
         """All records, unordered."""
         return list(self._records.values())
-
-    def matching_uris(self, tokens: FrozenSet[str]) -> Set[Uri]:
-        """URIs whose records match the conjunctive token set.
-
-        Equivalent to ``{uri for uri, md in records if tokens <=
-        md.token_set}`` but computed as an intersection of inverted-
-        index posting sets, smallest first. Includes expired records —
-        filter by liveness at the call site when it matters.
-        """
-        self.index_queries += 1
-        if not tokens:
-            return set(self._records)
-        postings = []
-        for token in tokens:
-            posting = self._token_index.get(token)
-            if not posting:
-                return set()
-            postings.append(posting)
-        postings.sort(key=len)
-        result = set(postings[0])
-        for posting in postings[1:]:
-            result &= posting
-            if not result:
-                break
-        return result
-
-    def _index_add(self, record: Metadata) -> None:
-        for token in record.token_set:
-            self._token_index.setdefault(token, set()).add(record.uri)
-
-    def _index_remove(self, record: Metadata) -> None:
-        for token in record.token_set:
-            posting = self._token_index.get(token)
-            if posting is not None:
-                posting.discard(record.uri)
-                if not posting:
-                    del self._token_index[token]
 
     def may_evict_on_insert(self, uri: Uri) -> bool:
         """Whether inserting ``uri`` could trigger an eviction."""
@@ -197,14 +154,8 @@ class MetadataStore:
         utility policy's remaining-TTL computation (defaults to the
         record's creation time when absent).
         """
-        old = self._records.get(metadata.uri)
-        new = old is None
-        if old is not None and old.token_set != metadata.token_set:
-            self._index_remove(old)
-            old = None
+        new = metadata.uri not in self._records
         self._records[metadata.uri] = metadata
-        if old is None:
-            self._index_add(metadata)
         self.mutations += 1
         if new and self._capacity is not None and len(self._records) > self._capacity:
             at = now if now is not None else metadata.created_at
@@ -231,7 +182,6 @@ class MetadataStore:
             # are the earliest entry in the ordered dict.
             victim = victims[0]
         del self._records[victim.uri]
-        self._index_remove(victim)
         self.evictions += 1
         self.mutations += 1
 
@@ -239,7 +189,7 @@ class MetadataStore:
         """Remove expired records; return removed URIs."""
         dead = [uri for uri, md in self._records.items() if not md.is_live(now)]
         for uri in dead:
-            self._index_remove(self._records.pop(uri))
+            del self._records[uri]
         if dead:
             self.mutations += 1
         return dead
@@ -251,7 +201,6 @@ class MetadataStore:
         node's history, not its current contents.
         """
         self._records.clear()
-        self._token_index.clear()
         self.mutations += 1
 
 
@@ -305,10 +254,13 @@ class NodeState:
         #: nodes without Internet access "download files with the help
         #: of other nodes in the hybrid DTN").
         self._peer_requests: Dict[Uri, Tuple[float, Set[NodeId]]] = {}
-        #: Monotonic version, bumped on every state mutation; lets
-        #: derived sets (wanted URIs) be cached between mutations.
-        self._version = 0
-        self._wanted_cache: Tuple[int, float, FrozenSet[Uri]] = (-1, -1.0, frozenset())
+        #: The wanted set (see :meth:`wanted_uris`) holds over the window
+        #: ``[start, until)`` while ``_wanted_stamp`` equals the store's
+        #: ``mutations``; ``_wanted_tokens`` are the own queries live in it.
+        self._wanted: FrozenSet[Uri] = frozenset()
+        self._wanted_window: Tuple[float, float] = (0.0, 0.0)
+        self._wanted_tokens: Tuple[FrozenSet[str], ...] = ()
+        self._wanted_stamp = -1
         #: Bumped whenever the carried query population changes (own
         #: query added, foreign queries stored, expiry, wipe); keys the
         #: memoized live-query and token-tuple views below.
@@ -330,7 +282,7 @@ class NodeState:
         if query.node != self.node:
             raise ValueError(f"query of node {query.node} given to node {self.node}")
         self._own_queries.append(query)
-        self._version += 1
+        self._wanted_stamp = -1
         self._query_version += 1
 
     def own_queries(self, now: float) -> List[Query]:
@@ -412,14 +364,6 @@ class NodeState:
         self._foreign_tokens_cache = (self._query_version, now, tokens)
         return tokens
 
-    def unmatched_own_queries(self, now: float) -> List[Query]:
-        """Own live queries with no matching metadata in the store."""
-        return [
-            query
-            for query in self.own_queries(now)
-            if not self.metadata.matching_uris(query.tokens)
-        ]
-
     # -- wanted files ---------------------------------------------------------------
 
     def wanted_uris(self, now: float) -> FrozenSet[Uri]:
@@ -436,35 +380,74 @@ class NodeState:
           Under pollution, this is what shields users from keyword-
           identical fakes.
 
-        A URI stays wanted until all its pieces are stored. The result
-        is cached until the next state mutation at the same instant
-        (contact processing calls this in hot loops). Matching runs
-        through the metadata store's inverted token index instead of a
-        full-store scan.
+        A URI stays wanted until all its pieces are stored.
+
+        The set is kept incrementally. A computed set holds until a live
+        own query expires, a pending one starts or a live matching
+        record expires. Meanwhile a new matching record under ``"all"``
+        joins it and a completed file leaves it; any other change to
+        the store or the own queries forces a recompute.
         """
-        version, cached_now, cached = self._wanted_cache
-        if version == self._version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
+        start, until = self._wanted_window
+        if self._wanted_stamp == self.metadata.mutations and start <= now < until:
             self.wanted_cache_hits += 1
-            return cached
+            return self._wanted
         self.wanted_cache_misses += 1
-        peek = self.metadata.peek
+        until = math.inf
+        live_queries: List[Query] = []
+        for query in self._own_queries:
+            if now < query.created_at:
+                until = min(until, query.created_at)
+            elif now < query.expires_at:
+                until = min(until, query.expires_at)
+                live_queries.append(query)
+        live_records = [md for md in self.metadata.records() if md.is_live(now)]
         wanted: Set[Uri] = set()
-        for query in self.own_queries(now):
-            matches = [
-                record
-                for record in map(peek, self.metadata.matching_uris(query.tokens))
-                if record is not None and record.is_live(now)
-            ]
+        for query in live_queries:
+            matches = [md for md in live_records if query.tokens <= md.token_set]
             if not matches:
                 continue
+            until = min(until, *(md.expires_at for md in matches))
             if self.selection_policy == "best":
                 matches = [self._best_match(matches)]
             for record in matches:
                 if not self.pieces.is_complete(record.uri, record.num_pieces):
                     wanted.add(record.uri)
-        result = frozenset(wanted)
-        self._wanted_cache = (self._version, now, result)
-        return result
+        self._wanted = frozenset(wanted)
+        self._wanted_window = (now, until)
+        self._wanted_tokens = tuple(query.tokens for query in live_queries)
+        self._wanted_stamp = self.metadata.mutations
+        return self._wanted
+
+    def _patch_wanted(self, old: Optional[Metadata], record: Metadata, now: float) -> bool:
+        """Fold a just-stored ``record`` (replacing ``old``) into the wanted
+        set; False if the set must be recomputed instead."""
+        start, until = self._wanted_window
+        if not start <= now < until:
+            return False
+        if old is not None:
+            if (old.token_set, old.expires_at, old.num_pieces) != (
+                record.token_set, record.expires_at, record.num_pieces
+            ):
+                return False
+            if self.selection_policy == "all":
+                return True  # a refresh selects nothing new
+        tokens = record.token_set
+        if not any(query_tokens <= tokens for query_tokens in self._wanted_tokens):
+            return True
+        if self.selection_policy == "best":
+            # The new or re-ranked record may change which match is best.
+            return False
+        if not self.pieces.is_complete(record.uri, record.num_pieces):
+            self._wanted = self._wanted | {record.uri}
+            self._wanted_window = (start, min(until, record.expires_at))
+        return True
+
+    def _drop_if_complete(self, uri: Uri) -> None:
+        """Take ``uri`` out of the wanted set once its file is complete."""
+        record = self.metadata.peek(uri) if uri in self._wanted else None
+        if record is not None and self.pieces.is_complete(uri, record.num_pieces):
+            self._wanted = self._wanted - {uri}
 
     def _best_match(self, matches: List[Metadata]) -> Metadata:
         """The record a careful user would pick among query matches.
@@ -483,10 +466,9 @@ class NodeState:
 
     def protected_uris(self, now: float) -> FrozenSet[Uri]:
         """Metadata URIs shielded from eviction (they match own queries)."""
-        protected: Set[Uri] = set()
-        for query in self.own_queries(now):
-            protected |= self.metadata.matching_uris(query.tokens)
-        return frozenset(protected)
+        tokens = self.own_query_tokens(now)
+        records = self.metadata.records()
+        return frozenset(md.uri for md in records if any(t <= md.token_set for t in tokens))
 
     # -- receiving ------------------------------------------------------------------
 
@@ -509,14 +491,18 @@ class NodeState:
             protected = self.protected_uris(now)
         else:
             protected = frozenset()
+        in_step = self._wanted_stamp == self.metadata.mutations
+        old = self.metadata.peek(metadata.uri)
         evictions_before = self.metadata.evictions
         new = self.metadata.add(metadata, protected=protected, now=now)
-        self.stats.metadata_evictions += self.metadata.evictions - evictions_before
+        evicted = self.metadata.evictions - evictions_before
+        self.stats.metadata_evictions += evicted
         if new:
             self.stats.metadata_received += 1
-            self._version += 1
         else:
             self.stats.metadata_duplicates += 1
+        if in_step and not evicted and self._patch_wanted(old, metadata, now):
+            self._wanted_stamp = self.metadata.mutations
         return new
 
     def accept_piece(self, uri: Uri, index: int, payload: bytes, checksum: str) -> bool:
@@ -528,18 +514,24 @@ class NodeState:
             raise
         if new:
             self.stats.pieces_received += 1
-            self._version += 1
+            self._drop_if_complete(uri)
         else:
             self.stats.piece_duplicates += 1
         return new
 
     # -- peer requests ---------------------------------------------------------------
 
-    def remember_peer_requests(self, peer: NodeId, uris: Iterable[Uri], now: float) -> None:
-        """Store the downloading URIs a peer advertised in its hello."""
-        for uri in uris:
+    def remember_peer_requests(self, requests: Mapping[Uri, Set[NodeId]], now: float) -> None:
+        """Store the downloading URIs clique members advertised in hellos.
+
+        ``requests`` maps each URI to its advertisers; the node skips itself.
+        """
+        for uri, peers in requests.items():
+            if self.node in peers and len(peers) == 1:
+                continue
             last, requesters = self._peer_requests.get(uri, (now, set()))
-            requesters.add(peer)
+            requesters |= peers
+            requesters.discard(self.node)
             self._peer_requests[uri] = (max(last, now), requesters)
 
     def top_peer_requests(self, now: float, window: float) -> List[Uri]:
@@ -566,7 +558,7 @@ class NodeState:
     def receive_whole_file(self, uri: Uri, num_pieces: int) -> None:
         """Store every piece of a file at once (Internet download)."""
         self.pieces.add_whole_file(uri, num_pieces)
-        self._version += 1
+        self._drop_if_complete(uri)
 
     # -- housekeeping -----------------------------------------------------------------
 
@@ -584,12 +576,12 @@ class NodeState:
         self._foreign_queries.clear()
         self._peer_requests.clear()
         self.neighbor_last_heard.clear()
-        self._version += 1
+        self._wanted_stamp = -1
         self._query_version += 1
 
     def expire(self, now: float) -> None:
         """Drop expired metadata, queries and orphaned pieces."""
-        self._version += 1
+        self._wanted_stamp = -1
         self._query_version += 1
         self.metadata.drop_expired(now)
         self._own_queries = [q for q in self._own_queries if q.is_live(now)]

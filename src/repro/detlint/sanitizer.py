@@ -17,7 +17,7 @@ check:
    run".
 3. **Double-run fingerprint cross-check** — executes the identical
    ``(trace, config)`` twice in-process and compares result
-   fingerprints (wall-clock ``perf.time_us.*`` timers excluded); any
+   fingerprints (``FINGERPRINT_IGNORED_PREFIXES`` excluded); any
    residual nondeterminism — iteration-order leaks, shared mutable
    state surviving between runs — fails loudly with the first
    differing key.
@@ -49,13 +49,15 @@ from repro.traces.base import ContactTrace
 DETCHECK_ENV = "REPRO_DETCHECK"
 
 #: ``extra`` keys excluded from fingerprints: wall-clock phase timers
-#: differ between the two runs by construction. The catalog counters
-#: (``perf.catalog.*``) record metadata-server implementation work
-#: (heap pops, ranked-view rebuilds): a server optimisation that
-#: leaves results unchanged must not move the fingerprint either.
+#: differ between the two runs by construction. The catalog and node
+#: cache counters record implementation work (heap pops, ranked-view
+#: rebuilds, cache hits): an optimisation that leaves results
+#: unchanged must not move the fingerprint either.
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
     "perf.time_us.",
     "perf.catalog.",
+    "perf.wanted_cache_",
+    "perf.query_cache_",
 )
 
 
@@ -96,7 +98,7 @@ def result_fingerprint(result: SimulationResult) -> str:
     """Stable hex digest of everything a run's result asserts.
 
     Canonical JSON of :meth:`SimulationResult.to_dict` with the
-    wall-clock timer counters removed; equal fingerprints mean
+    :data:`FINGERPRINT_IGNORED_PREFIXES` counters removed; equal fingerprints mean
     bitwise-equal observable results.
     """
     payload = result.to_dict()

@@ -14,9 +14,9 @@ Two kinds of signals, with different determinism contracts:
   runs and would break result-equality invariants. They surface as
   integer microseconds under ``perf.time_us.<phase>``.
 
-Everything lands in the ``perf.*`` counter namespace, which downstream
-comparisons (golden results, bench baselines) treat as advisory and
-exclude from bitwise-identity checks.
+Everything lands in the ``perf.*`` counter namespace. Result fingerprints
+strip the timers and the implementation-work counters (the sanitizer's
+``FINGERPRINT_IGNORED_PREFIXES``); the other counters are result identity.
 """
 
 from __future__ import annotations

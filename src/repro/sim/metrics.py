@@ -92,10 +92,10 @@ COUNTER_KEYS: Tuple[str, ...] = (
 )
 
 #: Prefix of the performance-instrumentation namespace (see
-#: :mod:`repro.perf`). Counters under it are advisory — deterministic
-#: index/cache statistics plus, under ``--profile``, wall-clock phase
-#: timers as ``perf.time_us.*`` — and are excluded from bitwise
-#: result-identity comparisons.
+#: :mod:`repro.perf`): deterministic index/cache statistics plus, under
+#: ``--profile``, wall-clock phase timers as ``perf.time_us.*``. Result
+#: fingerprints strip the families listed in
+#: ``repro.detlint.sanitizer.FINGERPRINT_IGNORED_PREFIXES``.
 PERF_COUNTER_PREFIX = "perf."
 
 

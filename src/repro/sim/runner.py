@@ -462,9 +462,6 @@ class Simulation:
         out["perf.wanted_cache_misses"] = sum(s.wanted_cache_misses for s in states)
         out["perf.query_cache_hits"] = sum(s.query_cache_hits for s in states)
         out["perf.query_cache_misses"] = sum(s.query_cache_misses for s in states)
-        out["perf.token_index_queries"] = sum(
-            s.metadata.index_queries for s in states
-        )
         return out
 
     def node_report(self) -> List[Dict[str, object]]:

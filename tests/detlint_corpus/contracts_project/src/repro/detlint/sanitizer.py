@@ -7,5 +7,7 @@ prefix the registry never marked excluded.
 from typing import Tuple
 
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
+    "perf.wanted_cache_",
+    "perf.query_cache_",
     "perf.alien.",  # detlint: ignore[CON001] -- deliberate drift under test
 )

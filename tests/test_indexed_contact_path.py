@@ -9,8 +9,7 @@ identical candidates and identical ranked selection order.
 
 Also covered: the canonical-record fix (the record chosen for a URI
 held in different-popularity copies must not depend on member
-iteration order), the piece-bitmap primitives, and the metadata
-store's inverted token index staying consistent through evictions.
+iteration order) and the piece-bitmap primitives.
 """
 
 from __future__ import annotations
@@ -234,44 +233,6 @@ class TestPieceBitmaps:
         assert store.bitmap_of(uri) == 0b1111
         assert store.is_complete(uri, 4)
         assert store.total_pieces() == 4
-
-
-class TestTokenIndexConsistency:
-    def _brute_matching(self, store: MetadataStore, tokens) -> set:
-        return {
-            record.uri
-            for record in store.records()
-            if frozenset(tokens) <= record.token_set
-        }
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_matching_uris_survives_churn(self, seed):
-        from repro.catalog.metadata import PublisherRegistry
-
-        registry = PublisherRegistry(master_seed=42)
-        rng = random.Random(seed)
-        store = MetadataStore(capacity=4, policy=rng.choice(("popularity", "lru", "fifo")))
-        records = [
-            make_metadata(
-                registry,
-                uri=f"dtn://fox/f{i:06d}",
-                name=_tokens_of(rng),
-                popularity=rng.choice((0.1, 0.5, 0.9)),
-                ttl=rng.choice((10.0, 1000.0)),
-            )
-            for i in range(10)
-        ]
-        for record in rng.sample(records, rng.randint(4, 10)):
-            store.add(record, now=0.0)  # bounded: evictions exercise removal
-        if rng.random() < 0.5:
-            store.drop_expired(50.0)
-        for _ in range(5):
-            tokens = rng.sample(VOCAB, rng.randint(1, 2))
-            assert store.matching_uris(frozenset(tokens)) == self._brute_matching(
-                store, tokens
-            )
-        assert store.matching_uris(frozenset()) == {r.uri for r in store.records()}
 
 
 class _IterInOrder(frozenset):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import copy
 
-from repro.catalog.files import piece_payload
-from repro.core.node import MetadataStore
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.catalog.files import piece_checksums, piece_payload
+from repro.catalog.metadata import PublisherRegistry, verify_metadata
+from repro.core.node import EVICTION_POLICIES, MetadataStore, NodeState
 from repro.types import DAY, NodeId, Uri
 
 from conftest import make_metadata, make_node, make_query
@@ -101,15 +106,6 @@ class TestNodeQueries:
         assert node.own_query_tokens(0.0) == (frozenset({"a", "x"}),)
         assert node.foreign_query_tokens(0.0) == (frozenset({"b"}),)
 
-    def test_unmatched_own_queries(self, registry):
-        node = make_node(registry)
-        record = make_metadata(registry, name="news island s01e01")
-        node.accept_metadata(record, now=0.0)
-        node.add_own_query(make_query(0, record.uri, ["island"]))
-        node.add_own_query(make_query(0, "dtn://fox/other", ["desert"]))
-        unmatched = node.unmatched_own_queries(0.0)
-        assert [q.tokens for q in unmatched] == [frozenset({"desert"})]
-
 
 class TestNodeReceiving:
     def test_accept_metadata_verifies_signature(self, registry):
@@ -178,6 +174,24 @@ class TestWantedUris:
         node.accept_metadata(record, 0.0)  # mutation must invalidate cache
         assert node.wanted_uris(0.0) == {record.uri}
 
+    def test_set_survives_time_and_hot_events(self, registry):
+        node = make_node(registry)
+        record = make_metadata(registry, num_pieces=2, ttl=10 * DAY)
+        other = make_metadata(registry, uri="dtn://fox/other", ttl=10 * DAY)
+        node.add_own_query(make_query(0, record.uri, ["news"], 0.0, 5 * DAY))
+        node.accept_metadata(record, 0.0)
+        assert node.wanted_uris(0.0) == {record.uri}
+        assert node.wanted_uris(DAY) == {record.uri}
+        node.accept_metadata(other, DAY)  # a new match joins the set
+        assert node.wanted_uris(DAY) == {record.uri, other.uri}
+        node.accept_piece(record.uri, 0, piece_payload(record.uri, 0), record.checksums[0])
+        assert node.wanted_uris(2 * DAY) == {record.uri, other.uri}
+        node.accept_piece(record.uri, 1, piece_payload(record.uri, 1), record.checksums[1])
+        assert node.wanted_uris(2 * DAY) == {other.uri}  # a completed file leaves it
+        assert (node.wanted_cache_misses, node.wanted_cache_hits) == (1, 4)
+        assert node.wanted_uris(5 * DAY) == frozenset()  # the query expired
+        assert node.wanted_cache_misses == 2
+
     def test_expired_query_stops_wanting(self, registry):
         node = make_node(registry)
         record = make_metadata(registry, ttl=5 * DAY)
@@ -187,31 +201,169 @@ class TestWantedUris:
         assert node.wanted_uris(2 * DAY) == frozenset()
 
 
+#: The record pool of the wanted-set property test: (URI, name, pieces,
+#: created_at, ttl). Names share tokens so queries match several records.
+POOL = (
+    ("dtn://fox/a", "news island", 1, 0.0, 30.0),
+    ("dtn://fox/b", "news desert", 2, 0.0, 12.0),
+    ("dtn://fox/c", "island desert finale", 3, 5.0, 40.0),
+    ("dtn://abc/d", "news finale", 1, 10.0, 25.0),
+    ("dtn://abc/e", "island", 2, 0.0, 60.0),
+    ("dtn://abc/f", "desert finale news", 1, 20.0, 15.0),
+)
+QUERY_TOKENS = (("news",), ("island",), ("desert", "finale"), ("finale",))
+
+_record_op = st.tuples(
+    st.just("record"),
+    st.integers(0, len(POOL) - 1),
+    st.sampled_from((0.1, 0.5, 0.9)),
+    st.booleans(),  # signed
+    st.sampled_from((0.0, 0.0, 0.0, 7.0, -5.0)),  # ttl change: a re-issue
+)
+_piece_op = st.tuples(st.just("piece"), st.integers(0, len(POOL) - 1), st.integers(0, 2))
+_whole_op = st.tuples(st.just("whole"), st.integers(0, len(POOL) - 1))
+_seed_op = st.tuples(st.just("seed"), st.integers(0, len(POOL) - 1))
+_query_op = st.tuples(
+    st.just("query"),
+    st.integers(0, len(QUERY_TOKENS) - 1),
+    st.sampled_from((-3.0, 0.0, 4.0, 15.0)),  # start offset; > 0 is pending
+    st.sampled_from((6.0, 20.0, 50.0)),  # lifetime
+)
+_advance_op = st.tuples(st.just("advance"), st.sampled_from((0.5, 3.0, 7.0, 13.0)))
+#: Operation kinds, repeated by weight: the hot events (records, pieces,
+#: time) come often, the invalidating ones (expire, wipe) rarely.
+_KINDS = {
+    "record": (_record_op, 5), "piece": (_piece_op, 3), "advance": (_advance_op, 3),
+    "query": (_query_op, 2), "whole": (_whole_op, 1), "seed": (_seed_op, 1),
+    "expire": (st.just(("expire",)), 1), "wipe": (st.just(("wipe",)), 1),
+}
+_OPS = st.sampled_from(
+    [kind for kind, (__, weight) in _KINDS.items() for __ in range(weight)]
+).flatmap(lambda kind: _KINDS[kind][0])
+
+
+def _pool_record(registry, i: int, popularity=0.5, signed=True, ttl_change=0.0):
+    uri, name, pieces, created_at, ttl = POOL[i]
+    return make_metadata(
+        registry, uri=uri, name=name, publisher=uri.split("/")[2],
+        num_pieces=pieces, popularity=popularity, created_at=created_at,
+        ttl=ttl + ttl_change, signed=signed,
+    )
+
+
+def _reference_wanted(node: NodeState, now: float) -> frozenset:
+    """Brute force: scan the store for each live own query."""
+    wanted = set()
+    for query in node.own_queries(now):
+        matches = [
+            md for md in node.metadata.records()
+            if md.is_live(now) and query.tokens <= md.token_set
+        ]
+        if matches and node.selection_policy == "best":
+            matches = [min(matches, key=lambda md: (
+                not verify_metadata(md, node.registry), -md.popularity, md.uri
+            ))]
+        wanted.update(
+            md.uri for md in matches if not node.pieces.is_complete(md.uri, md.num_pieces)
+        )
+    return frozenset(wanted)
+
+
+class TestWantedSetProperty:
+    """The incrementally kept wanted set equals a brute-force rescan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        selection=st.sampled_from(("all", "best")),
+        capacity=st.sampled_from((None, 1, 2, 3)),
+        policy=st.sampled_from(EVICTION_POLICIES),
+        verify=st.booleans(),
+        ops=st.lists(_OPS, min_size=10, max_size=60),
+    )
+    def test_matches_reference_after_every_step(self, selection, capacity, policy, verify, ops):
+        registry = PublisherRegistry(master_seed=3)
+        node = NodeState(
+            NodeId(0), registry, metadata_capacity=capacity,
+            metadata_policy=policy, selection_policy=selection,
+            verify_signatures=verify,
+        )
+        now = 0.0
+        for op in ops:
+            kind = op[0]
+            if kind == "record":
+                __, i, popularity, signed, ttl_change = op
+                node.accept_metadata(
+                    _pool_record(registry, i, popularity, signed, ttl_change), now
+                )
+            elif kind == "piece":
+                __, i, index = op
+                uri, __, pieces, __, __ = POOL[i]
+                index %= pieces
+                node.accept_piece(
+                    Uri(uri), index, piece_payload(Uri(uri), index),
+                    piece_checksums(Uri(uri), pieces)[index],
+                )
+            elif kind == "whole":
+                node.receive_whole_file(Uri(POOL[op[1]][0]), POOL[op[1]][2])
+            elif kind == "seed":
+                # The pirate path: a store insert that bypasses acceptance.
+                record = _pool_record(registry, op[1], signed=False)
+                node.metadata.add(record)
+                node.receive_whole_file(record.uri, record.num_pieces)
+            elif kind == "query":
+                __, t, start, lifetime = op
+                node.add_own_query(
+                    make_query(0, POOL[t][0], QUERY_TOKENS[t], now + start, now + start + lifetime)
+                )
+            elif kind == "advance":
+                now += op[1]
+            elif kind == "expire":
+                node.expire(now)
+            else:
+                node.wipe()
+            assert node.wanted_uris(now) == _reference_wanted(node, now), op
+            # Time alone must move the set too: probe later instants on
+            # a copy, so the sequence itself continues undisturbed.
+            probe = copy.deepcopy(node)
+            for later in (now + 1.0, now + 6.0, now + 13.0, now + 31.0):
+                assert probe.wanted_uris(later) == _reference_wanted(probe, later), (op, later)
+
+
 class TestPeerRequests:
     def test_remember_and_rank_by_demand(self, registry):
         node = make_node(registry)
         a, b = Uri("dtn://fox/a"), Uri("dtn://fox/b")
-        node.remember_peer_requests(NodeId(1), [a], now=0.0)
-        node.remember_peer_requests(NodeId(2), [a, b], now=1.0)
+        node.remember_peer_requests({a: {NodeId(1)}}, now=0.0)
+        node.remember_peer_requests({a: {NodeId(2)}, b: {NodeId(2)}}, now=1.0)
         top = node.top_peer_requests(now=2.0, window=100.0)
         assert top[0] == a  # two distinct requesters beat one
 
     def test_window_prunes_stale_requests(self, registry):
         node = make_node(registry)
         a = Uri("dtn://fox/a")
-        node.remember_peer_requests(NodeId(1), [a], now=0.0)
+        node.remember_peer_requests({a: {NodeId(1)}}, now=0.0)
         assert node.top_peer_requests(now=50.0, window=100.0) == [a]
         assert node.top_peer_requests(now=500.0, window=100.0) == []
 
     def test_same_peer_counted_once(self, registry):
         node = make_node(registry)
         a, b = Uri("dtn://fox/a"), Uri("dtn://fox/b")
-        node.remember_peer_requests(NodeId(1), [a], now=0.0)
-        node.remember_peer_requests(NodeId(1), [a], now=1.0)
-        node.remember_peer_requests(NodeId(2), [b], now=2.0)
-        node.remember_peer_requests(NodeId(3), [b], now=3.0)
+        node.remember_peer_requests({a: {NodeId(1)}}, now=0.0)
+        node.remember_peer_requests({a: {NodeId(1)}}, now=1.0)
+        node.remember_peer_requests({b: {NodeId(2)}}, now=2.0)
+        node.remember_peer_requests({b: {NodeId(3)}}, now=3.0)
         top = node.top_peer_requests(now=4.0, window=100.0)
         assert top[0] == b
+
+    def test_own_advertisement_skipped(self, registry):
+        node = make_node(registry, node=0)
+        a, b = Uri("dtn://fox/a"), Uri("dtn://fox/b")
+        node.remember_peer_requests({a: {NodeId(0)}, b: {NodeId(0), NodeId(1)}}, now=0.0)
+        assert node.top_peer_requests(now=1.0, window=100.0) == [b]
+        node.remember_peer_requests({b: {NodeId(2)}}, now=2.0)
+        node.remember_peer_requests({a: {NodeId(1)}}, now=3.0)
+        # b: two requesters (node 0 itself never counts); a: one.
+        assert node.top_peer_requests(now=4.0, window=100.0) == [b, a]
 
 
 class TestHousekeeping:
