@@ -121,8 +121,13 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     CounterSpec("perf.view_builds", "deterministic"),
     CounterSpec("perf.view_rebuilds", "deterministic"),
     CounterSpec("perf.view_reuses", "deterministic"),
-    CounterSpec("perf.meta_candidates", "deterministic"),
-    CounterSpec("perf.piece_candidates", "deterministic"),
+    # perf.meta_candidates / perf.piece_candidates: candidates the
+    # contact scheduler actually built. It builds lazily, so the counts
+    # measure implementation work and are excluded.
+    CounterSpec("perf.meta_", "excluded", note="metadata candidates built"),
+    CounterSpec("perf.meta_candidates", "excluded"),
+    CounterSpec("perf.piece_", "excluded", note="piece candidates built"),
+    CounterSpec("perf.piece_candidates", "excluded"),
     # perf.time_us.*: wall-clock phase timers under --profile; suffixes
     # are phase names minted at the call site, so the family stays open.
     CounterSpec("perf.time_us.", "excluded", open_prefix=True, note="phase timers"),

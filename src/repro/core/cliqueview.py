@@ -1,14 +1,16 @@
 """Shared per-clique metadata view, reused across contact phases.
 
-Both candidate builders (:func:`repro.core.discovery.
-build_metadata_candidates` and :func:`repro.core.download.
-build_piece_candidates`) need the same three facts about a clique:
-which URIs have a live metadata record somewhere in it, who holds one,
-and which records match a given conjunctive token set. Recomputing
-them for every phase of every contact is the single largest cost in a
-campaign, so :class:`CliqueView` computes them once per clique and the
-protocol engine carries the view from the discovery phase into the
-download phase of the same contact.
+Both candidate builders (:class:`repro.core.discovery.MetadataBuilder`
+and :class:`repro.core.download.PieceBuilder`) need the same facts
+about a clique: which URIs have a live metadata record somewhere in
+it, who holds one, which records match a given conjunctive token set,
+and the URIs in decreasing popularity. Recomputing them for every
+phase of every contact is the single largest cost in a campaign, so
+:class:`CliqueView` computes them once per clique and the protocol
+engine carries the view from the discovery phase into the download
+phase of the same contact. The popularity order is the order in which
+the scheduler streams the un-requested tail of both phases, so the
+view sorts it once, on first use.
 
 Canonical records
 -----------------
@@ -33,7 +35,7 @@ case stays O(transmissions).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Set
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
 from repro.catalog.metadata import Metadata
 from repro.core.node import NodeState
@@ -50,6 +52,7 @@ class CliqueView:
         "md_holders",
         "_token_index",
         "_match_cache",
+        "_order",
         "_dirty",
         "rebuilds",
     )
@@ -96,6 +99,7 @@ class CliqueView:
         self.md_holders = md_holders
         self._token_index = token_index
         self._match_cache = {}
+        self._order: Optional[List[Uri]] = None
         self._dirty = False
 
     # -- queries --------------------------------------------------------------
@@ -135,6 +139,18 @@ class CliqueView:
             out |= self.matching_uris(tokens)
         return out
 
+    def popularity_order(self) -> List[Uri]:
+        """Clique URIs by decreasing canonical popularity, URI breaking ties.
+
+        The order of the un-requested candidates under both phases'
+        rank keys. Sorted on first use and kept until the next rebuild;
+        callers must treat the list as read-only.
+        """
+        if self._order is None:
+            records = self.record_by_uri
+            self._order = sorted(records, key=lambda uri: (-records[uri].popularity, uri))
+        return self._order
+
     # -- incremental updates ---------------------------------------------------
 
     def note_holder(self, node: NodeId, record: Metadata) -> None:
@@ -151,6 +167,7 @@ class CliqueView:
             for token in record.token_set:
                 self._token_index.setdefault(token, set()).add(uri)
             self._match_cache = {}  # the token index changed
+            self._order = None
         else:
             holders.add(node)
 

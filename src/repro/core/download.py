@@ -19,6 +19,10 @@ queries and the file is incomplete.
 Every piece carries its file's metadata (needed for checksum
 verification by receivers that lack it); in MBT-QM this piggyback is
 the *only* way metadata spread.
+
+The engine asks :class:`PieceBuilder` only for the pieces of requested
+files up front, and for the rest file by file as its scheduler reaches
+them in popularity order.
 """
 
 from __future__ import annotations
@@ -73,6 +77,154 @@ def advertised_downloads(
     return {node: state.wanted_uris(now) for node, state in states.items()}
 
 
+class ScheduledPiece:
+    """A piece candidate in the mutable form the engine schedules.
+
+    Same fields as :class:`PieceCandidate`, as sets the engine updates
+    in place while the piece spreads. ``stamp`` versions the
+    coordinator's heap entries for the candidate.
+    """
+
+    __slots__ = ("metadata", "index", "holders", "requesters", "missing", "stamp")
+
+    def __init__(
+        self,
+        metadata: Metadata,
+        index: int,
+        holders: Set[NodeId],
+        requesters: Set[NodeId],
+        missing: Set[NodeId],
+    ) -> None:
+        self.metadata = metadata
+        self.index = index
+        self.holders = holders
+        self.requesters = requesters
+        self.missing = missing
+        self.stamp = 0
+
+    @property
+    def uri(self) -> Uri:
+        return self.metadata.uri
+
+    @property
+    def requested(self) -> bool:
+        return bool(self.requesters)
+
+    def freeze(self) -> PieceCandidate:
+        return PieceCandidate(
+            metadata=self.metadata,
+            index=self.index,
+            holders=frozenset(self.holders),
+            requesters=frozenset(self.requesters),
+            missing=frozenset(self.missing),
+        )
+
+
+class PieceBuilder:
+    """Builds a clique's piece candidates one URI at a time.
+
+    A sender must hold both the piece and the file's metadata (the
+    checksums travel with the piece). Requesters come from the
+    downloading URIs advertised in hellos, read once at construction.
+    The clique's metadata side (live URIs, canonical records, holder
+    sets) comes from ``view``, shared with the discovery phase by the
+    protocol engine, and per-piece membership is computed with the
+    stores' bitmaps: one ``int`` per (member, URI), combined bitwise
+    instead of per-index set algebra.
+
+    :attr:`head_uris` are the URIs some member is downloading; every
+    other URI builds only un-requested candidates. :meth:`build`
+    reproduces the candidates the clique had at construction for as
+    long as the URI's pieces have not moved, which holds for every URI
+    not yet transmitted.
+    """
+
+    def __init__(
+        self,
+        states: Mapping[NodeId, NodeState],
+        now: float,
+        view: CliqueView,
+    ) -> None:
+        self.view = view
+        self._states = states
+        self._members = frozenset(states)
+        self._member_list = list(states)
+        self._downloads = advertised_downloads(states, now)
+        wanted: Set[Uri] = set().union(*self._downloads.values())
+        #: URIs some member is downloading, sorted.
+        self.head_uris: List[Uri] = sorted(
+            uri for uri in wanted if uri in view.record_by_uri
+        )
+
+    def build(self, uri: Uri) -> List[ScheduledPiece]:
+        """The candidates of ``uri``, by ascending piece index."""
+        states = self._states
+        holder_bitmaps = []
+        union = 0
+        for node in self._member_list:
+            bitmap = states[node].pieces.bitmap_of(uri)
+            if bitmap:
+                holder_bitmaps.append((node, bitmap))
+                union |= bitmap
+        if not union:
+            return []
+        record = self.view.record_by_uri[uri]
+        eligible_pool = self.view.md_holders[uri]
+        wanting = [node for node in self._member_list if uri in self._downloads[node]]
+        candidates: List[ScheduledPiece] = []
+        for index in bit_indices(union):
+            mask = 1 << index
+            holders = {node for node, bitmap in holder_bitmaps if bitmap & mask}
+            eligible_senders = holders & eligible_pool
+            if not eligible_senders:
+                continue
+            missing = self._members - holders
+            if not missing:
+                continue
+            requesters = {node for node in wanting if node not in holders}
+            candidates.append(
+                ScheduledPiece(record, index, eligible_senders, requesters, set(missing))
+            )
+        return candidates
+
+    def may_send(self, uri: Uri, node: NodeId) -> bool:
+        """Whether ``node`` holds ``uri``'s metadata and one of its pieces."""
+        return node in self.view.md_holders[uri] and bool(
+            self._states[node].pieces.bitmap_of(uri)
+        )
+
+    def has_candidates(self) -> bool:
+        """Whether the clique has any candidate at all."""
+        states = self._states
+        for uri, md_holders in self.view.md_holders.items():
+            sendable = 0
+            everyone = -1
+            for member in self._member_list:
+                bitmap = states[member].pieces.bitmap_of(uri)
+                everyone &= bitmap
+                if member in md_holders:
+                    sendable |= bitmap
+            if sendable & ~everyone:
+                return True
+        return False
+
+    def held_by(self, node: NodeId) -> int:
+        """Candidates that list ``node`` among their holders."""
+        states = self._states
+        count = 0
+        for uri, md_holders in self.view.md_holders.items():
+            if node not in md_holders:
+                continue
+            own = states[node].pieces.bitmap_of(uri)
+            if not own:
+                continue
+            everyone = own
+            for member in self._member_list:
+                everyone &= states[member].pieces.bitmap_of(uri)
+            count += (own & ~everyone).bit_count()
+        return count
+
+
 def build_piece_candidates(
     states: Mapping[NodeId, NodeState],
     now: float,
@@ -80,57 +232,17 @@ def build_piece_candidates(
 ) -> List[PieceCandidate]:
     """Enumerate every useful piece transmission in the clique.
 
-    A sender must hold both the piece and the file's metadata (the
-    checksums travel with the piece). Requesters come from the
-    downloading URIs advertised in hellos.
-
-    The clique's metadata side (live URIs, canonical records, holder
-    sets) comes from ``view`` — built on demand when absent, shared
-    with the discovery phase by the protocol engine — and per-piece
-    membership is computed with the stores' bitmaps: one ``int`` per
-    (member, URI), combined bitwise instead of per-index set algebra.
+    Every URI of ``view`` (built on demand when absent) goes through
+    one :class:`PieceBuilder`, in popularity order.
     """
     if view is None:
         view = CliqueView(states, now)
-    downloads = advertised_downloads(states, now)
-    members = frozenset(states)
-    member_list = list(states)
-
-    candidates: List[PieceCandidate] = []
-    for uri, record in view.record_by_uri.items():
-        holder_bitmaps = []
-        union = 0
-        for node in member_list:
-            bitmap = states[node].pieces.bitmap_of(uri)
-            if bitmap:
-                holder_bitmaps.append((node, bitmap))
-                union |= bitmap
-        if not union:
-            continue
-        eligible_pool = view.md_holders[uri]
-        wanting = [node for node in member_list if uri in downloads[node]]
-        for index in bit_indices(union):
-            mask = 1 << index
-            holders = {node for node, bitmap in holder_bitmaps if bitmap & mask}
-            eligible_senders = frozenset(holders & eligible_pool)
-            if not eligible_senders:
-                continue
-            missing = members - holders
-            if not missing:
-                continue
-            requesters = frozenset(
-                node for node in wanting if node not in holders
-            )
-            candidates.append(
-                PieceCandidate(
-                    metadata=record,
-                    index=index,
-                    holders=eligible_senders,
-                    requesters=requesters,
-                    missing=frozenset(missing),
-                )
-            )
-    return candidates
+    builder = PieceBuilder(states, now, view)
+    return [
+        cand.freeze()
+        for uri in view.popularity_order()
+        for cand in builder.build(uri)
+    ]
 
 
 def build_piece_candidates_reference(
@@ -199,7 +311,7 @@ def cooperative_rank_key(candidate: PieceCandidate) -> Tuple:
 
     The (URI, index) tie-break makes keys unique within a clique. Reads
     only the candidate's fields, so it ranks the protocol engine's
-    mutable scheduler copies as well as frozen candidates.
+    :class:`ScheduledPiece` as well as frozen candidates.
     """
     phase = 0 if candidate.requesters else 1
     return (

@@ -14,8 +14,8 @@ evaluated protocol variants (§VI-A):
 
 Both contact phases, discovery and download, run through one
 scheduler (``MobileBitTorrent._schedule``) with one of two modes; the
-phase supplies only its candidates, its serving members, its transmit
-step and its policy module, whose rank keys define the order:
+phase supplies only its candidate builder, its serving members, its
+transmit step and its policy module, whose rank keys define the order:
 
 * ``COORDINATOR`` (cooperative, §IV-A/§V-A): the coordinator picks the
   globally best transmission each slot by ``cooperative_rank_key``.
@@ -23,6 +23,14 @@ step and its policy module, whose rank keys define the order:
   agreed-upon seeded cyclic order; each sender picks its own best item
   by the credit-weighted ``tit_for_tat_rank_key``. Members whose
   strategy does not serve the phase skip their turn.
+
+Candidates are built lazily, in an order equal to a full sort by the
+rank keys. Both keys put every requested item before every
+un-requested one (credit weights are never negative) and rank the
+un-requested ones by popularity, URI and piece index. So a phase
+builds its requested candidates up front and streams the rest from
+the clique view's popularity order, a file at a time, only as far as
+its budget reaches (see ``_CandidatePool``).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, TypeVar
+from typing import Callable, Dict, FrozenSet, Generic, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.catalog.adversary import PIRATE_URI_PREFIX
 from repro.catalog.files import IntegrityError, piece_payload
@@ -172,43 +180,106 @@ class EngineCounters:
         }
 
 
-class _MutableMetaCandidate:
-    """Scheduler-internal mutable view of a metadata candidate."""
+#: Either scheduled candidate form; the shared scheduler only touches
+#: ``holders``, ``missing``, ``requested`` and ``stamp`` and hands the
+#: candidate to the phase's rank keys.
+_C = TypeVar("_C", discovery.ScheduledMetadata, download.ScheduledPiece)
 
-    __slots__ = ("metadata", "holders", "own_requesters", "proxy_requesters", "missing")
 
-    def __init__(self, cand: discovery.MetadataCandidate) -> None:
-        self.metadata = cand.metadata
-        self.holders: Set[NodeId] = set(cand.holders)
-        self.own_requesters: Set[NodeId] = set(cand.own_requesters)
-        self.proxy_requesters: Set[NodeId] = set(cand.proxy_requesters)
-        self.missing: Set[NodeId] = set(cand.missing)
+class _CandidatePool(Generic[_C]):
+    """One phase's candidates, built on demand in rank order.
+
+    The *head* is built at phase start: the candidates of every URI
+    some member requests. The *tail* is every other URI of the clique.
+    Its candidates are all un-requested, so under both rank keys they
+    follow every requested candidate, ordered by popularity, URI and
+    piece index; the scheduler builds a tail URI only when it reaches
+    it in the view's popularity order. A built candidate belongs to
+    the head while it has requesters: one whose requesters all received
+    it falls back into the tail at its popularity position.
+
+    ``builder`` is the phase's :class:`~repro.core.discovery.
+    MetadataBuilder` or :class:`~repro.core.download.PieceBuilder`;
+    ``prepare`` applies the engine's hiding and screening to each
+    candidate as it is built.
+    """
+
+    def __init__(self, builder, prepare: Optional[Callable[[_C], None]]) -> None:
+        self._builder = builder
+        self._prepare = prepare
+        self._view: CliqueView = builder.view
+        self._cursor = 0
+        #: Built candidates per URI, by piece index.
+        self.by_uri: Dict[Uri, List[_C]] = {}
+        #: Built candidates that some member requests (an ordered set).
+        self.head: Dict[_C, None] = {}
+        #: Candidates built so far.
+        self.built = 0
+        #: Called with every candidate whose requesters changed.
+        self.on_change: Optional[Callable[[_C], None]] = None
+        for uri in builder.head_uris:
+            self.of(uri)
 
     @property
-    def requesters(self) -> Set[NodeId]:
-        return self.own_requesters | self.proxy_requesters
+    def head_uris(self) -> List[Uri]:
+        return self._builder.head_uris
 
+    def of(self, uri: Uri) -> List[_C]:
+        """The candidates of ``uri``, building them on first use."""
+        cands = self.by_uri.get(uri)
+        if cands is None:
+            cands = self.by_uri[uri] = self._builder.build(uri)
+            self.built += len(cands)
+            for cand in cands:
+                if self._prepare is not None:
+                    self._prepare(cand)
+                if cand.requested:
+                    self.head[cand] = None
+        return cands
 
-class _MutablePieceCandidate:
-    """Scheduler-internal mutable view of a piece candidate."""
+    def has_candidates(self) -> bool:
+        """Whether the phase has any candidate, built or not."""
+        return self.built > 0 or self._builder.has_candidates()
 
-    __slots__ = ("metadata", "index", "holders", "requesters", "missing")
+    def changed(self, cand: _C) -> None:
+        """Re-file ``cand`` after a transmission changed its requesters."""
+        if cand.requested:
+            self.head[cand] = None
+        else:
+            self.head.pop(cand, None)
+        if self.on_change is not None:
+            self.on_change(cand)
 
-    def __init__(self, cand: download.PieceCandidate) -> None:
-        self.metadata = cand.metadata
-        self.index = cand.index
-        self.holders: Set[NodeId] = set(cand.holders)
-        self.requesters: Set[NodeId] = set(cand.requesters)
-        self.missing: Set[NodeId] = set(cand.missing)
+    def next_tail_uri(self, before: Optional[_C]) -> Optional[Uri]:
+        """The next unbuilt URI in popularity order, if it ranks before
+        the un-requested candidate ``before`` (or ``before`` is None)."""
+        order = self._view.popularity_order()
+        cursor = self._cursor
+        while cursor < len(order) and order[cursor] in self.by_uri:
+            cursor += 1
+        self._cursor = cursor
+        if cursor == len(order):
+            return None
+        uri = order[cursor]
+        if before is not None:
+            record = before.metadata
+            popularity = self._view.record_by_uri[uri].popularity
+            if (-record.popularity, record.uri) < (-popularity, uri):
+                return None
+        return uri
 
-    @property
-    def uri(self) -> Uri:
-        return self.metadata.uri
-
-
-#: Either scheduler copy; the shared phase loops only touch ``holders``
-#: and ``missing`` and hand the candidate to the phase's rank keys.
-_C = TypeVar("_C", _MutableMetaCandidate, _MutablePieceCandidate)
+    def tail(self, sender: NodeId) -> Iterator[_C]:
+        """Un-requested candidates ``sender`` can send, in rank order."""
+        may_send = self._builder.may_send
+        for uri in self._view.popularity_order():
+            cands = self.by_uri.get(uri)
+            if cands is None:
+                if not may_send(uri, sender):
+                    continue
+                cands = self.of(uri)
+            for cand in cands:
+                if sender in cand.holders and cand.missing and not cand.requested:
+                    yield cand
 
 
 class MobileBitTorrent:
@@ -508,56 +579,66 @@ class MobileBitTorrent:
                 if peer != node and peer in state.frequent_contacts:
                     state.store_foreign_queries(peer, peer_state.own_queries(now))
 
-    def _screen_rejected(self, candidates, states: Mapping[NodeId, NodeState]) -> None:
-        """Receiver-side pollution screen (reputation credit policy).
+    def _candidate_pool(
+        self,
+        states: Mapping[NodeId, NodeState],
+        members: FrozenSet[NodeId],
+        builder,
+    ) -> _CandidatePool:
+        """Start one phase's candidates under hiding and rejection screens.
 
-        A rejected fake is never stored, so it re-enters the candidate
-        pool as "missing everywhere" at every later contact and taxes
-        the clique's channel budget forever. Under the reputation
-        policy a node that has *first-hand* seen a URI fail
-        verification (``NodeState.rejected_uris``) refuses to be a
-        transmission target for it again: such nodes are dropped from
-        the candidate's ``missing`` set, so a fake stops being sendable
-        once every reachable member has rejected it, while the
-        polluter's honest service is left untouched. Runs on the
-        mutable scheduler copies, like :meth:`_hide_holdings`, so the
-        candidate builders stay adversary-agnostic; under the plain
-        policy (and in clean runs) every screening set is empty and
-        nothing changes.
+        **Hiding** (under-reporting): a hider claims not to hold the
+        record/piece. It is moved from every candidate's ``holders``
+        into ``missing``, so it is never picked as a sender and even
+        baits peers into wasting channel budget re-sending it items it
+        secretly holds (the duplicate earns the sender nothing).
+
+        **Screening** (reputation credit policy): a rejected fake is
+        never stored, so it re-enters the candidate pool as "missing
+        everywhere" at every later contact and taxes the clique's
+        channel budget forever. A node that has *first-hand* seen a URI
+        fail verification (``NodeState.rejected_uris``) refuses to be a
+        transmission target for it again: it is dropped from the
+        candidate's ``missing`` set, so a fake stops being sendable once
+        every reachable member has rejected it, while the polluter's
+        honest service is left untouched. Under the plain policy (and in
+        clean runs) nobody screens.
+
+        Both apply to each candidate as it is built, so the builders stay
+        adversary-agnostic, and both act as they would have at phase
+        start. The hidden holdings are counted from each hider's holdings
+        now. The screens read the live ``rejected_uris``: a receiver adds
+        a URI to it only when that URI is sent, and a sent URI was built
+        before. Hiders are visited in sorted order to keep the mutated
+        sets' layout history deterministic.
         """
+        adversary = self._adversary
+        hiders: List[NodeId] = []
+        if adversary is not None and adversary.hiders:
+            hiders = sorted(adversary.hiders & members)
+            for node in hiders:
+                hidden = builder.held_by(node)
+                if hidden:
+                    adversary.count("holdings_hidden", hidden)
         screeners = [
             (node, state.rejected_uris)
             for node, state in states.items()
             if state.credits.policy != "plain" and state.rejected_uris
         ]
-        if not screeners:
-            return
-        for cand in candidates:
+        if not hiders and not screeners:
+            return _CandidatePool(builder, None)
+
+        def prepare(cand) -> None:
+            for node in hiders:
+                if node in cand.holders:
+                    cand.holders.discard(node)
+                    cand.missing.add(node)
             uri = cand.metadata.uri
             for node, rejected in screeners:
                 if uri in rejected:
                     cand.missing.discard(node)
 
-    def _hide_holdings(self, candidates) -> None:
-        """Apply under-reporting to freshly built candidates.
-
-        A hider claims not to hold the record/piece: it is moved from
-        every candidate's ``holders`` into ``missing``, so it is never
-        picked as a sender and even baits peers into wasting channel
-        budget re-sending it items it secretly holds (the duplicate
-        earns the sender nothing). Runs on the *mutable* scheduler
-        copies, so the candidate builders never see it; hiders are
-        visited in sorted order to keep the mutated sets' layout
-        history deterministic.
-        """
-        adversary = self._adversary
-        if adversary is None or not adversary.hiders:
-            return
-        for cand in candidates:
-            for node in sorted(adversary.hiders & cand.holders):
-                cand.holders.discard(node)
-                cand.missing.add(node)
-                adversary.count("holdings_hidden")
+        return _CandidatePool(builder, prepare)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -565,7 +646,7 @@ class MobileBitTorrent:
         self,
         states: Mapping[NodeId, NodeState],
         members: FrozenSet[NodeId],
-        candidates: List[_C],
+        pool: _CandidatePool,
         serving: FrozenSet[NodeId],
         budget: int,
         now: float,
@@ -578,30 +659,60 @@ class MobileBitTorrent:
         or :mod:`~repro.core.download`), which defines the rank keys;
         ``serving`` holds the members whose strategy sends in this
         phase, and ``transmit(cand, sender)`` returns True if it sent.
-        The rank keys are unique (URI, and piece index, tie-break), so
-        ``min()`` and the heap never compare candidates.
+        The order equals a full sort of every candidate by the rank
+        keys, but ``pool`` builds a tail URI only when the order reaches
+        it. The rank keys are unique (URI, and piece index, tie-break),
+        so the heaps never compare candidates.
         """
-        self._hide_holdings(candidates)
-        self._screen_rejected(candidates, states)
-        if not candidates:
-            return
         if self._config.effective_scheduling() is SchedulingMode.COORDINATOR:
             # The coordinator sees the whole clique: each slot goes to
             # the globally best candidate, sent by its lowest-id serving
-            # holder.
+            # holder. One heap holds every built candidate. A candidate
+            # whose requesters change is pushed again under a new stamp;
+            # entries with an old stamp are skipped. A candidate that
+            # cannot be sent now never can: only sending it adds holders.
             rank = ranks.cooperative_rank_key
+            heap: List[Tuple[tuple, int, _C]] = []
+            dropped: Set[_C] = set()
+
+            def push(cand: _C) -> None:
+                if cand not in dropped:
+                    cand.stamp += 1
+                    heapq.heappush(heap, (rank(cand), cand.stamp, cand))
+
+            pool.on_change = push
+            for uri in pool.head_uris:
+                for cand in pool.of(uri):
+                    push(cand)
             for __ in range(budget):
-                sendable = [
-                    (rank(c), c)
-                    for c in candidates
-                    if c.missing and not serving.isdisjoint(c.holders)
-                ]
-                if not sendable:
+                while True:
+                    while heap and (
+                        heap[0][1] != heap[0][2].stamp
+                        or not heap[0][2].missing
+                        or serving.isdisjoint(heap[0][2].holders)
+                    ):
+                        heapq.heappop(heap)
+                    top = heap[0][2] if heap else None
+                    if top is not None and top.requested:
+                        break
+                    uri = pool.next_tail_uri(top)
+                    if uri is None:
+                        break
+                    for cand in pool.of(uri):
+                        push(cand)
+                if not heap:
                     return
-                __, best = min(sendable)
-                if not transmit(best, min(best.holders & serving)) or not best.missing:
-                    candidates.remove(best)
+                best = heapq.heappop(heap)[2]
+                if transmit(best, min(best.holders & serving)):
+                    pool.changed(best)
+                else:
+                    dropped.add(best)
             return
+        if self._adversary is not None and not pool.has_candidates():
+            return  # nobody takes a turn, so none is counted as skipped
+        # Each turn re-ranks the sender's requested candidates by its
+        # credits now (they change when it receives), then walks the
+        # shared un-requested tail, which ranks after them.
         rank_for = ranks.tit_for_tat_rank_key
         turns = itertools.cycle(cyclic_order(members))
         spent = idle_turns = 0
@@ -612,23 +723,24 @@ class MobileBitTorrent:
                     self._adversary.count("turns_skipped")
                 idle_turns += 1
                 continue
-            # Lazy top-k: heapify the sender's candidates and pop until
-            # one transmits; the pop order equals a full sort's order
-            # while usually materializing only the first element.
             sender = states[sender_id]
-            heap = [
+            ranked = [
                 (rank_for(c, sender, now), c)
-                for c in candidates
+                for c in pool.head
                 if sender_id in c.holders and c.missing
             ]
-            heapq.heapify(heap)
+            heapq.heapify(ranked)
             sent = False
-            while heap and not sent:
-                __, cand = heapq.heappop(heap)
+            while ranked and not sent:
+                cand = heapq.heappop(ranked)[1]
                 sent = transmit(cand, sender_id)
-                if not cand.missing:
-                    candidates.remove(cand)
+            if not sent:
+                for cand in pool.tail(sender_id):
+                    sent = transmit(cand, sender_id)
+                    if sent:
+                        break
             if sent:
+                pool.changed(cand)
                 spent += 1
                 idle_turns = 0
             else:
@@ -647,21 +759,21 @@ class MobileBitTorrent:
         if budget <= 0:
             return
         include_foreign = self._config.variant.distributes_queries
-        raw = discovery.build_metadata_candidates(states, now, include_foreign, view)
-        candidates = [_MutableMetaCandidate(c) for c in raw]
-        self.perf.count("meta_candidates", len(candidates))
+        builder = discovery.MetadataBuilder(states, now, include_foreign, view)
+        pool = self._candidate_pool(states, members, builder)
         serving = frozenset(n for n in members if states[n].strategy.serves)
 
-        def transmit(cand: _MutableMetaCandidate, sender: NodeId) -> bool:
+        def transmit(cand: discovery.ScheduledMetadata, sender: NodeId) -> bool:
             return self._transmit_metadata(states, members, cand, sender, now, view)
 
-        self._schedule(states, members, candidates, serving, budget, now, discovery, transmit)
+        self._schedule(states, members, pool, serving, budget, now, discovery, transmit)
+        self.perf.count("meta_candidates", pool.built)
 
     def _transmit_metadata(
         self,
         states: Mapping[NodeId, NodeState],
         members: FrozenSet[NodeId],
-        cand: _MutableMetaCandidate,
+        cand: discovery.ScheduledMetadata,
         sender: NodeId,
         now: float,
         view: CliqueView,
@@ -687,9 +799,10 @@ class MobileBitTorrent:
             claimed = self._adversary.claimed_popularity(sender, record.popularity)
             if record.uri.startswith(PIRATE_URI_PREFIX):
                 self._adversary.count("fake_metadata_transmissions")
+        tokens = record.token_set
         for receiver in receivers:
             state = states[receiver]
-            requested = any(q.matches(record) for q in state.own_queries(now))
+            requested = any(query <= tokens for query in state.own_query_tokens(now))
             mutations_before = state.metadata.mutations
             evictions_before = state.metadata.evictions
             rejected_before = state.stats.metadata_rejected_auth
@@ -772,26 +885,26 @@ class MobileBitTorrent:
             self.perf.count("view_rebuilds")
         else:
             self.perf.count("view_reuses")
-        raw = download.build_piece_candidates(states, now, view)
-        candidates = [_MutablePieceCandidate(c) for c in raw]
-        self.perf.count("piece_candidates", len(candidates))
+        builder = download.PieceBuilder(states, now, view)
+        pool = self._candidate_pool(states, members, builder)
         serving = frozenset(
             n
             for n in members
             if states[n].strategy.serves and states[n].strategy.serves_pieces
         )
 
-        def transmit(cand: _MutablePieceCandidate, sender: NodeId) -> bool:
-            return self._transmit_piece(states, members, candidates, cand, sender, now)
+        def transmit(cand: download.ScheduledPiece, sender: NodeId) -> bool:
+            return self._transmit_piece(states, members, pool, cand, sender, now)
 
-        self._schedule(states, members, candidates, serving, budget, now, download, transmit)
+        self._schedule(states, members, pool, serving, budget, now, download, transmit)
+        self.perf.count("piece_candidates", pool.built)
 
     def _transmit_piece(
         self,
         states: Mapping[NodeId, NodeState],
         members: FrozenSet[NodeId],
-        candidates: List[_MutablePieceCandidate],
-        cand: _MutablePieceCandidate,
+        pool: _CandidatePool,
+        cand: download.ScheduledPiece,
         sender: NodeId,
         now: float,
     ) -> bool:
@@ -871,10 +984,15 @@ class MobileBitTorrent:
         # A receiver that just became interested in this URI now requests
         # the file's other pieces, raising their phase-one priority.
         if newly_interested:
-            for other in candidates:
-                if other is cand or other.uri != record.uri:
+            for other in pool.of(record.uri):
+                if other is cand:
                     continue
-                for node in newly_interested:
-                    if node in other.missing:
-                        other.requesters.add(node)
+                gained = [
+                    node
+                    for node in newly_interested
+                    if node in other.missing and node not in other.requesters
+                ]
+                if gained:
+                    other.requesters.update(gained)
+                    pool.changed(other)
         return True

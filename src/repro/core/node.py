@@ -237,7 +237,7 @@ class NodeState:
         #: URIs whose metadata failed verification in this node's own
         #: hands. First-hand evidence of forgery: under the reputation
         #: credit policy the engine stops targeting this node with them
-        #: (see ``MobileBitTorrent._screen_rejected``), so an evergreen
+        #: (see ``MobileBitTorrent._candidate_pool``), so an evergreen
         #: fake stops taxing the clique's budget after one exposure.
         #: Like the credit ledger, this judgment survives :meth:`wipe`.
         self.rejected_uris: Set[Uri] = set()
@@ -261,14 +261,18 @@ class NodeState:
         self._wanted_window: Tuple[float, float] = (0.0, 0.0)
         self._wanted_tokens: Tuple[FrozenSet[str], ...] = ()
         self._wanted_stamp = -1
-        #: Bumped whenever the carried query population changes (own
-        #: query added, foreign queries stored, expiry, wipe); keys the
-        #: memoized live-query and token-tuple views below.
+        #: Bumped when the carried queries change in a way the live-query
+        #: memo cannot patch (a stored query of a peer that is not the
+        #: last one stored, a wipe). The live own and foreign queries and
+        #: their token tuples (see :meth:`_refresh_live`) hold over the
+        #: window ``[start, until)`` while ``_live_version`` equals it.
         self._query_version = 0
-        self._own_live_cache: Tuple[int, float, List[Query]] = (-1, -1.0, [])
-        self._foreign_live_cache: Tuple[int, float, List[Query]] = (-1, -1.0, [])
-        self._own_tokens_cache: Tuple[int, float, Tuple[FrozenSet[str], ...]] = (-1, -1.0, ())
-        self._foreign_tokens_cache: Tuple[int, float, Tuple[FrozenSet[str], ...]] = (-1, -1.0, ())
+        self._live_version = -1
+        self._live_window: Tuple[float, float] = (0.0, 0.0)
+        self._live_own: List[Query] = []
+        self._live_foreign: List[Query] = []
+        self._live_own_tokens: Tuple[FrozenSet[str], ...] = ()
+        self._live_foreign_tokens: Tuple[FrozenSet[str], ...] = ()
         #: Deterministic cache instrumentation, aggregated into the
         #: run-level ``perf.*`` counters by the simulation runner.
         self.wanted_cache_hits = 0
@@ -283,50 +287,92 @@ class NodeState:
             raise ValueError(f"query of node {query.node} given to node {self.node}")
         self._own_queries.append(query)
         self._wanted_stamp = -1
-        self._query_version += 1
+        self._fold_live(query, own=True)
+
+    def _fold_live(self, query: Query, own: bool) -> None:
+        """Fold ``query``, just appended last to the own or the stored
+        queries, into the live-query memo (see :meth:`_refresh_live`)."""
+        if self._live_version != self._query_version:
+            return
+        start, until = self._live_window
+        if start < query.created_at:
+            self._live_window = (start, min(until, query.created_at))
+        elif start < query.expires_at:
+            self._live_window = (start, min(until, query.expires_at))
+            if own:
+                self._live_own.append(query)
+                self._live_own_tokens += (query.tokens,)
+            else:
+                self._live_foreign.append(query)
+                self._live_foreign_tokens += (query.tokens,)
+
+    def _refresh_live(self, now: float) -> None:
+        """Bring the live-query memo up to ``now``.
+
+        The memo holds until the query population changes or the
+        earliest pending start or live expiry among the node's own and
+        stored queries, whichever comes first.
+        """
+        start, until = self._live_window
+        if self._live_version == self._query_version and start <= now < until:
+            self.query_cache_hits += 1
+            return
+        self.query_cache_misses += 1
+        until = math.inf
+        own: List[Query] = []
+        for query in self._own_queries:
+            if now < query.created_at:
+                until = min(until, query.created_at)
+            elif now < query.expires_at:
+                until = min(until, query.expires_at)
+                own.append(query)
+        foreign: List[Query] = []
+        # detlint: ignore[DET002] -- insertion-ordered dict: peers are added
+        # in deterministic contact-processing order, and reordering here
+        # would change the advertised query order (and thus the results).
+        for queries in self._foreign_queries.values():
+            for query in queries:
+                if now < query.created_at:
+                    until = min(until, query.created_at)
+                elif now < query.expires_at:
+                    until = min(until, query.expires_at)
+                    foreign.append(query)
+        self._live_own = own
+        self._live_foreign = foreign
+        self._live_own_tokens = tuple(query.tokens for query in own)
+        self._live_foreign_tokens = tuple(query.tokens for query in foreign)
+        self._live_window = (now, until)
+        self._live_version = self._query_version
 
     def own_queries(self, now: float) -> List[Query]:
         """The node's live standing queries.
 
-        Memoized per ``(query population, now)`` — contact processing
-        asks several times at the same instant. Returns a fresh list;
-        callers may extend it.
+        Returns a fresh list; callers may extend it.
         """
-        version, cached_now, cached = self._own_live_cache
-        if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
-            self.query_cache_hits += 1
-            return list(cached)
-        self.query_cache_misses += 1
-        live = [q for q in self._own_queries if q.is_live(now)]
-        self._own_live_cache = (self._query_version, now, live)
-        return list(live)
+        self._refresh_live(now)
+        return list(self._live_own)
 
     def store_foreign_queries(self, peer: NodeId, queries: Iterable[Query]) -> None:
         """Remember a frequent contact's queries (full MBT only)."""
         stored = self._foreign_queries.setdefault(peer, [])
+        # The memo lists foreign queries peer by peer; a query appended to
+        # the last peer's list is also last in it.
+        last = next(reversed(self._foreign_queries)) == peer
         known = {(q.target_uri, q.tokens) for q in stored}
         for query in queries:
             key = (query.target_uri, query.tokens)
             if key not in known:
                 stored.append(query)
                 known.add(key)
-                self._query_version += 1
+                if last:
+                    self._fold_live(query, own=False)
+                else:
+                    self._query_version += 1
 
     def foreign_queries(self, now: float) -> List[Query]:
-        """Live stored queries of frequent contacts (memoized)."""
-        version, cached_now, cached = self._foreign_live_cache
-        if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
-            self.query_cache_hits += 1
-            return list(cached)
-        self.query_cache_misses += 1
-        live: List[Query] = []
-        # detlint: ignore[DET002] -- insertion-ordered dict: peers are added
-        # in deterministic contact-processing order, and reordering here
-        # would change the advertised query order (and thus the results).
-        for queries in self._foreign_queries.values():
-            live.extend(q for q in queries if q.is_live(now))
-        self._foreign_live_cache = (self._query_version, now, live)
-        return list(live)
+        """Live stored queries of frequent contacts (a fresh list)."""
+        self._refresh_live(now)
+        return list(self._live_foreign)
 
     def carried_queries(self, now: float, include_foreign: bool) -> List[Query]:
         """Queries the node advertises and pulls for.
@@ -347,22 +393,14 @@ class NodeState:
         return tokens
 
     def own_query_tokens(self, now: float) -> Tuple[FrozenSet[str], ...]:
-        """Token sets of the node's own live queries (memoized)."""
-        version, cached_now, cached = self._own_tokens_cache
-        if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
-            return cached
-        tokens = tuple(q.tokens for q in self.own_queries(now))
-        self._own_tokens_cache = (self._query_version, now, tokens)
-        return tokens
+        """Token sets of the node's own live queries."""
+        self._refresh_live(now)
+        return self._live_own_tokens
 
     def foreign_query_tokens(self, now: float) -> Tuple[FrozenSet[str], ...]:
-        """Token sets carried for frequent contacts (memoized)."""
-        version, cached_now, cached = self._foreign_tokens_cache
-        if version == self._query_version and cached_now == now:  # detlint: ignore[DET004] cache identity: exact instant match intended
-            return cached
-        tokens = tuple(q.tokens for q in self.foreign_queries(now))
-        self._foreign_tokens_cache = (self._query_version, now, tokens)
-        return tokens
+        """Token sets carried for frequent contacts."""
+        self._refresh_live(now)
+        return self._live_foreign_tokens
 
     # -- wanted files ---------------------------------------------------------------
 
@@ -580,13 +618,19 @@ class NodeState:
         self._query_version += 1
 
     def expire(self, now: float) -> None:
-        """Drop expired metadata, queries and orphaned pieces."""
+        """Drop expired metadata, queries and orphaned pieces.
+
+        Queries whose start still lies ahead are kept.
+        """
         self._wanted_stamp = -1
-        self._query_version += 1
+        # A query expired by ``now`` is in no live-query memo that holds
+        # at ``now`` or later, so the memo survives, from ``now`` on.
+        start, until = self._live_window
+        self._live_window = (max(start, now), until)
         self.metadata.drop_expired(now)
-        self._own_queries = [q for q in self._own_queries if q.is_live(now)]
+        self._own_queries = [q for q in self._own_queries if now < q.expires_at]
         for peer in list(self._foreign_queries):
-            live = [q for q in self._foreign_queries[peer] if q.is_live(now)]
+            live = [q for q in self._foreign_queries[peer] if now < q.expires_at]
             if live:
                 self._foreign_queries[peer] = live
             else:

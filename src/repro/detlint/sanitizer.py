@@ -49,15 +49,18 @@ from repro.traces.base import ContactTrace
 DETCHECK_ENV = "REPRO_DETCHECK"
 
 #: ``extra`` keys excluded from fingerprints: wall-clock phase timers
-#: differ between the two runs by construction. The catalog and node
-#: cache counters record implementation work (heap pops, ranked-view
-#: rebuilds, cache hits): an optimisation that leaves results
-#: unchanged must not move the fingerprint either.
+#: differ between the two runs by construction. The catalog, node
+#: cache and candidate counters record implementation work (heap pops,
+#: ranked-view rebuilds, cache hits, candidates built): an
+#: optimisation that leaves results unchanged must not move the
+#: fingerprint either.
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
     "perf.time_us.",
     "perf.catalog.",
     "perf.wanted_cache_",
     "perf.query_cache_",
+    "perf.meta_",
+    "perf.piece_",
 )
 
 

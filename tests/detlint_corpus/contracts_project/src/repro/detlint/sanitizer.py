@@ -9,5 +9,7 @@ from typing import Tuple
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
     "perf.wanted_cache_",
     "perf.query_cache_",
+    "perf.meta_",
+    "perf.piece_",
     "perf.alien.",  # detlint: ignore[CON001] -- deliberate drift under test
 )

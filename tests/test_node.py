@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.files import piece_checksums, piece_payload
@@ -105,6 +105,29 @@ class TestNodeQueries:
         node.store_foreign_queries(NodeId(1), [make_query(1, "dtn://fox/b", ["b"])])
         assert node.own_query_tokens(0.0) == (frozenset({"a", "x"}),)
         assert node.foreign_query_tokens(0.0) == (frozenset({"b"}),)
+
+    def test_live_views_follow_starts_and_expiries(self, registry):
+        node = make_node(registry, node=0)
+        node.add_own_query(make_query(0, "dtn://fox/a", ["a"], 0.0, 100.0))
+        node.add_own_query(make_query(0, "dtn://fox/b", ["b"], 50.0, 200.0))
+        node.store_foreign_queries(
+            NodeId(1), [make_query(1, "dtn://fox/c", ["c"], 0.0, 150.0)]
+        )
+        seen = []
+        for now in (0.0, 10.0, 49.0, 50.0, 99.0, 100.0, 149.0, 150.0, 199.0, 200.0):
+            own = node.own_query_tokens(now)
+            foreign = node.foreign_query_tokens(now)
+            assert [q.tokens for q in node.own_queries(now)] == list(own)
+            assert [q.tokens for q in node.foreign_queries(now)] == list(foreign)
+            seen.append((now, sorted("".join(t) for t in own), ["".join(t) for t in foreign]))
+        assert seen == [
+            (0.0, ["a"], ["c"]), (10.0, ["a"], ["c"]), (49.0, ["a"], ["c"]),
+            (50.0, ["a", "b"], ["c"]), (99.0, ["a", "b"], ["c"]),
+            (100.0, ["b"], ["c"]), (149.0, ["b"], ["c"]), (150.0, ["b"], []),
+            (199.0, ["b"], []), (200.0, [], []),
+        ]
+        # One computation per window: five windows, every other lookup hits.
+        assert node.query_cache_misses == 5
 
 
 class TestNodeReceiving:
@@ -251,10 +274,10 @@ def _pool_record(registry, i: int, popularity=0.5, signed=True, ttl_change=0.0):
     )
 
 
-def _reference_wanted(node: NodeState, now: float) -> frozenset:
-    """Brute force: scan the store for each live own query."""
+def _reference_wanted(node: NodeState, queries, now: float) -> frozenset:
+    """Brute force: scan the store for each live query of ``queries``."""
     wanted = set()
-    for query in node.own_queries(now):
+    for query in (q for q in queries if q.is_live(now)):
         matches = [
             md for md in node.metadata.records()
             if md.is_live(now) and query.tokens <= md.token_set
@@ -280,6 +303,14 @@ class TestWantedSetProperty:
         verify=st.booleans(),
         ops=st.lists(_OPS, min_size=10, max_size=60),
     )
+    # Expiry while a query is still pending: the query must survive it.
+    @example(
+        selection="all", capacity=None, policy="popularity", verify=True,
+        ops=[
+            ("record", 0, 0.5, True, 0.0), ("query", 0, 4.0, 20.0),
+            ("expire",), ("advance", 7.0),
+        ],
+    )
     def test_matches_reference_after_every_step(self, selection, capacity, policy, verify, ops):
         registry = PublisherRegistry(master_seed=3)
         node = NodeState(
@@ -288,6 +319,9 @@ class TestWantedSetProperty:
             verify_signatures=verify,
         )
         now = 0.0
+        # The own queries the node must still hold, kept apart from the
+        # node so that expiry is checked too (a pending query survives).
+        queries = []
         for op in ops:
             kind = op[0]
             if kind == "record":
@@ -312,21 +346,97 @@ class TestWantedSetProperty:
                 node.receive_whole_file(record.uri, record.num_pieces)
             elif kind == "query":
                 __, t, start, lifetime = op
-                node.add_own_query(
-                    make_query(0, POOL[t][0], QUERY_TOKENS[t], now + start, now + start + lifetime)
+                query = make_query(
+                    0, POOL[t][0], QUERY_TOKENS[t], now + start, now + start + lifetime
                 )
+                node.add_own_query(query)
+                queries.append(query)
             elif kind == "advance":
                 now += op[1]
             elif kind == "expire":
                 node.expire(now)
+                queries = [q for q in queries if now < q.expires_at]
             else:
                 node.wipe()
-            assert node.wanted_uris(now) == _reference_wanted(node, now), op
+            assert node.wanted_uris(now) == _reference_wanted(node, queries, now), op
             # Time alone must move the set too: probe later instants on
             # a copy, so the sequence itself continues undisturbed.
             probe = copy.deepcopy(node)
             for later in (now + 1.0, now + 6.0, now + 13.0, now + 31.0):
-                assert probe.wanted_uris(later) == _reference_wanted(probe, later), (op, later)
+                assert probe.wanted_uris(later) == _reference_wanted(probe, queries, later), (
+                    op, later,
+                )
+
+
+_live_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("own"), st.integers(0, len(QUERY_TOKENS) - 1),
+            st.sampled_from((-3.0, 0.0, 4.0, 15.0)), st.sampled_from((6.0, 20.0)),
+        ),
+        st.tuples(
+            st.just("foreign"), st.integers(1, 3), st.integers(0, len(QUERY_TOKENS) - 1),
+            st.sampled_from((-3.0, 0.0, 4.0)), st.sampled_from((6.0, 20.0)),
+        ),
+        st.tuples(st.just("advance"), st.sampled_from((0.5, 3.0, 7.0))),
+        st.just(("expire",)),
+        st.just(("wipe",)),
+    ),
+    min_size=5,
+    max_size=40,
+)
+
+
+class TestLiveQueryProperty:
+    """The live-query memo equals a scan of every query ever added."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_live_ops)
+    def test_matches_scan_after_every_step(self, ops):
+        node = NodeState(NodeId(0), PublisherRegistry(master_seed=3))
+        own, foreign = [], {}  # the queries the node must still hold
+        now = 0.0
+        for op in ops:
+            kind = op[0]
+            if kind == "own":
+                __, t, start, lifetime = op
+                query = make_query(0, POOL[t][0], QUERY_TOKENS[t], now + start, now + start + lifetime)
+                node.add_own_query(query)
+                own.append(query)
+            elif kind == "foreign":
+                __, peer, t, start, lifetime = op
+                query = make_query(
+                    peer, POOL[t][0], QUERY_TOKENS[t], now + start, now + start + lifetime
+                )
+                node.store_foreign_queries(NodeId(peer), [query])
+                stored = foreign.setdefault(peer, [])
+                if all((q.target_uri, q.tokens) != (query.target_uri, query.tokens) for q in stored):
+                    stored.append(query)
+            elif kind == "advance":
+                now += op[1]
+            elif kind == "expire":
+                node.expire(now)
+                own = [q for q in own if now < q.expires_at]
+                foreign = {
+                    peer: live
+                    for peer, queries in foreign.items()
+                    if (live := [q for q in queries if now < q.expires_at])
+                }
+            else:
+                node.wipe()
+                foreign = {}
+            # Probe copies first, so that the node's own memo moves only
+            # below: at every step but a time advance.
+            for at in (now - 4.0, now, now + 2.0, now + 9.0):
+                want_own = [q for q in own if q.is_live(at)]
+                want_foreign = [q for qs in foreign.values() for q in qs if q.is_live(at)]
+                probe = copy.deepcopy(node)
+                assert probe.own_queries(at) == want_own, (op, at)
+                assert probe.own_query_tokens(at) == tuple(q.tokens for q in want_own)
+                assert probe.foreign_queries(at) == want_foreign, (op, at)
+                assert probe.foreign_query_tokens(at) == tuple(q.tokens for q in want_foreign)
+            if kind != "advance":
+                node.own_queries(now)
 
 
 class TestPeerRequests:
@@ -381,6 +491,17 @@ class TestHousekeeping:
         assert node.pieces.total_pieces() == 0
         assert node.own_queries(200.0) == []
         assert node.foreign_queries(200.0) == []
+
+    def test_expire_keeps_queries_that_start_later(self, registry):
+        node = make_node(registry, node=0)
+        node.add_own_query(make_query(0, "dtn://fox/a", ["a"], 100.0, 300.0))
+        node.store_foreign_queries(
+            NodeId(1), [make_query(1, "dtn://fox/b", ["b"], 100.0, 300.0)]
+        )
+        node.expire(now=50.0)
+        assert node.own_queries(50.0) == []
+        assert [q.target_uri for q in node.own_queries(200.0)] == ["dtn://fox/a"]
+        assert [q.target_uri for q in node.foreign_queries(200.0)] == ["dtn://fox/b"]
 
     def test_heard_recently(self, registry):
         node = make_node(registry)
