@@ -31,6 +31,12 @@ class Metadata:
 
     ``signature`` is filled in by :func:`sign_metadata`; an unsigned
     record has ``signature=""`` and fails verification.
+
+    ``expires_at``, the absolute expiry time of the advertised file
+    (``created_at + ttl``), is a plain attribute set once at
+    construction: liveness checks read it millions of times per run.
+    It is not a dataclass field, so it takes no part in equality,
+    hashing or the wire format.
     """
 
     uri: Uri
@@ -44,15 +50,13 @@ class Metadata:
     popularity: float = 0.0
     signature: str = ""
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "expires_at", self.created_at + self.ttl)
+
     @property
     def num_pieces(self) -> int:
         """Number of pieces the file has (one checksum per piece)."""
         return len(self.checksums)
-
-    @property
-    def expires_at(self) -> float:
-        """Absolute expiry time of the advertised file."""
-        return self.created_at + self.ttl
 
     @cached_property
     def token_set(self) -> FrozenSet[str]:
@@ -104,11 +108,16 @@ class PublisherRegistry:
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = master_seed
         self._secrets: Dict[str, bytes] = {}
-        # Verification outcomes per record. Safe to memoize: records are
-        # immutable and a registered publisher's secret never changes
-        # (``register`` keeps existing secrets). Unknown-publisher
-        # rejections are NOT cached — the publisher could register later.
-        self._verify_cache: Dict["Metadata", bool] = {}
+        # Verification outcomes per record object, keyed by ``id``: a hit
+        # costs an int lookup instead of hashing every field. Each entry
+        # holds its record, so the id cannot be reused while cached; an
+        # equal-but-distinct or tampered copy misses and is checked in
+        # full. Safe to memoize: records are immutable and a registered
+        # publisher's secret never changes (``register`` keeps existing
+        # secrets), so a cached outcome is answered before the trust
+        # check. Unknown-publisher rejections are NOT cached — the
+        # publisher could register later.
+        self._verify_cache: Dict[int, Tuple["Metadata", bool]] = {}
 
     def register(self, publisher: str) -> None:
         """Create (or keep) the signing secret of ``publisher``."""
@@ -147,16 +156,16 @@ def verify_metadata(metadata: Metadata, registry: PublisherRegistry) -> bool:
     Returns ``False`` for unknown publishers, unsigned records and any
     field tampering — the fake-publisher defence of §III-B item (f).
     """
+    cache = registry._verify_cache
+    cached = cache.get(id(metadata))
+    if cached is not None:
+        return cached[1]
     if not registry.is_trusted(metadata.publisher) or not metadata.signature:
         return False
-    cache = registry._verify_cache
-    cached = cache.get(metadata)
-    if cached is not None:
-        return cached
     secret = registry.secret_for(metadata.publisher)
     expected = hmac.new(secret, metadata.canonical_bytes(), hashlib.sha256).hexdigest()
     ok = hmac.compare_digest(expected, metadata.signature)
-    cache[metadata] = ok
+    cache[id(metadata)] = (metadata, ok)
     return ok
 
 

@@ -18,6 +18,12 @@ and rebuilt lazily after ``publish``, an ``expire`` that drops records,
 or a ``refresh_popularities`` that changes one. Push distribution asks
 for the top few records on every Internet sync, so walking the cached
 list replaces a full-catalog sort per call.
+
+``search`` answers are memoized the same way, per catalog version:
+the ``(-popularity, uri)``-sorted matches of each token set are kept
+until the next change that resets the ranked view. Access nodes pull
+for the same queries every sync, so a call usually only filters the
+kept list by liveness and applies its limit.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ class MetadataServer:
         #: when dirty. Entries may be expired (filtered per call) but
         #: never stale: publish, expire and refresh all invalidate.
         self._ranked: Optional[List[Metadata]] = None
+        #: Ranked matches per searched token set, under the same
+        #: validity rule as ``_ranked`` (cleared wherever it is reset).
+        self._matches: Dict[FrozenSet[str], List[Metadata]] = {}
         #: Optional ``perf.catalog.*`` instrumentation sink. The
         #: counters record implementation activity only (heap pops,
         #: ranked-view rebuilds), and are excluded from result
@@ -82,7 +91,12 @@ class MetadataServer:
                 self._drop_posting(token, metadata.uri)
         for token in metadata.token_set:
             self._index[token].add(metadata.uri)
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop the ranked view and the search memo (the catalog changed)."""
         self._ranked = None
+        self._matches = {}
 
     def _drop_posting(self, token: str, uri: Uri) -> None:
         bucket = self._index.get(token)
@@ -116,7 +130,7 @@ class MetadataServer:
         if not pairs:
             return []
         self._perf.count("catalog.heap_expiries", len(pairs))
-        self._ranked = None
+        self._invalidate()
         pairs.sort()
         return [uri for __, uri in pairs]
 
@@ -130,19 +144,25 @@ class MetadataServer:
 
         Returns live records whose name tokens contain every query
         token, ordered by decreasing popularity (URI as a deterministic
-        tie-break).
+        tie-break). The ranked matches of ``tokens`` are computed once
+        per catalog version (see the module docstring).
         """
         if not tokens:
             return []
-        token_iter = iter(tokens)
-        candidate_uris = set(self._index.get(next(token_iter), ()))
-        for token in token_iter:
-            candidate_uris &= self._index.get(token, set())
-            if not candidate_uris:
-                return []
-        hits = [self._records[uri] for uri in candidate_uris]
-        hits = [md for md in hits if md.is_live(now)]
-        hits.sort(key=lambda md: (-md.popularity, md.uri))
+        matches = self._matches.get(tokens)
+        if matches is None:
+            token_iter = iter(tokens)
+            candidate_uris = set(self._index.get(next(token_iter), ()))
+            for token in token_iter:
+                candidate_uris &= self._index.get(token, set())
+                if not candidate_uris:
+                    break
+            matches = sorted(
+                (self._records[uri] for uri in candidate_uris),
+                key=lambda md: (-md.popularity, md.uri),
+            )
+            self._matches[tokens] = matches
+        hits = [md for md in matches if md.is_live(now)]
         return hits[:limit] if limit is not None else hits
 
     def top_popular(
@@ -197,7 +217,7 @@ class MetadataServer:
             estimate = self._tracker.popularity_of(uri, now)
             if estimate != record.popularity:
                 self._records[uri] = record.with_popularity(estimate)
-                self._ranked = None
+                self._invalidate()
 
     def all_records(self, now: Optional[float] = None) -> List[Metadata]:
         """All (live, if ``now`` given) records, popularity-ranked."""

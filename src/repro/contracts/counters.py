@@ -108,7 +108,12 @@ COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
     CounterSpec("adversary.honest_file_ratio", "deterministic"),
     CounterSpec("adversary.honest_queries", "deterministic"),
     # -- detcheck.* (environment attestation) -------------------------------
-    CounterSpec("detcheck.pythonhashseed", "deterministic", surfaced=True),
+    # The hash seed a run executed under describes its environment, not
+    # its result: the same run must fingerprint alike under any seed, so
+    # the family is excluded. verify_recorded_hash_seed reads it from
+    # the result's counters directly.
+    CounterSpec("detcheck.", "excluded", note="environment attestation"),
+    CounterSpec("detcheck.pythonhashseed", "excluded", surfaced=True),
     # -- perf.* (advisory instrumentation; see repro.perf) ------------------
     # perf.wanted_cache_* / perf.query_cache_*: node cache hits and misses
     # count implementation work, like perf.catalog.*, so they are excluded.

@@ -80,7 +80,7 @@ class CliqueView:
             for record in self.states[node].metadata.records():
                 # record.is_live(now), inlined: this loop touches every
                 # record of every member store once per contact.
-                if now >= record.created_at + record.ttl:
+                if now >= record.expires_at:
                     continue
                 uri = record.uri
                 holders = md_holders.get(uri)

@@ -803,7 +803,7 @@ class MobileBitTorrent:
         for receiver in receivers:
             state = states[receiver]
             requested = any(query <= tokens for query in state.own_query_tokens(now))
-            mutations_before = state.metadata.mutations
+            duplicates_before = state.stats.metadata_duplicates
             evictions_before = state.metadata.evictions
             rejected_before = state.stats.metadata_rejected_auth
             new = state.accept_metadata(record, now)
@@ -811,7 +811,9 @@ class MobileBitTorrent:
                 # The insert displaced some other record; the view's
                 # holder sets for that record are now stale.
                 view.mark_dirty()
-            elif state.metadata.mutations != mutations_before:
+            elif new or state.stats.metadata_duplicates != duplicates_before:
+                # Stored, or already held (a hider re-receiving a
+                # record it kept out of its advertisements).
                 view.note_holder(receiver, record)
             if new:
                 self._metrics.on_metadata(receiver, record.uri, now)

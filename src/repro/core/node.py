@@ -515,13 +515,22 @@ class NodeState:
 
         Returns True if the record was new and accepted. Records from
         unknown publishers or with bad signatures are rejected
-        (fake-publisher defence).
+        (fake-publisher defence). The signature and liveness checks run
+        first, on every receipt. A record that then turns out to be the
+        very object already stored counts as a duplicate and leaves the
+        store untouched. The checks must come first: a pirate stores
+        its own fakes unverified, and receiving one again must still be
+        rejected.
         """
         if self.verify_signatures and not verify_metadata(metadata, self.registry):
             self.stats.metadata_rejected_auth += 1
             self.rejected_uris.add(metadata.uri)
             return False
         if not metadata.is_live(now):
+            return False
+        old = self.metadata.peek(metadata.uri)
+        if old is metadata:
+            self.stats.metadata_duplicates += 1
             return False
         # Computing the protected set is only needed when eviction can
         # actually happen (the store is bounded and full).
@@ -530,7 +539,6 @@ class NodeState:
         else:
             protected = frozenset()
         in_step = self._wanted_stamp == self.metadata.mutations
-        old = self.metadata.peek(metadata.uri)
         evictions_before = self.metadata.evictions
         new = self.metadata.add(metadata, protected=protected, now=now)
         evicted = self.metadata.evictions - evictions_before

@@ -53,8 +53,10 @@ DETCHECK_ENV = "REPRO_DETCHECK"
 #: cache and candidate counters record implementation work (heap pops,
 #: ranked-view rebuilds, cache hits, candidates built): an
 #: optimisation that leaves results unchanged must not move the
-#: fingerprint either.
+#: fingerprint either. The ``detcheck.`` attestation records the hash
+#: seed the run executed under, which results must not depend on.
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
+    "detcheck.",
     "perf.time_us.",
     "perf.catalog.",
     "perf.wanted_cache_",

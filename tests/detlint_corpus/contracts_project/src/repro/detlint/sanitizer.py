@@ -7,6 +7,7 @@ prefix the registry never marked excluded.
 from typing import Tuple
 
 FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
+    "detcheck.",
     "perf.wanted_cache_",
     "perf.query_cache_",
     "perf.meta_",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.files import PIECE_SIZE, FileDescriptor
 from repro.catalog.metadata import (
@@ -32,6 +34,14 @@ class TestMetadata:
         assert record.expires_at == 110.0
         assert record.is_live(109.0)
         assert not record.is_live(110.0)
+
+    def test_expiry_is_not_a_field(self, registry):
+        # Set once at construction, and recomputed for every copy; it
+        # takes no part in equality, hashing or field listings.
+        record = make_metadata(registry, created_at=10.0, ttl=100.0)
+        assert "expires_at" not in {f.name for f in fields(record)}
+        assert replace(record, ttl=50.0).expires_at == 60.0
+        assert record.with_popularity(0.9).expires_at == 110.0
 
     def test_with_popularity_keeps_signature(self, registry):
         record = make_metadata(registry, popularity=0.2)
@@ -106,6 +116,39 @@ class TestSigning:
         record = make_metadata(registry, signed=False)
         forged = replace(record, publisher="evil-corp", signature="ab" * 32)
         assert not verify_metadata(forged, registry)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field_name=st.sampled_from(["name", "signature"]),
+        value=st.text(alphabet="0123456789abcdef xyz", min_size=1, max_size=64),
+    )
+    def test_tampered_copy_fails_after_original_verified(self, field_name, value):
+        registry = PublisherRegistry(master_seed=3)
+        record = make_metadata(registry)
+        assume(getattr(record, field_name) != value)
+        assert verify_metadata(record, registry)
+        assert not verify_metadata(replace(record, **{field_name: value}), registry)
+        assert verify_metadata(record, registry)
+
+    def test_equal_copy_verifies(self, registry):
+        record = make_metadata(registry)
+        assert verify_metadata(record, registry)
+        copy = replace(record)
+        assert copy is not record
+        assert verify_metadata(copy, registry)
+
+    def test_registries_never_share_results(self):
+        ours, theirs = PublisherRegistry(master_seed=1), PublisherRegistry(master_seed=2)
+        theirs.register("fox")
+        record = make_metadata(ours)
+        # Either order: a cached outcome in one registry never answers
+        # for the other, whose secret for the same publisher differs.
+        assert not verify_metadata(record, theirs)
+        assert verify_metadata(record, ours)
+        assert not verify_metadata(record, theirs)
+        resigned = make_metadata(theirs)
+        assert verify_metadata(resigned, theirs)
+        assert not verify_metadata(resigned, ours)
 
     def test_signature_from_other_publisher_fails(self, registry):
         record = make_metadata(registry, publisher="fox")

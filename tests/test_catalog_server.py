@@ -87,6 +87,8 @@ _SERVER_OPS = st.lists(
             st.integers(min_value=0, max_value=3),  # created day
             st.integers(min_value=1, max_value=4),  # ttl days
         ),
+        # Re-publish a known URI under another name, same lifetime.
+        st.tuples(st.just("rename"), _SUFFIX, st.integers(min_value=0, max_value=4)),
         st.tuples(st.just("expire"), _DAY_INSTANT),
         st.tuples(
             st.just("request"), _SUFFIX, st.integers(min_value=0, max_value=5), _DAY_INSTANT
@@ -101,7 +103,9 @@ _SERVER_OPS = st.lists(
         st.tuples(
             st.just("search"),
             _DAY_INSTANT,
-            st.sampled_from(["news", "tag1", "group2", "tag3 group0"]),
+            st.sampled_from(
+                ["news", "tag1", "group2", "tag3 group0", "fresh", "fresh tag2", "nothing"]
+            ),
             st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
         ),
         st.tuples(st.just("all"), st.one_of(st.none(), _DAY_INSTANT)),
@@ -115,9 +119,14 @@ def _uri(suffix):
     return Uri(f"dtn://fox/f{suffix:06d}")
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(ops=_SERVER_OPS)
 def test_ranked_view_matches_brute_force_under_interleaving(ops):
+    """Every ranked answer (``top_popular``, ``search``, ``all_records``)
+    equals a brute-force scan of the published records, whatever
+    sequence of publishes, renames, expiries and popularity refreshes
+    came before. Repeated searches of a token set are served from the
+    per-version memo, so this also pins its invalidation."""
     registry = PublisherRegistry(master_seed=42)
     registry.register("fox")
     tracker = PopularityTracker(population=6)
@@ -134,6 +143,21 @@ def test_ranked_view_matches_brute_force_under_interleaving(ops):
                 popularity=decile / 10.0,
                 created_at=created_day * DAY,
                 ttl=ttl_days * DAY,
+            )
+            server.publish(record)
+            reference[record.uri] = record
+        elif kind == "rename":
+            __, suffix, shape = op
+            previous = reference.get(_uri(suffix))
+            if previous is None:
+                continue
+            record = make_metadata(
+                registry,
+                uri=str(previous.uri),
+                name=f"fresh tag{shape}",
+                popularity=previous.popularity,
+                created_at=previous.created_at,
+                ttl=previous.ttl,
             )
             server.publish(record)
             reference[record.uri] = record
@@ -176,3 +200,33 @@ def test_ranked_view_matches_brute_force_under_interleaving(ops):
         assert len(server) == len(reference)
         for uri, md in reference.items():
             assert uri in server and server.get(uri) == md
+
+
+def test_search_memo_follows_catalog_changes(registry):
+    tracker = PopularityTracker(population=4)
+    server = MetadataServer(tracker)
+    first = make_metadata(registry, uri="dtn://fox/a", name="news alpha", popularity=0.6)
+    second = make_metadata(
+        registry, uri="dtn://fox/b", name="news beta", popularity=0.3, ttl=DAY
+    )
+    server.publish(first)
+    server.publish(second)
+    news = frozenset({"news"})
+    assert server.search(news, 0.0) == [first, second]
+    assert server.search(news, 0.0, limit=1) == [first]
+    # Liveness is filtered per call, before the limit.
+    assert server.search(news, 2 * DAY) == [first]
+    # A rename drops the record from its old token sets.
+    renamed = make_metadata(registry, uri="dtn://fox/a", name="sports alpha", popularity=0.6)
+    server.publish(renamed)
+    assert server.search(news, 0.0) == [second]
+    assert server.search(frozenset({"alpha"}), 0.0) == [renamed]
+    # A popularity refresh re-ranks the matches.
+    server.publish(first)
+    for node in range(4):
+        server.record_request(second.uri, NodeId(node), 0.0)
+    server.refresh_popularities(0.0)
+    assert [md.uri for md in server.search(news, 0.0)] == [second.uri, first.uri]
+    # An expiry that drops a record drops it from the answers.
+    assert server.expire(2 * DAY) == [second.uri]
+    assert [md.uri for md in server.search(news, 0.0)] == [first.uri]

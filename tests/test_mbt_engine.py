@@ -6,6 +6,8 @@ from typing import Dict, Optional, Sequence
 
 from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_payload
 from repro.catalog.server import FileServer, MetadataServer
+from repro.core.cliqueview import CliqueView
+from repro.core.discovery import ScheduledMetadata
 from repro.core.mbt import (
     POPULAR_FILE_DOWNLOADS,
     MobileBitTorrent,
@@ -14,6 +16,7 @@ from repro.core.mbt import (
     SchedulingMode,
 )
 from repro.core.node import NodeState
+from repro.core.strategies import STRATEGIES
 from repro.net.medium import ContactBudget
 from repro.sim.metrics import MetricsCollector
 from repro.types import NodeId
@@ -407,3 +410,23 @@ class TestExpiry:
         assert record.uri not in h.metadata_server
         assert record.uri not in h.file_server
         assert len(h.states[NodeId(0)].metadata) == 0
+
+
+class TestHolderBookkeeping:
+    def test_hidden_holder_re_receiving_a_record_joins_holders(self, registry):
+        # An under-reporter keeps its holdings out of the candidates, so a
+        # sender may deliver a record it already stores. The clique view
+        # must list it as a holder afterwards, even when its copy reached
+        # the store after the view was built.
+        h = Harness(registry, num_nodes=2)
+        sender, hider = NodeId(0), NodeId(1)
+        h.states[hider].strategy = STRATEGIES["under_reporter"]
+        record = make_metadata(registry)
+        h.states[sender].accept_metadata(record, 0.0)
+        view = CliqueView(h.states, 0.0)
+        h.states[hider].accept_metadata(record, 0.0)
+        cand = ScheduledMetadata(record, {sender}, set(), set(), {hider})
+        members = frozenset(h.states)
+        assert h.engine._transmit_metadata(h.states, members, cand, sender, 0.0, view)
+        assert h.states[hider].stats.metadata_duplicates == 1
+        assert view.md_holders[record.uri] == {sender, hider}

@@ -158,6 +158,36 @@ class TestNodeReceiving:
         assert node.stats.metadata_received == 1
         assert node.stats.metadata_duplicates == 1
 
+    def test_stored_unverified_record_still_rejected(self, registry):
+        # A pirate stores its own fake without verification; receiving
+        # the very same object again must still fail the signature check.
+        node = make_node(registry)
+        fake = make_metadata(registry, uri="dtn://fox/fake", signed=False)
+        node.metadata.add(fake)
+        assert node.accept_metadata(fake, 0.0) is False
+        assert node.stats.metadata_rejected_auth == 1
+        assert fake.uri in node.rejected_uris
+        assert node.stats.metadata_duplicates == 0
+
+    def test_verified_re_receipt_leaves_store_untouched(self, registry):
+        node = make_node(registry)
+        record = make_metadata(registry)
+        assert node.accept_metadata(record, 0.0) is True
+        mutations = node.metadata.mutations
+        assert node.accept_metadata(record, 1.0) is False
+        assert node.stats.metadata_duplicates == 1
+        assert node.metadata.mutations == mutations
+        assert node.metadata.peek(record.uri) is record
+
+    def test_distinct_copy_refreshes_stored_record(self, registry):
+        node = make_node(registry)
+        record = make_metadata(registry, popularity=0.2)
+        node.accept_metadata(record, 0.0)
+        refreshed = record.with_popularity(0.7)
+        assert node.accept_metadata(refreshed, 1.0) is False
+        assert node.stats.metadata_duplicates == 1
+        assert node.metadata.peek(record.uri) is refreshed
+
     def test_accept_piece_verifies(self, registry):
         node = make_node(registry)
         record = make_metadata(registry)
