@@ -16,6 +16,7 @@ small cost in the all-cooperative case.
 from dataclasses import replace
 
 from repro.core.mbt import SchedulingMode
+from repro.core.strategies import AdversaryPlan
 from repro.experiments.workloads import dieselnet_base_config, dieselnet_trace
 from repro.sim.runner import Simulation
 
@@ -34,18 +35,17 @@ def run_grid():
     rows = []
     for fraction in SELFISH_FRACTIONS:
         for choking in (False, True):
-            config = replace(
-                base, selfish_fraction=fraction, encrypted_choking=choking
-            )
+            plan = AdversaryPlan(fraction=fraction, mix=(("free_rider", 1.0),))
+            config = replace(base, adversaries=plan, encrypted_choking=choking)
             sim = Simulation(trace, config)
             sim.run()
             coop = frozenset(
                 n for n in sim.states
-                if n not in sim.selfish_nodes and n not in sim.access_nodes
+                if n not in sim.adversary_nodes and n not in sim.access_nodes
             )
             riders = frozenset(
                 n for n in sim.states
-                if n in sim.selfish_nodes and n not in sim.access_nodes
+                if n in sim.adversary_nodes and n not in sim.access_nodes
             )
             __, coop_file, __ = sim.metrics.ratios_for(coop)
             __, rider_file, rider_count = sim.metrics.ratios_for(riders)

@@ -10,6 +10,7 @@ both arms so only the selection policy differs).
 from dataclasses import replace
 
 from repro.core.mbt import SchedulingMode
+from repro.core.strategies import AdversaryPlan
 from repro.experiments.workloads import dieselnet_base_config, dieselnet_trace
 from repro.sim.runner import Simulation
 
@@ -26,11 +27,12 @@ def run_sweep():
     )
     rows = []
     for fraction in SELFISH_FRACTIONS:
+        riders = AdversaryPlan(fraction=fraction, mix=(("free_rider", 1.0),))
         altruistic = Simulation(
-            trace, replace(base, selfish_fraction=fraction, tit_for_tat=False)
+            trace, replace(base, adversaries=riders, tit_for_tat=False)
         ).run()
         tft = Simulation(
-            trace, replace(base, selfish_fraction=fraction, tit_for_tat=True)
+            trace, replace(base, adversaries=riders, tit_for_tat=True)
         ).run()
         rows.append((fraction, altruistic, tft))
     return rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from statistics import mean
 
-from repro import Simulation, SimulationConfig
+from repro import AdversaryPlan, Simulation, SimulationConfig
 from repro.core.mbt import SchedulingMode
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 
@@ -36,11 +36,11 @@ def main() -> None:
     def group_files(sim):
         coop = frozenset(
             n for n in sim.states
-            if n not in sim.selfish_nodes and n not in sim.access_nodes
+            if n not in sim.adversary_nodes and n not in sim.access_nodes
         )
         riders = frozenset(
             n for n in sim.states
-            if n in sim.selfish_nodes and n not in sim.access_nodes
+            if n in sim.adversary_nodes and n not in sim.access_nodes
         )
         coop_file = sim.metrics.ratios_for(coop)[1]
         rider = sim.metrics.ratios_for(riders)
@@ -55,9 +55,8 @@ def main() -> None:
             ("tft", dict(tit_for_tat=True)),
             ("tft+choke", dict(tit_for_tat=True, encrypted_choking=True)),
         ):
-            sim = Simulation(
-                trace, replace(base, selfish_fraction=fraction, **overrides)
-            )
+            riders = AdversaryPlan(fraction=fraction, mix=(("free_rider", 1.0),))
+            sim = Simulation(trace, replace(base, adversaries=riders, **overrides))
             sim.run()
             if label == "tft":
                 last_tft_sim = sim
@@ -74,12 +73,12 @@ def main() -> None:
     cooperative = [
         earned[node]
         for node in last_tft_sim.states
-        if node not in last_tft_sim.selfish_nodes
+        if node not in last_tft_sim.adversary_nodes
     ]
     selfish = [
         earned[node]
         for node in last_tft_sim.states
-        if node in last_tft_sim.selfish_nodes
+        if node in last_tft_sim.adversary_nodes
     ]
     print(f"  cooperative nodes: {mean(cooperative):10.1f} total credit earned")
     print(f"  free-riders:       {mean(selfish):10.1f} total credit earned")

@@ -17,11 +17,12 @@ day's batch it crafts a fake metadata record with
 * an **inflated popularity claim** — to win popularity-ranked slots;
 * **no valid publisher signature** — the only tell.
 
-Pirate nodes carry the fake metadata and the full fake files, serving
-them enthusiastically. Nodes that verify signatures drop the fakes on
-arrival; nodes that do not waste queries, storage and piece budget on
-them (the fake then satisfies the user's *keywords* but never the
-measured ground-truth target).
+The adversary plan's ``polluter`` nodes (:mod:`repro.core.strategies`)
+are the pirates: they carry the fake metadata and the full fake files,
+serving them enthusiastically. Nodes that verify signatures drop the
+fakes on arrival; nodes that do not waste queries, storage and piece
+budget on them (the fake then satisfies the user's *keywords* but never
+the measured ground-truth target).
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ from repro.types import Uri
 #: URI namespace of every pirated mirror. Ground-truth instrumentation
 #: (never the protocol, which cannot see through a URI) uses it to
 #: recognize fake traffic, e.g. the ``adversary.fake_*_transmissions``
-#: counters in :mod:`repro.core.mbt`.
+#: counters in :mod:`repro.core.mbt`. Fakes are numbered
+#: ``dtn://pirate/p000000``, ``dtn://pirate/p000001``, ...
 PIRATE_URI_PREFIX = "dtn://pirate/"
+
+#: Popularity every fake claims, to win popularity-ranked slots.
+CLAIMED_POPULARITY = 0.9
 
 
 @dataclass(frozen=True)
@@ -53,20 +58,8 @@ class FakeBatch:
 class FakeFileFactory:
     """Deterministic generator of pollution for daily batches."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        claimed_popularity: float = 0.9,
-        tag: str = "x",
-    ) -> None:
-        if not 0.0 <= claimed_popularity <= 1.0:
-            raise ValueError("claimed_popularity must be in [0, 1]")
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed ^ 0xFA4E)
-        self._claimed_popularity = claimed_popularity
-        #: URI discriminator: factories with distinct tags can coexist
-        #: in one run (e.g. the legacy pirate and strategy polluters)
-        #: without their serial numbers minting colliding fake URIs.
-        self._tag = tag
         self._counter = 0
 
     def make_fakes(self, batch: DailyBatch, count: int) -> FakeBatch:
@@ -79,7 +72,7 @@ class FakeFileFactory:
         for real in targets:
             serial = self._counter
             self._counter += 1
-            fake_uri = Uri(f"{PIRATE_URI_PREFIX}{self._tag}{serial:06d}")
+            fake_uri = Uri(f"{PIRATE_URI_PREFIX}p{serial:06d}")
             fakes.append(
                 Metadata(
                     uri=fake_uri,
@@ -90,7 +83,7 @@ class FakeFileFactory:
                     size_bytes=real.num_pieces * PIECE_SIZE,
                     created_at=real.created_at,
                     ttl=real.ttl,
-                    popularity=self._claimed_popularity,
+                    popularity=CLAIMED_POPULARITY,
                     signature="",  # cannot forge the publisher secret
                 )
             )

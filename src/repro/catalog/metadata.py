@@ -119,6 +119,16 @@ class PublisherRegistry:
         # publisher could register later.
         self._verify_cache: Dict[int, Tuple["Metadata", bool]] = {}
 
+    def forget_expired(self, now: float) -> None:
+        """Drop the cached outcomes of records expired at ``now``.
+
+        An expired record that comes back is verified again, and the
+        liveness check rejects it as before, so no result changes.
+        """
+        cache = self._verify_cache
+        for key in [k for k, (record, __) in cache.items() if record.expires_at <= now]:
+            del cache[key]
+
     def register(self, publisher: str) -> None:
         """Create (or keep) the signing secret of ``publisher``."""
         if publisher not in self._secrets:

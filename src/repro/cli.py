@@ -95,7 +95,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         metadata_per_contact=args.metadata_per_contact,
         files_per_contact=args.files_per_contact,
         tit_for_tat=args.tit_for_tat,
-        selfish_fraction=args.selfish,
         broadcast=not args.pairwise,
         frequent_contact_max_gap_days=1.0 if args.trace == "nus" else 3.0,
         faults=FaultPlan(
@@ -276,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metadata-per-contact", type=int, default=3)
     run.add_argument("--files-per-contact", type=int, default=3)
     run.add_argument("--tit-for-tat", action="store_true")
-    run.add_argument("--selfish", type=float, default=0.0)
     run.add_argument("--pairwise", action="store_true",
                      help="use the pair-wise baseline medium")
     run.add_argument("--loss-rate", type=float, default=0.0,

@@ -58,7 +58,6 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("pieces_per_file", api_only=_PYTHON_API),
         KnobSpec("variant", flags=("--protocol",)),
         KnobSpec("tit_for_tat", flags=("--tit-for-tat",)),
-        KnobSpec("selfish_fraction", flags=("--selfish",)),
         KnobSpec("broadcast", flags=("--pairwise",)),
         KnobSpec("scheduling", api_only=_PYTHON_API),
         KnobSpec("frequent_contact_max_gap_days", api_only=_PYTHON_API),
@@ -67,8 +66,6 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("metadata_policy", api_only=_PYTHON_API),
         KnobSpec("use_duration_budgets", api_only=_PYTHON_API),
         KnobSpec("bandwidth_bytes_per_s", api_only=_PYTHON_API),
-        KnobSpec("fake_files_per_day", api_only=_PYTHON_API),
-        KnobSpec("malicious_fraction", api_only=_PYTHON_API),
         KnobSpec("verify_signatures", api_only=_PYTHON_API),
         KnobSpec("encrypted_choking", api_only=_PYTHON_API),
         KnobSpec("selection_policy", api_only=_PYTHON_API),

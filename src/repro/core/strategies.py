@@ -24,6 +24,13 @@ assumption. Each is a :class:`Strategy` value plugged into
   claims for unrequested deliveries, farming credit it did not earn
   (§IV-B rewards unrequested items by their popularity).
 
+The plan is the only place a node's role comes from: every node has
+exactly one strategy, and the engine's hiding and pollution role sets
+are derived from it. A free-rider population is
+``AdversaryPlan(fraction=f, mix=(("free_rider", 1.0),))``; a pirate
+population seeding ``k`` fakes a day is
+``AdversaryPlan(fraction=f, mix=(("polluter", 1.0),), polluter_fakes_per_day=k)``.
+
 Determinism
 -----------
 An :class:`AdversaryPlan` is a frozen, picklable dataclass mirroring
@@ -233,9 +240,8 @@ class AdversaryState:
         self.polluters: FrozenSet[NodeId] = frozenset(
             node for node, s in self._assignments.items() if s.pollutes
         )
-        #: Seed for the polluters' FakeFileFactory — its own derived
-        #: stream so polluter fakes never collide with (or perturb) the
-        #: legacy ``malicious_fraction`` pirate's randomness.
+        #: Seed for the polluters' FakeFileFactory, its own derived
+        #: stream so the fakes perturb no other randomness of the run.
         self.polluter_factory_seed: int = _derive("polluter-fakes", plan.seed, run_seed)
 
     @property

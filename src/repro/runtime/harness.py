@@ -36,17 +36,16 @@ from repro.types import NodeId
 
 #: ``SimulationConfig`` fields the wire-level runtime does not model:
 #: the radio is always a broadcast domain, nodes keep no credit ledger,
-#: never choke and select every match, and there are no pirates, fault
-#: plans, adversary strategies or phase timers. A run that sets any of
-#: them would otherwise match the clean run bit for bit.
+#: never choke and select every match, and there are no fault plans or
+#: phase timers. A run that sets any of them would otherwise match the
+#: clean run bit for bit. Of the ``adversaries`` plans only a
+#: free-rider mix is modelled: ``DTNNode`` proposes no frame for a node
+#: whose strategy does not serve.
 UNSUPPORTED_FIELDS = (
     "broadcast",
-    "fake_files_per_day",
-    "malicious_fraction",
     "encrypted_choking",
     "selection_policy",
     "faults",
-    "adversaries",
     "credit_policy",
     "profile",
 )
@@ -77,6 +76,9 @@ class RuntimeHarness(Simulation):
             for name in UNSUPPORTED_FIELDS
             if getattr(config, name) != getattr(default, name)
         ]
+        plan = config.adversaries
+        if not plan.is_clean() and any(name != "free_rider" for name, __ in plan.mix):
+            unsupported.append("adversaries (only a free_rider mix is modelled)")
         if unsupported:
             raise ValueError(
                 "RuntimeHarness does not implement "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.detlint.hashseed import hash_seed_value
 
@@ -28,7 +28,7 @@ from repro.catalog.server import FileServer, MetadataServer
 from repro.core.credits import CREDIT_POLICIES
 from repro.core.mbt import MobileBitTorrent, ProtocolConfig, ProtocolVariant, SchedulingMode
 from repro.core.node import NodeState
-from repro.core.strategies import STRATEGIES, AdversaryPlan, AdversaryState, Strategy
+from repro.core.strategies import AdversaryPlan, AdversaryState
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.medium import ContactBudget
 from repro.perf import PerfRecorder
@@ -67,9 +67,6 @@ class SimulationConfig:
     variant: ProtocolVariant = ProtocolVariant.MBT
     #: Use the tit-for-tat credit policy and cyclic scheduling.
     tit_for_tat: bool = False
-    #: Fraction of nodes that are selfish free-riders (strategy
-    #: ``free_rider``: they never send and carry no queries).
-    selfish_fraction: float = 0.0
     #: Broadcast medium (paper) or pair-wise baseline.
     broadcast: bool = True
     #: Scheduling override; None picks the §V default for the policy.
@@ -88,10 +85,6 @@ class SimulationConfig:
     use_duration_budgets: bool = False
     #: Effective channel bandwidth when duration budgets are on.
     bandwidth_bytes_per_s: float = 100_000.0
-    #: Pollution attack (§I / §III-B f): fakes mirrored per day...
-    fake_files_per_day: int = 0
-    #: ...seeded into this fraction of nodes (the pirates).
-    malicious_fraction: float = 0.0
     #: Whether nodes verify metadata signatures (the defence).
     verify_signatures: bool = True
     #: §IV-B future work: encrypt pieces and choke zero-credit peers.
@@ -128,8 +121,6 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.internet_access_fraction <= 1.0:
             raise ValueError("internet_access_fraction must be in [0, 1]")
-        if not 0.0 <= self.selfish_fraction <= 1.0:
-            raise ValueError("selfish_fraction must be in [0, 1]")
         if self.files_per_day < 1:
             raise ValueError("files_per_day must be >= 1")
         if self.ttl_days <= 0:
@@ -142,10 +133,6 @@ class SimulationConfig:
             raise ValueError("frequent_contact_max_gap_days must be positive")
         if self.num_days is not None and self.num_days < 1:
             raise ValueError("num_days must be >= 1 (None = the trace span)")
-        if not 0.0 <= self.malicious_fraction <= 1.0:
-            raise ValueError("malicious_fraction must be in [0, 1]")
-        if self.fake_files_per_day < 0:
-            raise ValueError("fake_files_per_day must be non-negative")
         if self.credit_policy not in CREDIT_POLICIES:
             raise ValueError(
                 f"credit_policy must be one of {CREDIT_POLICIES}, "
@@ -187,16 +174,19 @@ class Simulation:
             raise ValueError("trace must involve at least two nodes")
         self.trace = trace
         self.config = config
-        self._rng = random.Random(config.seed)
 
         nodes = list(trace.nodes)
-        self._access_nodes = self._pick_nodes(nodes, config.internet_access_fraction)
-        self._selfish_nodes = self._pick_nodes(nodes, config.selfish_fraction)
-        self._malicious_nodes = self._pick_nodes(nodes, config.malicious_fraction)
-        # The adversary assignment draws from its own SHA-256-derived
-        # stream, never from self._rng: activating a plan must not
-        # perturb the role picks above. A clean plan builds no state at
-        # all, keeping the honest path bitwise identical.
+        access_count = min(
+            len(nodes), round(config.internet_access_fraction * len(nodes))
+        )
+        self._access_nodes: FrozenSet[NodeId] = frozenset(
+            random.Random(config.seed).sample(nodes, access_count)
+        )
+        # The adversary plan is the only source of every other node
+        # role. It draws from its own SHA-256-derived stream, so
+        # activating a plan does not perturb the access pick above. A
+        # clean plan builds no state at all, keeping the honest path
+        # bitwise identical.
         self._adversary = (
             None
             if config.adversaries.is_clean()
@@ -214,7 +204,11 @@ class Simulation:
                 metadata_policy=config.metadata_policy,
                 verify_signatures=config.verify_signatures,
                 selection_policy=config.selection_policy,
-                strategy=self._strategy_of(node),
+                strategy=(
+                    self._adversary.strategy_of(node)
+                    if self._adversary is not None
+                    else None
+                ),
                 credit_policy=config.credit_policy,
             )
             for node in nodes
@@ -237,15 +231,8 @@ class Simulation:
         self._generator = CatalogGenerator(
             config.catalog_config(), nodes, seed=config.seed, registry=registry
         )
-        self._fake_factory = (
-            FakeFileFactory(seed=config.seed)
-            if config.fake_files_per_day > 0 and self._malicious_nodes
-            else None
-        )
-        # Strategy polluters get their own factory (distinct URI tag +
-        # derived seed) so they can coexist with the legacy pirate path.
         self._polluter_factory = (
-            FakeFileFactory(seed=self._adversary.polluter_factory_seed, tag="p")
+            FakeFileFactory(seed=self._adversary.polluter_factory_seed)
             if self._adversary is not None
             and self._adversary.polluters
             and config.adversaries.polluter_fakes_per_day > 0
@@ -267,40 +254,11 @@ class Simulation:
             adversary=self._adversary,
         )
 
-    def _strategy_of(self, node: NodeId) -> Optional[Strategy]:
-        """The node's serving strategy: selfish nodes get ``free_rider``.
-
-        ``free_rider`` replaces a plan-assigned strategy for serving and
-        query carrying only. The plan's hiding and pollution roles
-        (``AdversaryState.hiders``/``polluters``) and its
-        ``nodes_<strategy>`` counts still follow the plan's own
-        assignment, and ``adversary.turns_skipped`` also counts the
-        turns selfish nodes skip.
-        """
-        if node in self._selfish_nodes:
-            return STRATEGIES["free_rider"]
-        if self._adversary is not None:
-            return self._adversary.strategy_of(node)
-        return None
-
-    def _pick_nodes(self, nodes: Sequence[NodeId], fraction: float) -> FrozenSet[NodeId]:
-        count = round(fraction * len(nodes))
-        count = min(count, len(nodes))
-        return frozenset(self._rng.sample(list(nodes), count))
-
     # -- accessors used by tests and examples --------------------------------------
 
     @property
     def access_nodes(self) -> FrozenSet[NodeId]:
         return self._access_nodes
-
-    @property
-    def selfish_nodes(self) -> FrozenSet[NodeId]:
-        return self._selfish_nodes
-
-    @property
-    def malicious_nodes(self) -> FrozenSet[NodeId]:
-        return self._malicious_nodes
 
     @property
     def adversary(self) -> Optional[AdversaryState]:
@@ -387,8 +345,6 @@ class Simulation:
             "num_days": float(days),
             "num_contacts": float(len(self.trace)),
             "access_nodes": float(len(self._access_nodes)),
-            "selfish_nodes": float(len(self._selfish_nodes)),
-            "malicious_nodes": float(len(self._malicious_nodes)),
             "adversary_nodes": float(len(self.adversary_nodes)),
             "events": float(sim.events_executed),
             # The hash seed this run executed under (-1 = unpinned).
@@ -477,8 +433,6 @@ class Simulation:
             row: Dict[str, object] = {
                 "node": int(node),
                 "internet_access": state.internet_access,
-                "selfish": node in self._selfish_nodes,
-                "malicious": node in self._malicious_nodes,
                 "strategy": state.strategy.name,
                 "metadata_stored": len(state.metadata),
                 "pieces_stored": state.pieces.total_pieces(),
@@ -491,6 +445,7 @@ class Simulation:
     def _make_noon_action(self, day: int, noon: float):
         def action() -> None:
             self._engine.expire_all(noon)
+            self._registry.forget_expired(noon)
             self._metadata_server.refresh_popularities(noon)
             batch = self._generator.generate_day(day, noon)
             self._engine.on_daily_batch(batch, noon)
@@ -499,26 +454,15 @@ class Simulation:
         return action
 
     def _inject_fakes(self, batch, noon: float) -> None:
-        """Seed today's fake mirrors into the pirate nodes (§I attack).
-
-        Two independent pirate populations can be live at once: the
-        legacy ``malicious_fraction`` nodes and the adversary plan's
-        polluters; each draws from its own factory and URI namespace.
-        """
-        if self._fake_factory is not None:
-            fakes = self._fake_factory.make_fakes(
-                batch, self.config.fake_files_per_day
-            )
-            self._seed_fakes(fakes, sorted(self._malicious_nodes))
-        if self._polluter_factory is not None:
-            assert self._adversary is not None
-            fakes = self._polluter_factory.make_fakes(
-                batch, self.config.adversaries.polluter_fakes_per_day
-            )
-            self._seed_fakes(fakes, sorted(self._adversary.polluters))
-            self._adversary.count("fakes_seeded", len(fakes.metadata))
-
-    def _seed_fakes(self, fakes, pirates) -> None:
+        """Seed today's fake mirrors into the plan's polluters (§I attack)."""
+        if self._polluter_factory is None:
+            return
+        assert self._adversary is not None
+        fakes = self._polluter_factory.make_fakes(
+            batch, self.config.adversaries.polluter_fakes_per_day
+        )
+        self._adversary.count("fakes_seeded", len(fakes.metadata))
+        pirates = sorted(self._adversary.polluters)
         for fake in fakes.metadata:
             for node in pirates:
                 state = self._states[node]

@@ -6,6 +6,7 @@ from unittest import mock
 
 from repro.core import mbt
 from repro.core.mbt import ProtocolConfig, SchedulingMode
+from repro.core.strategies import AdversaryPlan
 from repro.net.medium import ContactBudget
 from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import Simulation, SimulationConfig
@@ -125,7 +126,8 @@ class TestChokingEndToEnd:
         )
         config = SimulationConfig(
             seed=0, files_per_day=40, ttl_days=3.0, tit_for_tat=True,
-            encrypted_choking=encrypted_choking, selfish_fraction=0.4,
+            encrypted_choking=encrypted_choking,
+            adversaries=AdversaryPlan(fraction=0.4, mix=(("free_rider", 1.0),)),
             scheduling=SchedulingMode.CYCLIC,
             metadata_per_contact=2, files_per_contact=2,
             frequent_contact_max_gap_days=3.0,
@@ -134,11 +136,11 @@ class TestChokingEndToEnd:
         sim.run()
         coop = frozenset(
             n for n in sim.states
-            if n not in sim.selfish_nodes and n not in sim.access_nodes
+            if n not in sim.adversary_nodes and n not in sim.access_nodes
         )
         riders = frozenset(
             n for n in sim.states
-            if n in sim.selfish_nodes and n not in sim.access_nodes
+            if n in sim.adversary_nodes and n not in sim.access_nodes
         )
         __, coop_file, __ = sim.metrics.ratios_for(coop)
         __, rider_file, rider_count = sim.metrics.ratios_for(riders)

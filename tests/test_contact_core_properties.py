@@ -80,14 +80,15 @@ def _random_kwargs(rng: random.Random) -> dict:
             seed=rng.randint(0, 99),
         )
     adversaries = AdversaryPlan()
-    if rng.random() < 0.4:
+    if rng.random() < 0.5:
+        # Free-riders and pirates are plan strategies like the others.
         names = rng.sample(ADVERSARIAL, rng.randint(1, 3))
         adversaries = AdversaryPlan(
             fraction=rng.choice((0.25, 0.5)),
             mix=tuple(sorted((name, 1.0) for name in names)),
+            polluter_fakes_per_day=rng.randint(0, 3),
             seed=rng.randint(0, 99),
         )
-    polluted = rng.random() < 0.3
     return dict(
         internet_access_fraction=rng.choice((0.0, 0.4, 1.0)),
         files_per_day=rng.randint(4, 12),
@@ -97,7 +98,6 @@ def _random_kwargs(rng: random.Random) -> dict:
         pieces_per_file=rng.choice((1, 3, 70)),
         variant=rng.choice(list(ProtocolVariant)),
         tit_for_tat=rng.random() < 0.5,
-        selfish_fraction=rng.choice((0.0, 0.0, 0.25)),
         broadcast=rng.random() < 0.7,
         scheduling=rng.choice((None, *SchedulingMode)),
         frequent_contact_max_gap_days=rng.choice((0.5, 1.0, 3.0)),
@@ -106,8 +106,6 @@ def _random_kwargs(rng: random.Random) -> dict:
         metadata_policy=rng.choice(EVICTION_POLICIES),
         use_duration_budgets=rng.random() < 0.3,
         bandwidth_bytes_per_s=rng.choice((5_000.0, 100_000.0, 1_000_000.0)),
-        fake_files_per_day=rng.randint(1, 3) if polluted else 0,
-        malicious_fraction=rng.choice((0.25, 0.5)) if polluted else 0.0,
         verify_signatures=rng.random() < 0.8,
         encrypted_choking=rng.random() < 0.3,
         selection_policy=rng.choice(("all", "best")),

@@ -15,10 +15,11 @@ from repro.analysis.intercontact import (
     pair_meeting_rates,
     summarize,
 )
-from repro.catalog.adversary import FakeFileFactory
+from repro.catalog.adversary import CLAIMED_POPULARITY, FakeFileFactory
 from repro.catalog.files import piece_payload
 from repro.catalog.generator import CatalogConfig, CatalogGenerator
 from repro.catalog.metadata import verify_metadata
+from repro.core.strategies import AdversaryPlan
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.base import Contact, ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
@@ -114,7 +115,9 @@ class TestFakeFileFactory:
         for fake in fakes.metadata:
             assert fake.name in real_names
             assert fake.uri not in real_uris
-            assert fake.uri.startswith("dtn://pirate/")
+        assert [fake.uri for fake in fakes.metadata] == [
+            f"dtn://pirate/p{serial:06d}" for serial in range(5)
+        ]
 
     def test_fakes_fail_signature_verification(self):
         batch, registry = self._batch()
@@ -136,17 +139,19 @@ class TestFakeFileFactory:
 
     def test_claimed_popularity_inflated(self):
         batch, __ = self._batch()
-        for fake in FakeFileFactory(seed=0, claimed_popularity=0.9).make_fakes(
-            batch, 3
-        ).metadata:
-            assert fake.popularity == 0.9
+        for fake in FakeFileFactory(seed=0).make_fakes(batch, 3).metadata:
+            assert fake.popularity == CLAIMED_POPULARITY == 0.9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FakeFileFactory(claimed_popularity=2.0)
         batch, __ = self._batch()
         with pytest.raises(ValueError):
             FakeFileFactory().make_fakes(batch, -1)
+
+
+def pirates(fraction: float, fakes_per_day: int) -> AdversaryPlan:
+    return AdversaryPlan(
+        fraction=fraction, mix=(("polluter", 1.0),), polluter_fakes_per_day=fakes_per_day
+    )
 
 
 class TestPollutionSimulation:
@@ -157,16 +162,12 @@ class TestPollutionSimulation:
         )
 
     def test_verification_blocks_fakes(self, trace):
-        config = SimulationConfig(
-            seed=3, files_per_day=20, fake_files_per_day=8, malicious_fraction=0.2
-        )
+        config = SimulationConfig(seed=3, files_per_day=20, adversaries=pirates(0.2, 8))
         result = Simulation(trace, config).run()
         assert result.extra["metadata_rejected_auth"] > 0
 
     def test_pollution_hurts_without_verification(self, trace):
-        base = SimulationConfig(
-            seed=3, files_per_day=20, fake_files_per_day=10, malicious_fraction=0.2
-        )
+        base = SimulationConfig(seed=3, files_per_day=20, adversaries=pirates(0.2, 10))
         defended = Simulation(trace, base).run()
         undefended = Simulation(
             trace, replace(base, verify_signatures=False)
@@ -175,17 +176,17 @@ class TestPollutionSimulation:
         assert undefended.extra["metadata_rejected_auth"] == 0
 
     def test_no_fakes_without_malicious_nodes(self, trace):
-        config = SimulationConfig(
-            seed=3, files_per_day=20, fake_files_per_day=10, malicious_fraction=0.0
-        )
-        result = Simulation(trace, config).run()
-        assert result.extra["metadata_rejected_auth"] == 0
+        # No polluters, or polluters seeded with nothing.
+        for plan in (pirates(0.0, 10), pirates(0.2, 0)):
+            config = SimulationConfig(seed=3, files_per_day=20, adversaries=plan)
+            result = Simulation(trace, config).run()
+            assert result.extra["metadata_rejected_auth"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimulationConfig(malicious_fraction=1.5)
+            pirates(1.5, 5)
         with pytest.raises(ValueError):
-            SimulationConfig(fake_files_per_day=-1)
+            pirates(0.2, -1)
 
 
 class TestDurationBudgets:

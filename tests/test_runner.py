@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog.metadata import PublisherRegistry
 from repro.core.mbt import ProtocolVariant
 from repro.core.node import NodeState
-from repro.core.strategies import STRATEGIES
+from repro.core.strategies import STRATEGIES, AdversaryPlan
+from repro.detlint.sanitizer import result_fingerprint
+from repro.experiments import workloads
 from repro.runtime.harness import RuntimeHarness
 from repro.sim.runner import Simulation, SimulationConfig, run_simulation
 from repro.traces.base import ContactTrace
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 from repro.traces.nus import NUSConfig, generate_nus_trace
+from repro.types import noon_of_day
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +30,10 @@ def nus_small() -> ContactTrace:
     )
 
 
+def free_riders(fraction: float) -> AdversaryPlan:
+    return AdversaryPlan(fraction=fraction, mix=(("free_rider", 1.0),))
+
+
 def run(trace, **overrides):
     config = SimulationConfig(**{"seed": 1, "files_per_day": 20, **overrides})
     return run_simulation(trace, config)
@@ -35,10 +43,6 @@ class TestConfigValidation:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             SimulationConfig(internet_access_fraction=1.5)
-
-    def test_bad_selfish_fraction(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(selfish_fraction=-0.1)
 
     def test_bad_files_per_day(self):
         with pytest.raises(ValueError):
@@ -181,13 +185,13 @@ class TestPaperOrdering:
 
 
 class TestSelfishAndTFT:
-    def test_selfish_fraction_selects_nodes(self, diesel_trace):
-        sim = Simulation(diesel_trace, SimulationConfig(selfish_fraction=0.5))
-        assert len(sim.selfish_nodes) == round(0.5 * diesel_trace.num_nodes)
+    def test_free_rider_plan_selects_nodes(self, diesel_trace):
+        sim = Simulation(diesel_trace, SimulationConfig(adversaries=free_riders(0.5)))
+        assert len(sim.adversary_nodes) == round(0.5 * diesel_trace.num_nodes)
 
     def test_selfish_nodes_hurt_delivery(self, diesel_trace):
-        honest = run(diesel_trace, selfish_fraction=0.0)
-        selfish = run(diesel_trace, selfish_fraction=0.6)
+        honest = run(diesel_trace)
+        selfish = run(diesel_trace, adversaries=free_riders(0.6))
         assert selfish.file_delivery_ratio < honest.file_delivery_ratio
 
     @pytest.mark.parametrize("runner", [Simulation, RuntimeHarness])
@@ -204,23 +208,23 @@ class TestSelfishAndTFT:
         monkeypatch.setattr(NodeState, "store_foreign_queries", recording_store)
         sim = runner(
             diesel_trace,
-            SimulationConfig(seed=1, files_per_day=20, selfish_fraction=0.3),
+            SimulationConfig(seed=1, files_per_day=20, adversaries=free_riders(0.3)),
         )
         sim.run()
-        assert sim.selfish_nodes
-        for node in sim.selfish_nodes:
+        assert sim.adversary_nodes
+        for node in sim.adversary_nodes:
             state = sim.states[node]
             assert state.strategy is STRATEGIES["free_rider"]
             assert state.stats.metadata_sent == state.stats.pieces_sent == 0
-        assert carriers and carriers.isdisjoint(sim.selfish_nodes)
+        assert carriers and carriers.isdisjoint(sim.adversary_nodes)
         assert any(
             sim.states[node].stats.pieces_sent > 0
             for node in sim.states
-            if node not in sim.selfish_nodes
+            if node not in sim.adversary_nodes
         )
 
     def test_tit_for_tat_runs(self, diesel_trace):
-        result = run(diesel_trace, tit_for_tat=True, selfish_fraction=0.3)
+        result = run(diesel_trace, tit_for_tat=True, adversaries=free_riders(0.3))
         assert 0.0 <= result.file_delivery_ratio <= 1.0
 
     def test_pairwise_medium_worse_on_cliques(self, nus_small):
@@ -238,3 +242,21 @@ class TestResultExtras:
 
     def test_describe(self, diesel_trace):
         assert "metadata" in run(diesel_trace).describe()
+
+
+class TestVerifyCachePruning:
+    def test_daily_expiry_drops_expired_outcomes(self, monkeypatch):
+        trace = workloads.dieselnet_trace("fast", seed=1)
+        config = workloads.dieselnet_base_config(seed=1)
+        sim = Simulation(trace, config)
+        pruned = sim.run()
+        last_expiry = noon_of_day(sim.num_days() - 1)
+        cache = sim._registry._verify_cache
+        assert cache
+        assert all(record.expires_at > last_expiry for record, __ in cache.values())
+
+        monkeypatch.setattr(PublisherRegistry, "forget_expired", lambda self, now: None)
+        unpruned_sim = Simulation(trace, config)
+        unpruned = unpruned_sim.run()
+        assert len(unpruned_sim._registry._verify_cache) > len(cache)
+        assert result_fingerprint(pruned) == result_fingerprint(unpruned)

@@ -33,7 +33,7 @@ class TestNodeReport:
         sim.run()
         row = sim.node_report()[0]
         for key in (
-            "internet_access", "selfish", "malicious", "metadata_stored",
+            "internet_access", "strategy", "metadata_stored",
             "pieces_stored", "credit_granted", "metadata_received",
             "pieces_sent", "internet_syncs",
         ):

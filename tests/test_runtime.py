@@ -405,7 +405,6 @@ class TestHarnessConfig:
         [
             {"faults": FaultPlan(loss_rate=0.5, churn_rate=0.2)},
             {"adversaries": AdversaryPlan(fraction=0.5)},
-            {"malicious_fraction": 0.5, "fake_files_per_day": 5},
             {"credit_policy": "reputation"},
             {"selection_policy": "best"},
             {"encrypted_choking": True},
@@ -420,6 +419,36 @@ class TestHarnessConfig:
             RuntimeHarness(small_diesel, config)
         for name in overrides:
             assert name in str(info.value)
+
+    def test_free_rider_plan_sends_no_data_frame(self, small_diesel):
+        sent = set()
+
+        def record(sender, data):
+            sent.add((sender, codec.decode_frame(data).frame_type))
+            return data
+
+        plan = AdversaryPlan(fraction=0.25, mix=(("free_rider", 1.0),))
+        harness = RuntimeHarness(
+            small_diesel,
+            SimulationConfig(seed=0, adversaries=plan),
+            RuntimeConfig(fault_hook=record),
+        )
+        harness.run()
+        riders = harness.adversary_nodes
+        assert riders
+        rider_types = {kind for sender, kind in sent if sender in riders}
+        assert rider_types == {FrameType.HELLO}
+        assert any(
+            kind is not FrameType.HELLO and sender not in riders
+            for sender, kind in sent
+        )
+
+    def test_plan_with_polluters_rejected(self, small_diesel):
+        plan = AdversaryPlan(
+            fraction=0.4, mix=(("free_rider", 1.0), ("polluter", 1.0))
+        )
+        with pytest.raises(ValueError, match="adversaries"):
+            RuntimeHarness(small_diesel, SimulationConfig(seed=0, adversaries=plan))
 
     def test_max_events_honoured(self, small_diesel):
         harness = RuntimeHarness(small_diesel, SimulationConfig(seed=0, max_events=1))

@@ -220,6 +220,20 @@ def _configs(draw) -> SimulationConfig:
     polluted = draw(st.booleans())
     faulty = draw(st.booleans())
     hiders = draw(st.booleans())
+    adversaries = AdversaryPlan()
+    if hiders:
+        adversaries = AdversaryPlan(
+            fraction=0.4,
+            mix=(("free_rider", 1.0), ("polluter", 1.0), ("under_reporter", 2.0)),
+            seed=draw(st.integers(0, 99)),
+        )
+    elif polluted:
+        adversaries = AdversaryPlan(
+            fraction=0.4,
+            mix=(("polluter", 1.0),),
+            polluter_fakes_per_day=2,
+            seed=draw(st.integers(0, 99)),
+        )
     return SimulationConfig(
         internet_access_fraction=draw(st.sampled_from((0.2, 0.4))),
         files_per_day=draw(st.integers(4, 10)),
@@ -235,16 +249,10 @@ def _configs(draw) -> SimulationConfig:
         encrypted_choking=tit_for_tat and draw(st.booleans()),
         metadata_capacity=draw(st.sampled_from((None, 4, 8))),
         selection_policy=draw(st.sampled_from(("all", "best"))),
-        fake_files_per_day=2 if polluted else 0,
-        malicious_fraction=0.4 if polluted else 0.0,
         faults=FaultPlan(
             loss_rate=0.25, corruption_rate=0.2, seed=draw(st.integers(0, 99))
         ) if faulty else FaultPlan(),
-        adversaries=AdversaryPlan(
-            fraction=0.4,
-            mix=(("free_rider", 1.0), ("polluter", 1.0), ("under_reporter", 2.0)),
-            seed=draw(st.integers(0, 99)),
-        ) if hiders else AdversaryPlan(),
+        adversaries=adversaries,
         num_days=2,
         seed=draw(st.integers(0, 999)),
     )

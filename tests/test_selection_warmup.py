@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.mbt import ProtocolConfig
 from repro.core.node import NodeState
+from repro.core.strategies import AdversaryPlan
 from repro.net.medium import ContactBudget
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
@@ -75,9 +76,11 @@ class TestSelectionPolicy:
         trace = generate_dieselnet_trace(
             DieselNetConfig(num_buses=16, num_days=6), seed=7
         )
+        pirates = AdversaryPlan(
+            fraction=0.2, mix=(("polluter", 1.0),), polluter_fakes_per_day=12
+        )
         base = SimulationConfig(
-            seed=7, files_per_day=25, fake_files_per_day=12,
-            malicious_fraction=0.2, verify_signatures=False,
+            seed=7, files_per_day=25, adversaries=pirates, verify_signatures=False
         )
         select_all = Simulation(trace, base).run()
         select_best = Simulation(

@@ -13,6 +13,8 @@ import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.credits import (
     CREDIT_POLICIES,
@@ -330,6 +332,45 @@ class TestStrategiesInLiveRuns:
         assert result.extra["adversary_nodes"] == float(len(sim.adversary_nodes))
 
 
+class TestOneRoleSource:
+    """The plan is the only place a node's role comes from."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        names=st.sets(st.sampled_from([n for n in STRATEGY_NAMES if n != "honest"]), min_size=1),
+        fraction=st.sampled_from((0.0, 0.2, 0.5, 1.0)),
+        plan_seed=st.integers(0, 99),
+        seed=st.integers(0, 99),
+    )
+    def test_node_strategy_and_role_sets_follow_the_plan(
+        self, names, fraction, plan_seed, seed
+    ):
+        plan = AdversaryPlan(
+            fraction=fraction, mix=tuple((name, 1.0) for name in sorted(names)), seed=plan_seed
+        )
+        config = SimulationConfig(
+            files_per_day=6, num_days=1, seed=seed, internet_access_fraction=0.4,
+            adversaries=plan,
+        )
+        sim = Simulation(small_trace(1), config)
+        state = sim.adversary
+        if plan.is_clean():
+            assert state is None and not sim.adversary_nodes
+            assert all(s.strategy is HONEST for s in sim.states.values())
+            return
+        for node, node_state in sim.states.items():
+            assert node_state.strategy is state.strategy_of(node)
+        assert state.hiders == {
+            node for node, s in sim.states.items() if s.strategy.hides_holdings
+        }
+        assert state.polluters == {
+            node for node, s in sim.states.items() if s.strategy.pollutes
+        }
+        assert sim.adversary_nodes == {
+            node for node, s in sim.states.items() if s.strategy is not HONEST
+        }
+
+
 class TestAdversarialDeterminism:
     def test_double_run_fingerprint_stable(self):
         config = adversarial_config(DEFAULT_MIX, policy="reputation")
@@ -338,7 +379,7 @@ class TestAdversarialDeterminism:
         assert result_fingerprint(a) == result_fingerprint(b)
 
     def test_adversary_streams_do_not_perturb_role_picks(self):
-        """Activating the plan must not re-deal selfish/access roles."""
+        """Activating the plan must not re-deal the access roles."""
         clean = SimulationConfig(
             files_per_day=6, num_days=3, seed=1, internet_access_fraction=0.4
         )
