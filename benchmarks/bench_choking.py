@@ -20,6 +20,8 @@ from repro.core.strategies import AdversaryPlan
 from repro.experiments.workloads import dieselnet_base_config, dieselnet_trace
 from repro.sim.runner import Simulation
 
+from conftest import group_files
+
 SELFISH_FRACTIONS = (0.0, 0.2, 0.4)
 
 
@@ -39,17 +41,7 @@ def run_grid():
             config = replace(base, adversaries=plan, encrypted_choking=choking)
             sim = Simulation(trace, config)
             sim.run()
-            coop = frozenset(
-                n for n in sim.states
-                if n not in sim.adversary_nodes and n not in sim.access_nodes
-            )
-            riders = frozenset(
-                n for n in sim.states
-                if n in sim.adversary_nodes and n not in sim.access_nodes
-            )
-            __, coop_file, __ = sim.metrics.ratios_for(coop)
-            __, rider_file, rider_count = sim.metrics.ratios_for(riders)
-            rows.append((fraction, choking, coop_file, rider_file, rider_count))
+            rows.append((fraction, choking, *group_files(sim)))
     return rows
 
 

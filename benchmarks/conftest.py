@@ -76,3 +76,22 @@ def assert_trend_down(series: Sequence[float], tolerance: float = ORDER_TOLERANC
     """Assert the series falls overall."""
     assert series[-1] <= series[0] + tolerance, series
     assert min(series) <= series[0], series
+
+
+def group_files(sim) -> tuple[float, float, int]:
+    """File delivery ``(cooperators, riders, rider query count)`` of a run.
+
+    Both groups leave out Internet-access nodes, so a free-rider's
+    share is compared with that of the cooperators it depends on.
+    """
+    coop = frozenset(
+        n for n in sim.states
+        if n not in sim.adversary_nodes and n not in sim.access_nodes
+    )
+    riders = frozenset(
+        n for n in sim.states
+        if n in sim.adversary_nodes and n not in sim.access_nodes
+    )
+    __, coop_file, __ = sim.metrics.ratios_for(coop)
+    __, rider_file, rider_count = sim.metrics.ratios_for(riders)
+    return coop_file, rider_file, rider_count

@@ -2,10 +2,10 @@
 """Free-riders and the tit-for-tat credit mechanism (§IV-B, §V-B).
 
 A growing fraction of buses refuse to transmit anything (free-riders).
-We compare the plain altruistic policy against tit-for-tat with cyclic
-scheduling, and inspect the credit ledgers: contributors accumulate
-credit with their peers, free-riders stay at zero and therefore get
-their requests served last.
+We compare the plain altruistic policy (the §V-A coordinator) against
+tit-for-tat (§V-B cyclic turns ranked by credit), and inspect the
+credit ledgers: contributors accumulate credit with their peers,
+free-riders stay at zero and therefore get their requests served last.
 
 Run:  python examples/freerider_incentives.py
 """
@@ -16,7 +16,6 @@ from dataclasses import replace
 from statistics import mean
 
 from repro import AdversaryPlan, Simulation, SimulationConfig
-from repro.core.mbt import SchedulingMode
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 
 
@@ -29,7 +28,6 @@ def main() -> None:
         files_per_day=40,
         metadata_per_contact=2,
         files_per_contact=2,
-        scheduling=SchedulingMode.CYCLIC,
         seed=11,
     )
 
@@ -84,8 +82,8 @@ def main() -> None:
     print(f"  free-riders:       {mean(selfish):10.1f} total credit earned")
     print(
         "\nThe broadcast channel alone cannot punish free-riders — they"
-        "\noverhear everything and often do *better* than cooperators"
-        "\n(they spend no battery). Credits record the imbalance"
+        "\noverhear everything and spend no battery, and in some settings"
+        "\nthey out-deliver cooperators. Credits record the imbalance"
         "\n(free-riders earn none), and the encrypted-choking extension"
         "\n(the paper's §IV-B future work) converts that record into"
         "\nconsequences: choked riders' delivery drops while seeds keep"

@@ -35,7 +35,6 @@ LAYERS: Dict[str, FrozenSet[str]] = {
     "repro.traces": frozenset({"types"}),
     "repro.analysis": frozenset({"types", "traces"}),
     "repro.faults": frozenset({"types", "traces"}),
-    "repro.routing": frozenset({"types", "traces"}),
     # Catalog (Internet side) sits on types + perf only.
     "repro.catalog": frozenset({"types", "perf"}),
     # Radio messages sit on the catalog records they carry.
@@ -64,7 +63,7 @@ LAYERS: Dict[str, FrozenSet[str]] = {
     # Entry points see everything below them.
     "repro.cli": frozenset(
         {
-            "types", "perf", "traces", "analysis", "faults", "routing",
+            "types", "perf", "traces", "analysis", "faults",
             "catalog", "net", "core", "sim", "runtime", "detlint",
             "contracts", "exec", "experiments",
         }
@@ -73,7 +72,7 @@ LAYERS: Dict[str, FrozenSet[str]] = {
     # The package facade re-exports the public API surface.
     "repro": frozenset(
         {
-            "types", "perf", "traces", "analysis", "faults", "routing",
+            "types", "perf", "traces", "analysis", "faults",
             "catalog", "net", "core", "sim", "runtime", "detlint",
             "contracts", "exec", "experiments",
         }

@@ -123,8 +123,8 @@ class ProtocolConfig:
     #: *unchoked* receivers — peers that have earned credit with the
     #: sender. Discovery stays open (metadata are the advertisement
     #: channel), which is also the bootstrap: sending useful metadata
-    #: earns the credit that unchokes the piece channel. Only
-    #: meaningful together with tit_for_tat.
+    #: earns the credit that unchokes the piece channel. Applies under
+    #: either scheduling mode.
     encrypted_choking: bool = False
     #: How long heard peer requests are remembered (seconds).
     request_memory: float = 3 * 86400.0

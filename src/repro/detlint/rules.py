@@ -26,14 +26,12 @@ from typing import Dict, FrozenSet, Tuple
 #: explicitly seeded ``random.Random``.
 #: ``repro/catalog`` stays out of the core scope: only the RNG/time
 #: rules apply there. ``repro/runtime`` (the frame-level harness
-#: replays the same protocol) and ``repro/routing`` (baseline routers
-#: share the trace replay) are full core members.
+#: replays the same protocol) is a full core member.
 _SIM_CORE = (
     "repro/core",
     "repro/sim",
     "repro/net",
     "repro/runtime",
-    "repro/routing",
 )
 _RNG_SCOPE = _SIM_CORE + ("repro/traces", "repro/faults", "repro/catalog")
 _TIME_SCOPE = _RNG_SCOPE
@@ -142,7 +140,7 @@ RULES: Dict[str, Rule] = {
                 "default to None and construct inside the function; pass "
                 "literal pop defaults so no shared object escapes"
             ),
-            scopes=("repro/core", "repro/net", "repro/runtime", "repro/routing"),
+            scopes=("repro/core", "repro/net", "repro/runtime"),
         ),
         Rule(
             id="CON001",

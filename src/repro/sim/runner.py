@@ -65,7 +65,8 @@ class SimulationConfig:
     pieces_per_file: int = 1
     #: Protocol variant under test.
     variant: ProtocolVariant = ProtocolVariant.MBT
-    #: Use the tit-for-tat credit policy and cyclic scheduling.
+    #: Pick §V-B cyclic scheduling when ``scheduling`` is None (credit
+    #: ledgers accrue under either mode).
     tit_for_tat: bool = False
     #: Broadcast medium (paper) or pair-wise baseline.
     broadcast: bool = True

@@ -12,6 +12,7 @@ from repro.contracts import (
     COUNTER_PREFIXES,
     COUNTER_REGISTRY,
     KNOB_REGISTRY,
+    LAYERS,
     NAMESPACE_ROOTS,
     SEAM_REGISTRY,
     METADATA_RECORD_FIELDS,
@@ -197,6 +198,16 @@ class TestLayerRegistry:
     def test_core_may_not_import_exec(self):
         allowed = allowed_packages("repro.core.node")
         assert allowed is not None and "exec" not in allowed
+
+    def test_every_entry_names_an_existing_module(self):
+        def exists(dotted):
+            path = SRC_TREE.parent.joinpath(*dotted.split("."))
+            return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+        for key, allowed in LAYERS.items():
+            assert exists(key), key
+            for short in allowed:
+                assert exists(f"repro.{short}"), (key, short)
 
 
 class TestSeamRegistryLive:

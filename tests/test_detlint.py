@@ -226,6 +226,13 @@ class TestScoping:
         for rule in RULES.values():
             assert rule.scopes, rule.id
             assert rule.fixit, rule.id
+            # Every scope fragment names a package or module that exists.
+            for scope in rule.scopes:
+                path = REPO_ROOT / "src" / scope
+                assert path.is_dir() or path.with_suffix(".py").is_file(), (
+                    rule.id,
+                    scope,
+                )
         assert ALL_RULE_IDS == (
             "CON001",
             "CON002",

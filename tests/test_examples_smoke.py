@@ -51,10 +51,3 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "file delivery ratio" in out
         assert "|" in out
-
-    def test_routing_baselines(self, capsys):
-        run_example("routing_baselines.py")
-        out = capsys.readouterr().out
-        for router in ("direct", "epidemic", "spray-and-wait", "prophet",
-                       "maxprop"):
-            assert router in out
