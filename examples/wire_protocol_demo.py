@@ -79,23 +79,25 @@ def main() -> None:
         radio.broadcast(device.node_id, hello)
 
     print("\nDiscovery phase — Alice heard Bob's query tokens "
-          f"{[sorted(t) for t in alice.peer_query_tokens[bob.node_id]]}:")
-    frame = alice.next_metadata_frame(now, clique)
-    assert frame is not None
+          f"{[sorted(t) for t in alice.peers[bob.node_id].query_tokens]}:")
+    proposal = alice.propose_metadata(now)
+    assert proposal is not None
+    frame = alice.metadata_frame_for(proposal[1], now)
     show("->", frame)
     radio.broadcast(alice.node_id, frame)
-    alice.note_own_broadcast(frame, clique)
+    alice.mark_clique_received(proposal[1])
 
     print("\nRe-beacon — Bob's hello now requests the file:")
     hello = bob.hello_bytes(now + 1.0)
     show("->", hello)
     radio.broadcast(bob.node_id, hello)
     print(f"  Alice sees Bob downloading: "
-          f"{sorted(alice.peer_downloading[bob.node_id])}")
+          f"{sorted(alice.peers[bob.node_id].downloading)}")
 
     print("\nDownload phase — the requested piece goes on the air:")
-    frame = alice.next_piece_frame(now + 1.0, clique)
-    assert frame is not None
+    piece = alice.propose_piece(now + 1.0)
+    assert piece is not None
+    frame = alice.piece_frame_for(piece[1], piece[2], now + 1.0)
     show("->", frame)
     radio.broadcast(alice.node_id, frame)
 

@@ -68,16 +68,6 @@ class MetadataCandidate:
         return bool(self.own_requesters or self.proxy_requesters)
 
 
-def advertised_query_tokens(
-    states: Mapping[NodeId, NodeState], now: float, include_foreign: bool
-) -> Dict[NodeId, Tuple[FrozenSet[str], ...]]:
-    """Query token sets each member advertises in its hello."""
-    return {
-        node: state.query_tokens(now, include_foreign)
-        for node, state in states.items()
-    }
-
-
 class ScheduledMetadata:
     """A metadata candidate in the mutable form the engine schedules.
 

@@ -385,13 +385,6 @@ class NodeState:
             queries.extend(self.foreign_queries(now))
         return queries
 
-    def query_tokens(self, now: float, include_foreign: bool) -> Tuple[FrozenSet[str], ...]:
-        """Token sets for the hello message."""
-        tokens = self.own_query_tokens(now)
-        if include_foreign:
-            tokens = tokens + self.foreign_query_tokens(now)
-        return tokens
-
     def own_query_tokens(self, now: float) -> Tuple[FrozenSet[str], ...]:
         """Token sets of the node's own live queries."""
         self._refresh_live(now)

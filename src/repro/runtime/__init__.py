@@ -10,16 +10,12 @@ constraint end-to-end (the paper's declared future work, §VII:
   for hello / metadata / piece frames (JSON body, binary-safe payload).
 * :mod:`repro.runtime.radio` — an emulated broadcast radio: frames put
   on the air reach every node in the contact, with byte accounting.
-* :mod:`repro.runtime.node` — the device runtime: beaconing, neighbor
-  tables, local candidate selection from hello-carried state summaries,
-  cyclic-order transmission (no coordinator messages needed).
+* :mod:`repro.runtime.node` — the device runtime: beaconing, peer
+  facts from hellos, and proposals ranked by the simulator's own
+  candidate builders and rank keys over those facts.
 * :mod:`repro.runtime.harness` — a :class:`~repro.sim.runner.Simulation`
   whose contacts run through real frames; the day loop and the delivery
   metrics are the simulator's own.
-
-The test-suite validates the runtime against the simulator: with
-identical traces, catalogs and budgets, the wire-level implementation
-delivers the same files (see ``tests/test_runtime.py``).
 """
 
 from repro.runtime.codec import (
