@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from functools import cached_property
 
@@ -245,7 +245,7 @@ class PieceStore:
             self._completed.pop(uri, None)
         return True
 
-    def drop_expired(self, live_uris: FrozenSet[Uri]) -> List[Uri]:
+    def drop_expired(self, live_uris: Container[Uri]) -> List[Uri]:
         """Evict all URIs not in ``live_uris``; return what was dropped."""
         dead = [uri for uri in self._bitmaps if uri not in live_uris]
         for uri in dead:

@@ -137,19 +137,23 @@ class CatalogGenerator:
     def _make_queries(
         self, descriptors: Sequence[FileDescriptor], noon: float
     ) -> List[Query]:
-        """Each node queries each new file w.p. the file's popularity."""
+        """Each node queries each new file w.p. the file's popularity.
+
+        One draw per (file, node) pair, files outer and nodes inner: the
+        draw sequence fixes which queries exist, so it must not change.
+        """
+        draw = self._rng.random
+        nodes = self._nodes
+        query_tokens_for = self._vocab.query_tokens_for
         queries: List[Query] = []
         for descriptor in descriptors:
-            tokens = self._vocab.query_tokens_for(descriptor.title_tokens)
-            for node in self._nodes:
-                if self._rng.random() < descriptor.popularity:
-                    queries.append(
-                        Query(
-                            node=node,
-                            tokens=tokens,
-                            target_uri=descriptor.uri,
-                            created_at=noon,
-                            expires_at=descriptor.expires_at,
-                        )
-                    )
+            tokens = query_tokens_for(descriptor.title_tokens)
+            popularity = descriptor.popularity
+            askers = [node for node in nodes if draw() < popularity]
+            if askers:
+                uri = descriptor.uri
+                expires_at = descriptor.expires_at
+                queries.extend(
+                    Query(node, tokens, uri, noon, expires_at) for node in askers
+                )
         return queries

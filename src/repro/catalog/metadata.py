@@ -79,23 +79,51 @@ class Metadata:
         statistic updated by the server, not part of the publisher's
         statement.
         """
-        body = "|".join(
-            (
-                self.uri,
-                self.name,
-                self.publisher,
-                self.description,
-                ",".join(self.checksums),
-                str(self.size_bytes),
-                f"{self.created_at:.6f}",
-                f"{self.ttl:.6f}",
-            )
+        return _canonical_bytes(
+            self.uri,
+            self.name,
+            self.publisher,
+            self.description,
+            self.checksums,
+            self.size_bytes,
+            self.created_at,
+            self.ttl,
         )
-        return body.encode()
 
     def with_popularity(self, popularity: float) -> "Metadata":
         """Return a copy with an updated popularity estimate."""
         return replace(self, popularity=popularity)
+
+
+def _canonical_bytes(
+    uri: str,
+    name: str,
+    publisher: str,
+    description: str,
+    checksums: Tuple[str, ...],
+    size_bytes: int,
+    created_at: float,
+    ttl: float,
+) -> bytes:
+    """The bytes :meth:`Metadata.canonical_bytes` returns for these fields."""
+    body = "|".join(
+        (
+            uri,
+            name,
+            publisher,
+            description,
+            ",".join(checksums),
+            str(size_bytes),
+            f"{created_at:.6f}",
+            f"{ttl:.6f}",
+        )
+    )
+    return body.encode()
+
+
+def _signature(secret: bytes, canonical: bytes) -> str:
+    """HMAC-SHA256 of a record's canonical bytes under a publisher secret."""
+    return hmac.new(secret, canonical, hashlib.sha256).hexdigest()
 
 
 class PublisherRegistry:
@@ -156,8 +184,7 @@ def sign_metadata(metadata: Metadata, registry: PublisherRegistry) -> Metadata:
         If the publisher is not registered.
     """
     secret = registry.secret_for(metadata.publisher)
-    signature = hmac.new(secret, metadata.canonical_bytes(), hashlib.sha256).hexdigest()
-    return replace(metadata, signature=signature)
+    return replace(metadata, signature=_signature(secret, metadata.canonical_bytes()))
 
 
 def verify_metadata(metadata: Metadata, registry: PublisherRegistry) -> bool:
@@ -172,8 +199,7 @@ def verify_metadata(metadata: Metadata, registry: PublisherRegistry) -> bool:
         return cached[1]
     if not registry.is_trusted(metadata.publisher) or not metadata.signature:
         return False
-    secret = registry.secret_for(metadata.publisher)
-    expected = hmac.new(secret, metadata.canonical_bytes(), hashlib.sha256).hexdigest()
+    expected = _signature(registry.secret_for(metadata.publisher), metadata.canonical_bytes())
     ok = hmac.compare_digest(expected, metadata.signature)
     cache[id(metadata)] = (metadata, ok)
     return ok
@@ -184,19 +210,36 @@ def metadata_for_file(
     description: str,
     registry: Optional[PublisherRegistry] = None,
 ) -> Metadata:
-    """Build (and optionally sign) the metadata of a file descriptor."""
-    record = Metadata(
-        uri=descriptor.uri,
-        name=" ".join(descriptor.title_tokens),
-        publisher=descriptor.publisher,
-        description=description,
-        checksums=piece_checksums(descriptor.uri, descriptor.num_pieces),
-        size_bytes=descriptor.size_bytes,
-        created_at=descriptor.created_at,
-        ttl=descriptor.ttl,
-        popularity=descriptor.popularity,
-    )
+    """Build (and optionally sign) the metadata of a file descriptor.
+
+    A signed record is built once, with the signature computed from
+    its fields first, instead of signing an unsigned copy.
+    """
+    uri = descriptor.uri
+    name = " ".join(descriptor.title_tokens)
+    publisher = descriptor.publisher
+    checksums = piece_checksums(uri, descriptor.num_pieces)
+    size_bytes = descriptor.size_bytes
+    created_at = descriptor.created_at
+    ttl = descriptor.ttl
+    signature = ""
     if registry is not None:
-        registry.register(descriptor.publisher)
-        record = sign_metadata(record, registry)
-    return record
+        registry.register(publisher)
+        signature = _signature(
+            registry.secret_for(publisher),
+            _canonical_bytes(
+                uri, name, publisher, description, checksums, size_bytes, created_at, ttl
+            ),
+        )
+    return Metadata(
+        uri=uri,
+        name=name,
+        publisher=publisher,
+        description=description,
+        checksums=checksums,
+        size_bytes=size_bytes,
+        created_at=created_at,
+        ttl=ttl,
+        popularity=descriptor.popularity,
+        signature=signature,
+    )

@@ -24,12 +24,17 @@ the ``(-popularity, uri)``-sorted matches of each token set are kept
 until the next change that resets the ranked view. Access nodes pull
 for the same queries every sync, so a call usually only filters the
 kept list by liveness and applies its limit.
+
+Every access node syncs at the same instant, so two answers are also
+kept for the instant of the last call, under the same reset rule: the
+live matches of each searched token set, and the ``top_popular``
+answers that exclude nothing (the seeding pass).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.catalog.expiry import ExpiryHeap
 from repro.catalog.files import FileDescriptor, piece_payload
@@ -64,6 +69,13 @@ class MetadataServer:
         #: Ranked matches per searched token set, under the same
         #: validity rule as ``_ranked`` (cleared wherever it is reset).
         self._matches: Dict[FrozenSet[str], List[Metadata]] = {}
+        #: The instant the two memos below answer for, or None.
+        self._instant: Optional[float] = None
+        #: Live ranked matches per searched token set at ``_instant``.
+        self._live_matches: Dict[FrozenSet[str], List[Metadata]] = {}
+        #: ``top_popular`` answers per limit at ``_instant``, for calls
+        #: that exclude nothing.
+        self._top: Dict[int, List[Metadata]] = {}
         #: Optional ``perf.catalog.*`` instrumentation sink. The
         #: counters record implementation activity only (heap pops,
         #: ranked-view rebuilds), and are excluded from result
@@ -94,9 +106,17 @@ class MetadataServer:
         self._invalidate()
 
     def _invalidate(self) -> None:
-        """Drop the ranked view and the search memo (the catalog changed)."""
+        """Drop the ranked view and the memos (the catalog changed)."""
         self._ranked = None
         self._matches = {}
+        self._instant = None
+
+    def _at_instant(self, now: float) -> None:
+        """Drop the per-instant memos unless they answer for ``now``."""
+        if self._instant != now:
+            self._instant = now
+            self._live_matches = {}
+            self._top = {}
 
     def _drop_posting(self, token: str, uri: Uri) -> None:
         bucket = self._index.get(token)
@@ -145,41 +165,58 @@ class MetadataServer:
         Returns live records whose name tokens contain every query
         token, ordered by decreasing popularity (URI as a deterministic
         tie-break). The ranked matches of ``tokens`` are computed once
-        per catalog version (see the module docstring).
+        per catalog version, and the live ones once per instant (see the
+        module docstring).
         """
         if not tokens:
             return []
-        matches = self._matches.get(tokens)
-        if matches is None:
-            token_iter = iter(tokens)
-            candidate_uris = set(self._index.get(next(token_iter), ()))
-            for token in token_iter:
-                candidate_uris &= self._index.get(token, set())
-                if not candidate_uris:
-                    break
-            matches = sorted(
-                (self._records[uri] for uri in candidate_uris),
-                key=lambda md: (-md.popularity, md.uri),
-            )
-            self._matches[tokens] = matches
-        hits = [md for md in matches if md.is_live(now)]
-        return hits[:limit] if limit is not None else hits
+        self._at_instant(now)
+        hits = self._live_matches.get(tokens)
+        if hits is None:
+            matches = self._matches.get(tokens)
+            if matches is None:
+                token_iter = iter(tokens)
+                candidate_uris = set(self._index.get(next(token_iter), ()))
+                for token in token_iter:
+                    candidate_uris &= self._index.get(token, set())
+                    if not candidate_uris:
+                        break
+                matches = sorted(
+                    (self._records[uri] for uri in candidate_uris),
+                    key=lambda md: (-md.popularity, md.uri),
+                )
+                self._matches[tokens] = matches
+            hits = [md for md in matches if now < md.expires_at]
+            self._live_matches[tokens] = hits
+        return hits[:limit] if limit is not None else list(hits)
 
     def top_popular(
         self,
         now: float,
         limit: int,
-        exclude: FrozenSet[Uri] = frozenset(),
+        exclude: Container[Uri] = frozenset(),
     ) -> List[Metadata]:
-        """Most popular live records, for push distribution (§IV).
+        """Most popular live records not in ``exclude``, for push
+        distribution (§IV).
 
-        Walks the cached ranked view and stops after ``limit`` hits.
+        Walks the cached ranked view and stops after ``limit`` hits. An
+        answer that excludes nothing is kept for the instant.
         """
         if limit <= 0:
             return []
+        if exclude:
+            return self._walk_ranked(now, limit, exclude)
+        self._at_instant(now)
+        kept = self._top.get(limit)
+        if kept is None:
+            kept = self._top[limit] = self._walk_ranked(now, limit, exclude)
+        return list(kept)
+
+    def _walk_ranked(self, now: float, limit: int, exclude: Container[Uri]) -> List[Metadata]:
+        """The first ``limit`` live records of the ranked view not in ``exclude``."""
         hits: List[Metadata] = []
         for record in self._ranked_view():
-            if record.is_live(now) and record.uri not in exclude:
+            if now < record.expires_at and record.uri not in exclude:
                 hits.append(record)
                 if len(hits) == limit:
                     break

@@ -379,28 +379,25 @@ class MobileBitTorrent:
         """One Internet session of an access node (pull, download, push).
 
         Non-access nodes are silently ignored so callers can iterate
-        over the whole population.
+        over the whole population. Every record the server hands over
+        goes through :meth:`_deliver`.
         """
         state = self._states[node]
         if node in self._down or not state.internet_access:
             return
         state.stats.internet_syncs += 1
         self.counters.internet_syncs += 1
+        server = self._metadata_server
 
         # Pull: metadata matching own queries (and foreign ones under MBT).
-        own = state.own_queries(now)
-        for query in own:
-            self._metadata_server.record_request(query.target_uri, node, now)
-            for record in self._metadata_server.search(
-                query.tokens, now, limit=PULL_LIMIT
-            ):
-                self._accept_metadata(state, record, now)
+        for query in state.own_queries(now):
+            server.record_request(query.target_uri, node, now)
+            for record in server.search(query.tokens, now, limit=PULL_LIMIT):
+                self._deliver(state, record, now)
         if self._config.variant.distributes_queries:
             for query in state.foreign_queries(now):
-                for record in self._metadata_server.search(
-                    query.tokens, now, limit=PULL_LIMIT
-                ):
-                    self._accept_metadata(state, record, now)
+                for record in server.search(query.tokens, now, limit=PULL_LIMIT):
+                    self._deliver(state, record, now)
 
         # Download: access nodes have enough bandwidth for what they need.
         # Sorted: each download touches LRU recency, so raw set-iteration
@@ -411,9 +408,10 @@ class MobileBitTorrent:
 
         # Push: the server continues with popular metadata (§IV), except
         # under MBT-QM where independent metadata distribution is off.
+        # It skips what the node holds, so every pushed record is new.
         if self._config.variant.distributes_metadata:
-            for record in self._metadata_server.top_popular(
-                now, PUSH_LIMIT, exclude=state.metadata.uris
+            for record in server.top_popular(
+                now, PUSH_LIMIT, exclude=state.metadata.uri_view()
             ):
                 self._accept_metadata(state, record, now)
 
@@ -426,12 +424,12 @@ class MobileBitTorrent:
         for uri in state.top_peer_requests(now, self._config.request_memory):
             if proxied >= PROXY_DOWNLOADS:
                 break
-            record = self._metadata_server.get(uri)
+            record = server.get(uri)
             if record is None or not record.is_live(now):
                 continue
             if state.pieces.is_complete(uri, record.num_pieces):
                 continue
-            self._accept_metadata(state, record, now)
+            self._deliver(state, record, now)
             self._download_from_internet(state, uri, now)
             proxied += 1
 
@@ -442,20 +440,20 @@ class MobileBitTorrent:
             for query in state.foreign_queries(now):
                 if proxied >= PROXY_DOWNLOADS:
                     break
-                for record in self._metadata_server.search(query.tokens, now, limit=1):
+                for record in server.search(query.tokens, now, limit=1):
                     if state.pieces.is_complete(record.uri, record.num_pieces):
                         continue
-                    self._accept_metadata(state, record, now)
+                    self._deliver(state, record, now)
                     self._download_from_internet(state, record.uri, now)
                     proxied += 1
 
         # Seed the DTN: grab a few globally popular files as well.
         seeded = 0
-        for record in self._metadata_server.top_popular(now, PUSH_LIMIT):
+        for record in server.top_popular(now, PUSH_LIMIT):
             if seeded >= POPULAR_FILE_DOWNLOADS:
                 break
             if not state.pieces.is_complete(record.uri, record.num_pieces):
-                self._accept_metadata(state, record, now)
+                self._deliver(state, record, now)
                 self._download_from_internet(state, record.uri, now)
                 seeded += 1
 
@@ -467,12 +465,25 @@ class MobileBitTorrent:
         state.stats.files_completed += 1
         self._metrics.on_file_complete(state.node, uri, now)
 
-    def _accept_metadata(self, state: NodeState, record: Metadata, now: float) -> bool:
+    def _deliver(self, state: NodeState, record: Metadata, now: float) -> None:
+        """Hand a live server record to an access node.
+
+        The server holds only records its publishers signed, so a node
+        that stores this very object could only count a duplicate in
+        :meth:`NodeState.accept_metadata`: it is counted here, without
+        the signature and liveness checks. Anything else, including an
+        equal but distinct copy (a popularity refresh), is accepted in
+        full.
+        """
+        if state.metadata.peek(record.uri) is record:
+            state.stats.metadata_duplicates += 1
+        else:
+            self._accept_metadata(state, record, now)
+
+    def _accept_metadata(self, state: NodeState, record: Metadata, now: float) -> None:
         """Store a record from the Internet (always trusted/signed)."""
-        new = state.accept_metadata(record, now)
-        if new:
+        if state.accept_metadata(record, now):
             self._metrics.on_metadata(state.node, record.uri, now)
-        return new
 
     # ------------------------------------------------------------------ contacts
 
@@ -549,17 +560,21 @@ class MobileBitTorrent:
         )
 
     def _exchange_hellos(self, states: Mapping[NodeId, NodeState], now: float) -> None:
-        """Mutual hello reception; MBT also stores frequent contacts' queries."""
+        """Mutual hello reception; MBT also stores frequent contacts' queries.
+
+        Of what a hello carries, the simulator keeps only what a later
+        step reads: access members remember the advertised downloads for
+        their proxy downloads (see :meth:`internet_sync`). Nothing reads
+        the neighbor table here, so it is not filled.
+        """
         requests: Dict[Uri, Set[NodeId]] = {}  # advertised URI -> advertisers
         for node, state in states.items():
             for uri in state.wanted_uris(now):
                 requests.setdefault(uri, set()).add(node)
         self.counters.hello_exchanges += len(states)
-        for node, state in states.items():
-            for peer in states:
-                if peer != node:
-                    state.neighbor_last_heard[peer] = now
-            state.remember_peer_requests(requests, now)
+        for __, state in states.items():
+            if state.internet_access:
+                state.remember_peer_requests(requests, now)
         self.store_frequent_queries(states, now)
 
     def store_frequent_queries(

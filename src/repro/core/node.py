@@ -9,7 +9,8 @@ A node runs a file-discovery process and a file-download process
   *frequent contacting nodes* (§IV: "nodes can also store the query
   strings of their most frequently connected nodes to cooperatively
   shorten file discovery time");
-* a **neighbor table** fed by hello messages;
+* a **neighbor table** fed by hello messages (only the wire runtime
+  fills and reads it; the simulator's hellos leave it empty);
 * a tit-for-tat **credit ledger**;
 * an Internet-access flag (§VI-A) and a behavior :class:`Strategy`
   (selfish free-riders of §IV-B/§V-B get ``free_rider``).
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, KeysView, List, Mapping, Optional, Set, Tuple
 
 from repro.catalog.files import IntegrityError, PieceStore
 from repro.catalog.metadata import Metadata, PublisherRegistry, verify_metadata
@@ -89,6 +90,13 @@ class MetadataStore:
     matching is a scan of :meth:`records`. ``mutations`` counts every
     content change and lets callers key derived caches off store state
     without subscribing to individual operations.
+
+    Acceptance looks a URI up once with :meth:`peek`: the very object
+    stored again is a duplicate (an Internet sync tests this identity
+    itself, before acceptance), and only a new URI in a :attr:`full`
+    store goes through :meth:`add`'s eviction; anything else is a
+    :meth:`put`. :meth:`uri_view` serves membership tests, such as the
+    push's exclusion and expiry's piece drop, without copying the keys.
     """
 
     def __init__(self, capacity: Optional[int] = None, policy: str = "popularity") -> None:
@@ -131,15 +139,24 @@ class MetadataStore:
     def uris(self) -> FrozenSet[Uri]:
         return frozenset(self._records)
 
+    def uri_view(self) -> KeysView[Uri]:
+        """The stored URIs as a live view, for membership tests without a
+        copy. It follows later changes to the store."""
+        return self._records.keys()
+
     def records(self) -> List[Metadata]:
         """All records, unordered."""
         return list(self._records.values())
 
+    @property
+    def full(self) -> bool:
+        """Whether the store is bounded and at capacity: inserting a new
+        URI evicts a record."""
+        return self._capacity is not None and len(self._records) >= self._capacity
+
     def may_evict_on_insert(self, uri: Uri) -> bool:
         """Whether inserting ``uri`` could trigger an eviction."""
-        if self._capacity is None:
-            return False
-        return uri not in self._records and len(self._records) >= self._capacity
+        return self.full and uri not in self._records
 
     def add(
         self,
@@ -161,6 +178,12 @@ class MetadataStore:
             at = now if now is not None else metadata.created_at
             self._evict_one(protected | {metadata.uri}, at)
         return new
+
+    def put(self, metadata: Metadata) -> None:
+        """Insert or refresh a record the caller knows causes no eviction:
+        its URI is stored already or the store is not :attr:`full`."""
+        self._records[metadata.uri] = metadata
+        self.mutations += 1
 
     def _evict_one(self, protected: FrozenSet[Uri], now: float) -> None:
         victims = [md for uri, md in self._records.items() if uri not in protected]
@@ -187,7 +210,7 @@ class MetadataStore:
 
     def drop_expired(self, now: float) -> List[Uri]:
         """Remove expired records; return removed URIs."""
-        dead = [uri for uri, md in self._records.items() if not md.is_live(now)]
+        dead = [uri for uri, md in self._records.items() if now >= md.expires_at]
         for uri in dead:
             del self._records[uri]
         if dead:
@@ -246,13 +269,15 @@ class NodeState:
         #: Queries of frequent contacts, stored under full MBT.
         self._foreign_queries: Dict[NodeId, List[Query]] = {}
         self.frequent_contacts: Set[NodeId] = set()
-        #: (peer -> last hello time), from received hellos.
+        #: (peer -> last hello time), from received hellos. Filled by the
+        #: wire runtime's devices; the simulator does not fill it.
         self.neighbor_last_heard: Dict[NodeId, float] = {}
         #: Peer download requests heard in hellos: uri -> (last heard
         #: time, number of distinct peers heard requesting it). Access
         #: nodes use this to proxy-download files for the DTN (§III-A:
         #: nodes without Internet access "download files with the help
-        #: of other nodes in the hybrid DTN").
+        #: of other nodes in the hybrid DTN"). The simulator fills it for
+        #: access nodes only, the sole readers.
         self._peer_requests: Dict[Uri, Tuple[float, Set[NodeId]]] = {}
         #: The wanted set (see :meth:`wanted_uris`) holds over the window
         #: ``[start, until)`` while ``_wanted_stamp`` equals the store's
@@ -425,28 +450,55 @@ class NodeState:
             return self._wanted
         self.wanted_cache_misses += 1
         until = math.inf
-        live_queries: List[Query] = []
+        live_tokens: List[FrozenSet[str]] = []
         for query in self._own_queries:
             if now < query.created_at:
                 until = min(until, query.created_at)
             elif now < query.expires_at:
                 until = min(until, query.expires_at)
-                live_queries.append(query)
-        live_records = [md for md in self.metadata.records() if md.is_live(now)]
+                live_tokens.append(query.tokens)
+        tokens = tuple(live_tokens)
+        is_complete = self.pieces.is_complete
         wanted: Set[Uri] = set()
-        for query in live_queries:
-            matches = [md for md in live_records if query.tokens <= md.token_set]
-            if not matches:
-                continue
-            until = min(until, *(md.expires_at for md in matches))
-            if self.selection_policy == "best":
-                matches = [self._best_match(matches)]
-            for record in matches:
-                if not self.pieces.is_complete(record.uri, record.num_pieces):
-                    wanted.add(record.uri)
+        # One pass over the store, testing each live record against the
+        # live query tokens.
+        if self.selection_policy == "all":
+            for record in self.metadata.records():
+                expires_at = record.expires_at
+                if now >= expires_at:
+                    continue
+                token_set = record.token_set
+                for query_tokens in tokens:
+                    if query_tokens <= token_set:
+                        until = min(until, expires_at)
+                        if not is_complete(record.uri, record.num_pieces):
+                            wanted.add(record.uri)
+                        break
+        else:
+            # Each query keeps its best match so far. Keys end in the
+            # unique URI, so the order records come in cannot change
+            # which match wins.
+            best: List[Optional[Tuple[Tuple[bool, float, Uri], Metadata]]] = [None] * len(tokens)
+            for record in self.metadata.records():
+                expires_at = record.expires_at
+                if now >= expires_at:
+                    continue
+                token_set = record.token_set
+                key = None
+                for i, query_tokens in enumerate(tokens):
+                    if query_tokens <= token_set:
+                        if key is None:
+                            key = self._match_key(record)
+                            until = min(until, expires_at)
+                        kept = best[i]
+                        if kept is None or key < kept[0]:
+                            best[i] = (key, record)
+            for kept in best:
+                if kept is not None and not is_complete(kept[1].uri, kept[1].num_pieces):
+                    wanted.add(kept[1].uri)
         self._wanted = frozenset(wanted)
         self._wanted_window = (now, until)
-        self._wanted_tokens = tuple(query.tokens for query in live_queries)
+        self._wanted_tokens = tokens
         self._wanted_stamp = self.metadata.mutations
         return self._wanted
 
@@ -463,8 +515,7 @@ class NodeState:
                 return False
             if self.selection_policy == "all":
                 return True  # a refresh selects nothing new
-        tokens = record.token_set
-        if not any(query_tokens <= tokens for query_tokens in self._wanted_tokens):
+        if not any(map(record.token_set.issuperset, self._wanted_tokens)):
             return True
         if self.selection_policy == "best":
             # The new or re-ranked record may change which match is best.
@@ -480,26 +531,21 @@ class NodeState:
         if record is not None and self.pieces.is_complete(uri, record.num_pieces):
             self._wanted = self._wanted - {uri}
 
-    def _best_match(self, matches: List[Metadata]) -> Metadata:
-        """The record a careful user would pick among query matches.
+    def _match_key(self, record: Metadata) -> Tuple[bool, float, Uri]:
+        """Rank of ``record`` among query matches; a careful user picks the
+        lowest.
 
         Authenticated publishers outrank unverifiable ones, popularity
         breaks ties, URI makes the choice deterministic.
         """
-        return min(
-            matches,
-            key=lambda md: (
-                not verify_metadata(md, self.registry),
-                -md.popularity,
-                md.uri,
-            ),
-        )
+        return (not verify_metadata(record, self.registry), -record.popularity, record.uri)
 
     def protected_uris(self, now: float) -> FrozenSet[Uri]:
         """Metadata URIs shielded from eviction (they match own queries)."""
         tokens = self.own_query_tokens(now)
-        records = self.metadata.records()
-        return frozenset(md.uri for md in records if any(t <= md.token_set for t in tokens))
+        return frozenset(
+            md.uri for md in self.metadata.records() if any(map(md.token_set.issuperset, tokens))
+        )
 
     # -- receiving ------------------------------------------------------------------
 
@@ -519,30 +565,29 @@ class NodeState:
             self.stats.metadata_rejected_auth += 1
             self.rejected_uris.add(metadata.uri)
             return False
-        if not metadata.is_live(now):
+        if now >= metadata.expires_at:
             return False
-        old = self.metadata.peek(metadata.uri)
+        store = self.metadata
+        old = store.peek(metadata.uri)
         if old is metadata:
             self.stats.metadata_duplicates += 1
             return False
-        # Computing the protected set is only needed when eviction can
-        # actually happen (the store is bounded and full).
-        if self.metadata.may_evict_on_insert(metadata.uri):
-            protected = self.protected_uris(now)
-        else:
-            protected = frozenset()
-        in_step = self._wanted_stamp == self.metadata.mutations
-        evictions_before = self.metadata.evictions
-        new = self.metadata.add(metadata, protected=protected, now=now)
-        evicted = self.metadata.evictions - evictions_before
-        self.stats.metadata_evictions += evicted
-        if new:
+        if old is None and store.full:
+            # Only a new URI in a full bounded store evicts; the wanted
+            # set is then recomputed, not patched.
+            store.add(metadata, protected=self.protected_uris(now), now=now)
+            self.stats.metadata_evictions += 1
+            self.stats.metadata_received += 1
+            return True
+        in_step = self._wanted_stamp == store.mutations
+        store.put(metadata)
+        if old is None:
             self.stats.metadata_received += 1
         else:
             self.stats.metadata_duplicates += 1
-        if in_step and not evicted and self._patch_wanted(old, metadata, now):
-            self._wanted_stamp = self.metadata.mutations
-        return new
+        if in_step and self._patch_wanted(old, metadata, now):
+            self._wanted_stamp = store.mutations
+        return old is None
 
     def accept_piece(self, uri: Uri, index: int, payload: bytes, checksum: str) -> bool:
         """Verify and store a received piece; True if it was new."""
@@ -636,8 +681,7 @@ class NodeState:
                 self._foreign_queries[peer] = live
             else:
                 del self._foreign_queries[peer]
-        live_uris = self.metadata.uris
-        self.pieces.drop_expired(live_uris)
+        self.pieces.drop_expired(self.metadata.uri_view())
 
     def heard_recently(self, now: float, window: float) -> FrozenSet[NodeId]:
         """Neighbors heard within ``window`` seconds."""

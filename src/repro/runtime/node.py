@@ -70,6 +70,19 @@ class PeerFacts:
         return self.have.get(uri, 0)
 
 
+@dataclass
+class _Proposer:
+    """A phase's candidate builder for the proposal view, and how far its
+    popularity tail is known to be empty."""
+
+    builder: Any
+    #: Position in the view's popularity order before which no URI has a
+    #: candidate this node holds. Frames only add holders, so such a URI
+    #: gets none while the builder lives, unless this node stores a
+    #: record new to it, which moves the order (see ``_store_record``).
+    tail_from: int = 0
+
+
 class DTNNode:
     """One device running the MBT protocol over frames."""
 
@@ -95,7 +108,7 @@ class DTNNode:
         # can patch them; ``_stamp`` is the store mutation count seen.
         self._view: Optional[CliqueView] = None
         self._stamp = 0
-        self._builders: Dict[ModuleType, Any] = {}
+        self._proposers: Dict[ModuleType, _Proposer] = {}
 
     def begin_contact(self, members: FrozenSet[NodeId]) -> None:
         """Enter a contact: remember who shares the broadcast domain."""
@@ -146,7 +159,7 @@ class DTNNode:
                     if uri in facts.held:
                         view.note_holder(peer, record)
             self._view, self._stamp = view, stamp
-            self._builders = {}
+            self._proposers = {}
         return view
 
     def _contact_peers(self) -> Dict[NodeId, PeerFacts]:
@@ -165,15 +178,16 @@ class DTNNode:
         ones, by popularity: the first this node holds in the view's order.
         """
         view = self._view_for(now)
-        builder = self._builders.get(phase)
-        if builder is None:
+        proposer = self._proposers.get(phase)
+        if proposer is None:
             members = {self.node_id: self.state, **self._contact_peers()}
             if phase is discovery:
                 include_foreign = self.config.variant.distributes_queries
                 builder = discovery.MetadataBuilder(members, now, include_foreign, view)
             else:
                 builder = download.PieceBuilder(members, now, view)
-            self._builders[phase] = builder
+            proposer = self._proposers[phase] = _Proposer(builder)
+        builder = proposer.builder
         me = self.node_id
         head = [
             cand
@@ -184,11 +198,15 @@ class DTNNode:
         ]
         if head:
             return min(head, key=phase.cooperative_rank_key)
-        for uri in view.popularity_order():
+        order = view.popularity_order()
+        for position in range(proposer.tail_from, len(order)):
+            uri = order[position]
             if builder.may_send(uri, me):
                 for cand in builder.build(uri):
                     if me in cand.holders:
+                        proposer.tail_from = position
                         return cand
+        proposer.tail_from = len(order)
         return None
 
     def propose_metadata(self, now: float) -> Optional[Tuple[Tuple, Uri]]:
@@ -291,7 +309,7 @@ class DTNNode:
             {uri: {sender} for uri in sorted(facts.downloading)}, now
         )
         # The builders read the sender's other facts when they were made.
-        self._builders = {}
+        self._proposers = {}
 
     def _store_record(self, record: Metadata, now: float, index: Optional[int] = None) -> None:
         """Store the record a data frame carries; infer who else got it.
@@ -314,8 +332,12 @@ class DTNNode:
             elif known is None:
                 view.note_holder(self.node_id, stored)
                 # The frame reached every member, so discovery is the
-                # same; but pieces of it this node held become sendable.
-                self._builders.pop(download, None)
+                # same but its tail is reordered; and pieces of it this
+                # node held become sendable.
+                self._proposers.pop(download, None)
+                proposer = self._proposers.get(discovery)
+                if proposer is not None:
+                    proposer.tail_from = 0
             self._stamp = mutations
         self.mark_clique_received(record.uri, index)
 

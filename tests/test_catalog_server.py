@@ -230,3 +230,37 @@ def test_search_memo_follows_catalog_changes(registry):
     # An expiry that drops a record drops it from the answers.
     assert server.expire(2 * DAY) == [second.uri]
     assert [md.uri for md in server.search(news, 0.0)] == [first.uri]
+
+
+def test_per_instant_answers_serve_only_their_instant(registry):
+    server = MetadataServer()
+    first = make_metadata(registry, uri="dtn://fox/a", name="news alpha", popularity=0.9)
+    brief = make_metadata(
+        registry, uri="dtn://fox/b", name="news beta", popularity=0.5, ttl=DAY
+    )
+    last = make_metadata(registry, uri="dtn://fox/c", name="news gamma", popularity=0.1)
+    for record in (first, brief, last):
+        server.publish(record)
+    news = frozenset({"news"})
+    assert server.top_popular(0.0, 2) == [first, brief]
+    # An exclusion is never answered from the kept answer, whatever
+    # container carries it.
+    assert server.top_popular(0.0, 2, exclude=frozenset({first.uri})) == [brief, last]
+    assert server.top_popular(0.0, 2, exclude={first.uri: None}.keys()) == [brief, last]
+    assert server.top_popular(0.0, 2, exclude={}.keys()) == [first, brief]
+    # Callers get lists of their own.
+    server.top_popular(0.0, 2).clear()
+    server.search(news, 0.0).clear()
+    server.search(news, 0.0, limit=5).clear()
+    assert server.top_popular(0.0, 2) == [first, brief]
+    assert server.search(news, 0.0) == [first, brief, last]
+    # Another instant gets answers of its own, and so does the first again.
+    assert server.top_popular(2 * DAY, 2) == [first, last]
+    assert server.search(news, 2 * DAY, limit=2) == [first, last]
+    assert server.top_popular(0.0, 2) == [first, brief]
+    assert server.search(news, 0.0, limit=2) == [first, brief]
+    # A catalog change at the same instant drops the kept answers.
+    top = make_metadata(registry, uri="dtn://fox/d", name="news delta", popularity=0.95)
+    server.publish(top)
+    assert server.top_popular(0.0, 2) == [top, first]
+    assert server.search(news, 0.0, limit=1) == [top]

@@ -2,24 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_payload
+from repro.catalog.metadata import PublisherRegistry
 from repro.catalog.server import FileServer, MetadataServer
 from repro.core.cliqueview import CliqueView
 from repro.core.discovery import ScheduledMetadata
 from repro.core.mbt import (
     POPULAR_FILE_DOWNLOADS,
+    PROXY_DOWNLOADS,
+    PULL_LIMIT,
+    PUSH_LIMIT,
     MobileBitTorrent,
     ProtocolConfig,
     ProtocolVariant,
     SchedulingMode,
 )
-from repro.core.node import NodeState
+from repro.core.node import EVICTION_POLICIES, NodeState
 from repro.core.strategies import STRATEGIES
 from repro.net.medium import ContactBudget
 from repro.sim.metrics import MetricsCollector
-from repro.types import NodeId
+from repro.types import DAY, NodeId, Uri
 
 from conftest import clique_contact, make_metadata, make_node, make_query
 
@@ -430,3 +438,205 @@ class TestHolderBookkeeping:
         assert h.engine._transmit_metadata(h.states, members, cand, sender, 0.0, view)
         assert h.states[hider].stats.metadata_duplicates == 1
         assert view.md_holders[record.uri] == {sender, hider}
+
+
+def _reference_sync(engine: MobileBitTorrent, node: NodeId, now: float) -> None:
+    """The Internet sync as it was before re-deliveries were answered by
+    identity: every server record goes through ``_accept_metadata``."""
+    state = engine._states[node]
+    if node in engine._down or not state.internet_access:
+        return
+    state.stats.internet_syncs += 1
+    engine.counters.internet_syncs += 1
+    server = engine._metadata_server
+    variant = engine._config.variant
+    for query in state.own_queries(now):
+        server.record_request(query.target_uri, node, now)
+        for record in server.search(query.tokens, now, limit=PULL_LIMIT):
+            engine._accept_metadata(state, record, now)
+    if variant.distributes_queries:
+        for query in state.foreign_queries(now):
+            for record in server.search(query.tokens, now, limit=PULL_LIMIT):
+                engine._accept_metadata(state, record, now)
+    for uri in sorted(state.wanted_uris(now)):
+        engine._download_from_internet(state, uri, now)
+    if variant.distributes_metadata:
+        for record in server.top_popular(now, PUSH_LIMIT, exclude=state.metadata.uris):
+            engine._accept_metadata(state, record, now)
+    proxied = 0
+    for uri in state.top_peer_requests(now, engine._config.request_memory):
+        if proxied >= PROXY_DOWNLOADS:
+            break
+        record = server.get(uri)
+        if record is None or not record.is_live(now):
+            continue
+        if state.pieces.is_complete(uri, record.num_pieces):
+            continue
+        engine._accept_metadata(state, record, now)
+        engine._download_from_internet(state, uri, now)
+        proxied += 1
+    if variant.distributes_queries and proxied < PROXY_DOWNLOADS:
+        for query in state.foreign_queries(now):
+            if proxied >= PROXY_DOWNLOADS:
+                break
+            for record in server.search(query.tokens, now, limit=1):
+                if state.pieces.is_complete(record.uri, record.num_pieces):
+                    continue
+                engine._accept_metadata(state, record, now)
+                engine._download_from_internet(state, record.uri, now)
+                proxied += 1
+    seeded = 0
+    for record in server.top_popular(now, PUSH_LIMIT):
+        if seeded >= POPULAR_FILE_DOWNLOADS:
+            break
+        if not state.pieces.is_complete(record.uri, record.num_pieces):
+            engine._accept_metadata(state, record, now)
+            engine._download_from_internet(state, record.uri, now)
+            seeded += 1
+
+
+#: Name tokens of the sync pool: shared leading tokens make queries
+#: match several records.
+_SYNC_NAMES = ("news island", "news city", "drama island", "news island live")
+_SYNC_REGISTRY = PublisherRegistry(master_seed=5)
+_SYNC_POOL = [
+    make_metadata(
+        _SYNC_REGISTRY,
+        uri=f"dtn://fox/s{i}",
+        name=f"{_SYNC_NAMES[i % len(_SYNC_NAMES)]} s01e{i:02d}",
+        num_pieces=1 + i % 3,
+        popularity=0.1 + 0.1 * i,
+        ttl=(0.5 + 0.5 * (i % 5)) * DAY,
+    )
+    for i in range(8)
+]
+#: Popularity-refresh copies, as ``refresh_popularities`` makes them under
+#: ``track_popularity``: equal fields but the popularity, distinct objects.
+_SYNC_REFRESHED = [record.with_popularity(0.95 - 0.1 * i) for i, record in enumerate(_SYNC_POOL)]
+#: Same-field copies: equal but distinct objects.
+_SYNC_COPIES = [replace(record) for record in _SYNC_POOL]
+#: Unsigned fakes a polluter stores directly: one under a pirate URI, one
+#: under the real URI.
+_SYNC_FAKES = [
+    replace(record, uri=Uri(f"dtn://pirate/p{i:06d}") if i % 2 else record.uri, signature="")
+    for i, record in enumerate(_SYNC_POOL)
+]
+
+_SYNC_OPS = st.one_of(
+    st.tuples(st.just("store"), st.integers(0, 7)),
+    st.tuples(st.just("copy"), st.integers(0, 7)),
+    st.tuples(st.just("fake"), st.integers(0, 7)),
+    st.tuples(st.just("whole"), st.integers(0, 7)),
+    st.tuples(st.just("piece"), st.integers(0, 7), st.integers(0, 2)),
+    st.tuples(st.just("query"), st.integers(0, 7), st.sampled_from(_SYNC_NAMES)),
+    st.tuples(st.just("foreign"), st.integers(0, 7), st.sampled_from(_SYNC_NAMES)),
+    st.tuples(st.just("request"), st.integers(0, 7)),
+)
+
+
+def _sync_world(config, nodes, refreshed, unserved):
+    """An engine over fresh node states built from ``nodes`` (per node:
+    settings and ops), with the pool published and the records in
+    ``refreshed`` replaced on the server by refresh copies."""
+    registry = _SYNC_REGISTRY
+    server, files, metrics = MetadataServer(), FileServer(), MetricsCollector()
+    for i, record in enumerate(_SYNC_POOL):
+        server.publish(record)
+        if i not in unserved:
+            files.publish(FileDescriptor(
+                uri=record.uri, title_tokens=tuple(record.name.split()),
+                publisher=record.publisher, size_bytes=record.num_pieces * PIECE_SIZE,
+                popularity=record.popularity, created_at=record.created_at, ttl=record.ttl,
+            ))
+    states = {}
+    for n, (capacity, policy, selection, verify, ops) in enumerate(nodes):
+        node = NodeId(n)
+        state = NodeState(
+            node, registry, internet_access=n < 2, metadata_capacity=capacity,
+            metadata_policy=policy, verify_signatures=verify, selection_policy=selection,
+        )
+        states[node] = state
+        for op in ops:
+            kind, i = op[0], op[1]
+            record = _SYNC_POOL[i]
+            if kind == "store":
+                state.accept_metadata(record, 0.0)
+            elif kind == "copy":
+                state.accept_metadata(_SYNC_COPIES[i], 0.0)
+            elif kind == "fake":
+                fake = _SYNC_FAKES[i]
+                state.metadata.add(fake)
+                state.receive_whole_file(fake.uri, fake.num_pieces)
+            elif kind == "whole":
+                state.receive_whole_file(record.uri, record.num_pieces)
+            elif kind == "piece":
+                index = op[2] % record.num_pieces
+                state.accept_piece(
+                    record.uri, index, piece_payload(record.uri, index),
+                    record.checksums[index],
+                )
+            elif kind in ("query", "foreign"):
+                query = make_query(n, record.uri, op[2].split(), 0.0, record.expires_at)
+                if kind == "query":
+                    state.add_own_query(query)
+                    metrics.register_query(query, access_node=state.internet_access)
+                else:
+                    state.store_foreign_queries(NodeId(n + 1), [query])
+            else:
+                state.remember_peer_requests({record.uri: {NodeId(n + 1)}}, 0.0)
+    for i in refreshed:
+        server.publish(_SYNC_REFRESHED[i])
+    return MobileBitTorrent(states, server, files, metrics, config)
+
+
+def _sync_outcome(engine: MobileBitTorrent, now: float):
+    out: List[object] = []
+    for node, state in sorted(engine.states.items()):
+        out.append((
+            node,
+            [id(record) for record in state.metadata.records()],
+            state.stats.as_dict(),
+            state.wanted_uris(now),
+            sorted(state.rejected_uris),
+            sorted((uri, state.pieces.bitmap_of(uri)) for uri in state.pieces.uris),
+            state.metadata.evictions,
+        ))
+    out.append([
+        (r.query, r.metadata_delivered_at, r.file_delivered_at)
+        for r in engine._metrics.records
+    ])
+    out.append(engine.counters.as_dict())
+    return out
+
+
+_SYNC_NODE = st.tuples(
+    st.sampled_from((None, 1, 2, 3, 5)),
+    st.sampled_from(EVICTION_POLICIES),
+    st.sampled_from(("all", "best")),
+    st.booleans(),
+    st.lists(_SYNC_OPS, max_size=14),
+)
+
+
+class TestSyncEquivalence:
+    """``internet_sync`` equals a sync that sends every record through
+    ``_accept_metadata``, on random node states."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        variant=st.sampled_from(list(ProtocolVariant)),
+        nodes=st.lists(_SYNC_NODE, min_size=3, max_size=3),
+        refreshed=st.sets(st.integers(0, 7)),
+        unserved=st.sets(st.integers(0, 7), max_size=2),
+        instants=st.lists(st.sampled_from((0.0, 0.25 * DAY, 0.75 * DAY, 1.25 * DAY)),
+                          min_size=1, max_size=3),
+    )
+    def test_matches_the_accept_chain(self, variant, nodes, refreshed, unserved, instants):
+        config = ProtocolConfig(variant=variant)
+        fast = _sync_world(config, nodes, refreshed, unserved)
+        reference = _sync_world(config, nodes, refreshed, unserved)
+        for now in sorted(instants):
+            for node in sorted(fast.states):
+                fast.internet_sync(node, now)
+                _reference_sync(reference, node, now)
+            assert _sync_outcome(fast, now) == _sync_outcome(reference, now)
