@@ -1,10 +1,11 @@
-"""Shared helpers for the figure-reproduction benchmarks.
+"""Shared helpers for the benchmarks.
 
-Every ``bench_fig*`` module reproduces one panel of the paper's
-evaluation (§VI-B): it runs the corresponding parameter sweep under
-``pytest-benchmark``, prints the series the paper plots, and asserts
-the qualitative *shape* the paper reports (who wins, which way the
-curves move). Absolute values differ from the paper — the traces are
+``bench_claims.py`` reproduces the paper's evaluation (§VI-B): it runs
+each figure panel's parameter sweep under ``pytest-benchmark`` through
+:func:`run_panel`, prints the series the paper plots, and asserts the
+panel's rows of the paper-claims table
+(:data:`repro.experiments.validation.CLAIMS`): who wins and which way
+the curves move. Absolute values differ from the paper — the traces are
 synthetic rebuilds — but the orderings and trends are the reproduction
 target (see EXPERIMENTS.md).
 
@@ -16,7 +17,7 @@ processes (results are identical to serial, only the wall clock moves).
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.experiments.sweep import SweepResult
 
@@ -35,10 +36,6 @@ def _bench_jobs() -> int:
 
 BENCH_JOBS = _bench_jobs()
 
-#: Tolerance for "A >= B" protocol-ordering assertions: a single-seed
-#: cell can wobble a few percent, which is noise, not a shape change.
-ORDER_TOLERANCE = 0.06
-
 
 def run_panel(benchmark, figure: Callable[..., SweepResult]) -> SweepResult:
     """Benchmark one figure sweep (through the kernel) and print its table."""
@@ -50,32 +47,6 @@ def run_panel(benchmark, figure: Callable[..., SweepResult]) -> SweepResult:
     print()
     print(result.format_table())
     return result
-
-
-def assert_mostly_ordered(
-    better: Sequence[float], worse: Sequence[float], tolerance: float = ORDER_TOLERANCE
-) -> None:
-    """Assert series ``better`` dominates ``worse`` up to noise.
-
-    Every point must satisfy better >= worse − tolerance, and the
-    series means must be ordered strictly.
-    """
-    assert len(better) == len(worse)
-    for b, w in zip(better, worse):
-        assert b >= w - tolerance, (better, worse)
-    assert sum(better) >= sum(worse), (better, worse)
-
-
-def assert_trend_up(series: Sequence[float], tolerance: float = ORDER_TOLERANCE) -> None:
-    """Assert the series rises overall: last >> first and no big dips."""
-    assert series[-1] >= series[0] - tolerance, series
-    assert max(series) >= series[0], series
-
-
-def assert_trend_down(series: Sequence[float], tolerance: float = ORDER_TOLERANCE) -> None:
-    """Assert the series falls overall."""
-    assert series[-1] <= series[0] + tolerance, series
-    assert min(series) <= series[0], series
 
 
 def group_files(sim) -> tuple[float, float, int]:

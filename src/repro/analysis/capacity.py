@@ -8,10 +8,9 @@ download: for a clique of *n* nodes sharing one wireless channel,
 * **pair-wise** — each transmission has exactly one receiver, so each
   node receives a ``1/n`` share: *decreasing* in n.
 
-These functions mirror :meth:`repro.net.medium.TransmissionMedium.
-per_node_capacity`; this module adds the closed forms, a table builder
-used by ``benchmarks/bench_capacity.py``, and the crossover fact that
-the two coincide only at n = 2.
+This module holds the closed forms, a table builder used by the
+capacity row of :data:`repro.experiments.validation.CLAIMS`, and the
+crossover fact that the two coincide only at n = 2.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 Commands
 --------
 ``run``        one simulation on a generated trace, printed as a table
-``sweep``      figure sweeps through the parallel execution kernel
-``figures``    regenerate paper figure panels (same engine as the benchmarks)
+``sweep``      figure sweeps through the parallel execution kernel (alias
+               ``figures``; same engine as the benchmarks)
 ``trace``      generate a trace, print its statistics, optionally save it
 ``stats``      statistics of a saved trace file
 ``capacity``   the §V broadcast-vs-pair-wise capacity table
 ``lint``       detlint: AST determinism & invariant linter
+``validate``   the paper-claims table, one PASS/FAIL line per claim
 
 Examples
 --------
@@ -21,7 +22,7 @@ Examples
     python -m repro lint --list-rules
     python -m repro sweep fig3a --jobs 4              # 4 worker processes
     python -m repro sweep --all --jobs 4 --format csv
-    python -m repro figures fig3a --scale fast
+    python -m repro validate --seeds 0 1          # paper-claims table
     python -m repro trace --kind nus --seed 7 --out campus.trace
     python -m repro stats campus.trace
     python -m repro capacity --max-n 16
@@ -190,20 +191,6 @@ def _format_adversary_report(result) -> str:
     return "\n".join(lines)
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    names = sorted(FIGURES) if args.all else args.panels
-    if not names:
-        print("name at least one panel or pass --all", file=sys.stderr)
-        return 2
-    for name in names:
-        result = FIGURES[name](
-            scale=args.scale, seeds=tuple(args.seeds), jobs=args.jobs
-        )
-        print(result.format_table())
-        print()
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Figure sweeps through the kernel, with report-format output."""
     from repro.experiments.report import sweep_to_csv, sweep_to_json, sweep_to_markdown
@@ -315,17 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "as REPRO_DETCHECK=1)")
     run.set_defaults(handler=_cmd_run)
 
-    figures = sub.add_parser("figures", help="regenerate paper figure panels")
-    figures.add_argument("panels", nargs="*", choices=[*sorted(FIGURES), []])
-    figures.add_argument("--all", action="store_true")
-    figures.add_argument("--scale", choices=("fast", "paper"), default="fast")
-    figures.add_argument("--seeds", type=int, nargs="+", default=[0])
-    figures.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker processes for the sweep grid")
-    figures.set_defaults(handler=_cmd_figures)
-
     sweep = sub.add_parser(
         "sweep",
+        aliases=["figures"],
         help="figure sweeps through the parallel execution kernel",
     )
     sweep.add_argument("panels", nargs="*", choices=[*sorted(FIGURES), []])

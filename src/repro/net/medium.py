@@ -8,7 +8,8 @@ exactly one receiver, so per-node bandwidth is ``W/n``. Both medium
 models below turn a per-contact transmission budget into a schedule of
 (sender, receivers, item) deliveries honoring that difference: the
 broadcast medium charges one budget unit per clique-wide delivery, the
-pair-wise medium charges one unit per single-receiver delivery.
+pair-wise medium charges one unit per single-receiver delivery. The
+closed-form capacities are in :mod:`repro.analysis.capacity`.
 
 The paper's simulations use fixed per-contact budgets ("nodes can send
 or receive a fixed number of metadata and files", §VI-A);
@@ -64,10 +65,6 @@ class TransmissionMedium(ABC):
     def receivers(self, sender: NodeId, clique: FrozenSet[NodeId]) -> FrozenSet[NodeId]:
         """Nodes that receive a transmission from ``sender``."""
 
-    @abstractmethod
-    def per_node_capacity(self, clique_size: int) -> float:
-        """Fraction of channel capacity received per node (§V model)."""
-
     @property
     @abstractmethod
     def name(self) -> str:
@@ -82,14 +79,6 @@ class BroadcastMedium(TransmissionMedium):
             raise ValueError(f"sender {sender} not in clique {set(clique)}")
         return clique - {sender}
 
-    def per_node_capacity(self, clique_size: int) -> float:
-        """(n−1)/n: everyone but the single sender receives."""
-        if clique_size < 1:
-            raise ValueError("clique size must be >= 1")
-        if clique_size == 1:
-            return 0.0
-        return (clique_size - 1) / clique_size
-
     @property
     def name(self) -> str:
         return "broadcast"
@@ -98,10 +87,8 @@ class BroadcastMedium(TransmissionMedium):
 class PairwiseMedium(TransmissionMedium):
     """Baseline pair-wise medium: one designated receiver.
 
-    ``receivers`` needs a chosen peer; the download scheduler passes it
-    via :meth:`receivers_for_peer`. ``receivers`` with a full clique
-    returns the lowest-id other node, a deterministic default used by
-    simple tests.
+    ``receivers`` returns the lowest-id other clique member, so the
+    choice is deterministic.
     """
 
     def receivers(self, sender: NodeId, clique: FrozenSet[NodeId]) -> FrozenSet[NodeId]:
@@ -111,19 +98,6 @@ class PairwiseMedium(TransmissionMedium):
         if not others:
             return frozenset()
         return frozenset({others[0]})
-
-    @staticmethod
-    def receivers_for_peer(peer: NodeId) -> FrozenSet[NodeId]:
-        """Explicit single-receiver set."""
-        return frozenset({peer})
-
-    def per_node_capacity(self, clique_size: int) -> float:
-        """1/n: the channel is shared and each use serves one receiver."""
-        if clique_size < 1:
-            raise ValueError("clique size must be >= 1")
-        if clique_size == 1:
-            return 0.0
-        return 1.0 / clique_size
 
     @property
     def name(self) -> str:

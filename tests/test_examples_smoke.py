@@ -1,8 +1,8 @@
 """Smoke tests: the shipped examples must run to completion.
 
-Only the fast examples run here (the figure sweeps and the validation
-checklist have their own benchmarks); each is executed in-process with
-stdout captured.
+Only the fast examples run here (the figure sweeps have their own
+benchmark, ``benchmarks/bench_claims.py``); each is executed in-process
+with stdout captured.
 """
 
 from __future__ import annotations

@@ -45,36 +45,12 @@ class TestBroadcastMedium:
         with pytest.raises(ValueError):
             BroadcastMedium().receivers(NodeId(9), clique(1, 2))
 
-    def test_capacity_increases_with_density(self):
-        medium = BroadcastMedium()
-        caps = [medium.per_node_capacity(n) for n in range(2, 10)]
-        assert caps == sorted(caps)
-        assert medium.per_node_capacity(2) == pytest.approx(0.5)
-        assert medium.per_node_capacity(10) == pytest.approx(0.9)
-
-    def test_singleton_capacity_zero(self):
-        assert BroadcastMedium().per_node_capacity(1) == 0.0
-
-    def test_capacity_rejects_zero(self):
-        with pytest.raises(ValueError):
-            BroadcastMedium().per_node_capacity(0)
-
 
 class TestPairwiseMedium:
     def test_single_receiver(self):
         medium = PairwiseMedium()
         receivers = medium.receivers(NodeId(3), clique(1, 2, 3))
         assert len(receivers) == 1
-
-    def test_capacity_decreases_with_density(self):
-        medium = PairwiseMedium()
-        caps = [medium.per_node_capacity(n) for n in range(2, 10)]
-        assert caps == sorted(caps, reverse=True)
-        assert medium.per_node_capacity(2) == pytest.approx(0.5)
-        assert medium.per_node_capacity(10) == pytest.approx(0.1)
-
-    def test_receivers_for_peer(self):
-        assert PairwiseMedium.receivers_for_peer(NodeId(7)) == clique(7)
 
     def test_names(self):
         assert BroadcastMedium().name == "broadcast"
@@ -137,13 +113,23 @@ class TestCapacityAnalysis:
         assert [p.clique_size for p in table] == [2, 4, 8]
         assert table[-1].gain == pytest.approx(7.0)
 
-    def test_medium_models_agree_with_analysis(self):
-        broadcast = BroadcastMedium()
-        pairwise = PairwiseMedium()
-        for n in range(1, 12):
-            assert broadcast.per_node_capacity(n) == pytest.approx(
-                broadcast_per_node_capacity(n)
-            )
-            assert pairwise.per_node_capacity(n) == pytest.approx(
-                pairwise_per_node_capacity(n)
-            )
+    def test_capacity_increases_with_density(self):
+        caps = [broadcast_per_node_capacity(n) for n in range(2, 10)]
+        assert caps == sorted(caps)
+        assert broadcast_per_node_capacity(2) == pytest.approx(0.5)
+        assert broadcast_per_node_capacity(10) == pytest.approx(0.9)
+
+    def test_capacity_decreases_with_density(self):
+        caps = [pairwise_per_node_capacity(n) for n in range(2, 10)]
+        assert caps == sorted(caps, reverse=True)
+        assert pairwise_per_node_capacity(2) == pytest.approx(0.5)
+        assert pairwise_per_node_capacity(10) == pytest.approx(0.1)
+
+    def test_singleton_capacity_zero(self):
+        assert broadcast_per_node_capacity(1) == 0.0
+        assert pairwise_per_node_capacity(1) == 0.0
+
+    def test_capacity_rejects_zero(self):
+        for capacity in (broadcast_per_node_capacity, pairwise_per_node_capacity):
+            with pytest.raises(ValueError):
+                capacity(0)

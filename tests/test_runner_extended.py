@@ -140,8 +140,8 @@ class TestCLIValidate:
     def test_validate_command_passes(self, capsys):
         from repro.cli import main as cli_main
 
-        # The fast validation takes ~30 s; exercised fully by the
-        # examples. Here we only check wiring via --help.
+        # The fast validation takes ~20 s; its rows are exercised by
+        # benchmarks/bench_claims.py. Here we only check wiring via --help.
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["validate", "--help"])
         assert excinfo.value.code == 0

@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.validation import Claim, format_report
+from repro.analysis.capacity import CapacityPoint, capacity_table
+from repro.experiments.sweep import SweepPoint, SweepResult
+from repro.experiments.validation import (
+    CAPACITY_SIZES,
+    CLAIMS,
+    PANELS,
+    Claim,
+    ClaimRow,
+    capacity_holds,
+    check_panel,
+    discovery_doubles,
+    dominates,
+    falls,
+    format_report,
+    qm_flat,
+    rises,
+)
 from repro.traces.base import Contact, ContactTrace
 from repro.traces.sanitize import (
     clip,
@@ -144,15 +162,110 @@ class TestValidationReport:
         assert "[FAIL] b" in text
         assert "1/2 claims reproduced" in text
 
-    def test_validate_reproduction_runs_fast(self):
-        # Full run is exercised by examples/validate_reproduction.py and
-        # the benchmarks; here we only check the harness contract on
-        # the capacity claim, which is trace-free.
-        from repro.experiments.validation import _claim_capacity
 
-        claim = _claim_capacity()
-        assert claim.passed
+# ------------------------------------------------------ paper-claims table
+
+
+def panel(series: dict) -> SweepResult:
+    """A hand-built sweep whose metadata and file series are both ``series``."""
+    x_values = tuple(float(x) for x in range(len(next(iter(series.values())))))
+    points = tuple(
+        SweepPoint(x, {p: (s[i], s[i]) for p, s in series.items()})
+        for i, x in enumerate(x_values)
+    )
+    return SweepResult("hand-built", "x", x_values, points, tuple(series))
+
+
+UP = (0.1, 0.2, 0.3, 0.4, 0.5)
+TABLE = capacity_table(CAPACITY_SIZES)
+QM = (0.5, 0.5, 0.6, 0.5, 0.5)
+
+#: Each predicate kind: (check, data that satisfies it, data that violates
+#: it). The pairs sit on either side of the 0.06 tolerance where one applies.
+PREDICATE_CASES = {
+    "dominates": (
+        dominates("file", ("mbt", "mbt-qm")),
+        panel({"mbt": (0.6, 0.6, 0.55, 0.6, 0.6), "mbt-qm": QM}),
+        panel({"mbt": (0.6, 0.6, 0.5, 0.6, 0.6), "mbt-qm": QM}),
+    ),
+    "dominates-sum": (
+        dominates("metadata", ("mbt", "mbt-qm")),
+        panel({"mbt": (0.15,) * 5, "mbt-qm": (0.15,) * 5}),
+        panel({"mbt": (0.1,) * 5, "mbt-qm": (0.15,) * 5}),
+    ),
+    "upper-half-dominates": (
+        dominates("file", ("mbt", "mbt-qm"), upper_half=True),
+        panel({"mbt": (0.0, 0.0, 0.5, 0.5, 0.5), "mbt-qm": (0.4,) * 5}),
+        panel({"mbt": (0.5, 0.5, 0.5, 0.5, 0.0), "mbt-qm": (0.4,) * 5}),
+    ),
+    "rises": (
+        rises("file", ("mbt",)),
+        panel({"mbt": (0.5, 0.6, 0.7, 0.6, 0.45)}),
+        panel({"mbt": (0.5, 0.6, 0.7, 0.6, 0.4)}),
+    ),
+    "falls": (
+        falls("file", ("mbt",)),
+        panel({"mbt": (0.5, 0.4, 0.3, 0.4, 0.55)}),
+        panel({"mbt": (0.5, 0.4, 0.3, 0.4, 0.6)}),
+    ),
+    "qm-flat": (
+        qm_flat,
+        panel({"mbt": UP, "mbt-qm": (0.1, 0.1, 0.1, 0.1, 0.25)}),
+        panel({"mbt": UP, "mbt-qm": (0.1, 0.1, 0.1, 0.1, 0.35)}),
+    ),
+    "ratio": (
+        discovery_doubles,
+        panel({"mbt": (0.1, 0.2, 0.3, 0.5, 0.6), "mbt-qm": (0.27,) * 5}),
+        panel({"mbt": (0.1, 0.2, 0.3, 0.5, 0.6), "mbt-qm": (0.29,) * 5}),
+    ),
+    "ratio-zero": (
+        discovery_doubles,
+        panel({"mbt": (0.1, 0.2, 0.3, 0.5, 0.6), "mbt-qm": (0.01,) * 5}),
+        panel({"mbt": (0.1, 0.2, 0.3, 0.5, 0.6), "mbt-qm": (0.0,) * 5}),
+    ),
+    "capacity-gain": (
+        capacity_holds,
+        TABLE,
+        [CapacityPoint(2, 0.5, 0.5), CapacityPoint(3, 0.7, 0.3)],  # gain != n - 1
+    ),
+    "capacity-crossover": (
+        capacity_holds, TABLE, [replace(TABLE[0], pairwise=0.4), *TABLE[1:]]
+    ),
+    "capacity-broadcast-rises": (
+        capacity_holds, TABLE, [*TABLE[:5], replace(TABLE[5], broadcast=0.5), *TABLE[6:]]
+    ),
+    "capacity-pairwise-falls": (
+        capacity_holds, TABLE, [*TABLE[:5], replace(TABLE[5], pairwise=0.18), *TABLE[6:]]
+    ),
+}
+
+
+class TestClaimsTable:
+    def test_ids_unique_and_every_panel_has_a_row(self):
+        ids = [row.claim_id for row in CLAIMS]
+        assert len(ids) == len(set(ids))
+        figures = {f"fig2{c}" for c in "abcde"} | {f"fig3{c}" for c in "abcdef"}
+        assert set(PANELS) == figures
+        assert [row.claim_id for row in CLAIMS if row.panel is None] == ["capacity"]
+
+    @pytest.mark.parametrize("kind", sorted(PREDICATE_CASES))
+    def test_predicate(self, kind):
+        check, satisfying, violating = PREDICATE_CASES[kind]
+        row = ClaimRow(kind, None, "hand-built", check)
+        assert row.evaluate(satisfying).passed
+        claim = row.evaluate(violating)
+        assert not claim.passed
+        assert claim.claim_id == kind and claim.detail
+
+    def test_upper_half_ignores_the_lower_half(self):
+        __, satisfying, __ = PREDICATE_CASES["upper-half-dominates"]
+        passed, __ = dominates("file", ("mbt", "mbt-qm"))(satisfying)
+        assert not passed
+
+    def test_capacity_row_passes(self):
+        (claim,) = check_panel(None, None)
         assert claim.claim_id == "capacity"
+        assert claim.passed, claim.detail
 
 
 # ------------------------------------------------- sanitize() properties
