@@ -1,20 +1,21 @@
-"""The paper's claims, panel by panel (§VI-B and §V).
+"""Every claim of the reproduction, panel by panel.
 
-Each parametrized test runs one figure panel through the kernel under
-``pytest-benchmark``, prints the series the paper plots and asserts
-every row of :data:`repro.experiments.validation.CLAIMS` that reads that
-panel (the row ids are listed in EXPERIMENTS.md). A last test checks the
-trace-free §V capacity row.
+Each parametrized test runs one panel of the claims table under
+``pytest-benchmark``: a Fig. 2/3 sweep (§VI-B) through the kernel, or
+an extension panel (:mod:`repro.experiments.ablations`, ``figloss``,
+``figrobust``). It prints the panel's series and asserts every row of
+:data:`repro.experiments.validation.CLAIMS` that reads it (the row ids
+are listed in EXPERIMENTS.md). A last test checks the trace-free §V
+capacity row.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import FIGURES
 from repro.experiments.validation import PANELS, check_panel, format_report
 
-from conftest import run_panel
+from conftest import bench_panel
 
 
 def assert_all_pass(claims) -> None:
@@ -26,8 +27,7 @@ def assert_all_pass(claims) -> None:
 
 @pytest.mark.parametrize("panel", PANELS)
 def test_panel_claims(benchmark, panel):
-    result = run_panel(benchmark, FIGURES[panel])
-    assert_all_pass(check_panel(panel, result))
+    assert_all_pass(check_panel(panel, bench_panel(benchmark, panel)))
 
 
 def test_capacity_claim(benchmark):

@@ -1,30 +1,31 @@
 """Shared helpers for the benchmarks.
 
-``bench_claims.py`` reproduces the paper's evaluation (§VI-B): it runs
-each figure panel's parameter sweep under ``pytest-benchmark`` through
-:func:`run_panel`, prints the series the paper plots, and asserts the
-panel's rows of the paper-claims table
-(:data:`repro.experiments.validation.CLAIMS`): who wins and which way
-the curves move. Absolute values differ from the paper — the traces are
-synthetic rebuilds — but the orderings and trends are the reproduction
-target (see EXPERIMENTS.md).
+``bench_claims.py`` checks the claims table
+(:data:`repro.experiments.validation.CLAIMS`): it runs each panel under
+``pytest-benchmark`` through :func:`bench_panel`, prints the series,
+and asserts the panel's rows — who wins and which way the curves move.
+Absolute values differ from the paper — the traces are synthetic
+rebuilds — but the orderings and trends are the reproduction target
+(see EXPERIMENTS.md).
 
-All panels execute through the shared kernel (:mod:`repro.exec`); set
-``REPRO_BENCH_JOBS=4`` to fan each sweep grid out over four worker
-processes (results are identical to serial, only the wall clock moves).
+Set ``REPRO_BENCH_JOBS=4`` to fan each panel's plain simulation runs out
+over four worker processes through the shared kernel
+(:mod:`repro.exec`); results are identical to serial, only the wall
+clock moves.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 from repro.experiments.sweep import SweepResult
+from repro.experiments.validation import run_panel
 
-#: Seeds averaged per sweep cell in benchmarks (1 keeps CI fast).
+#: Seeds averaged per Fig. 2/3 sweep cell in benchmarks (1 keeps CI
+#: fast); the extension panels have fixed seeds.
 BENCH_SEEDS = (0,)
 
-#: Worker processes per sweep grid (the kernel's ``jobs``), from the
+#: Worker processes per panel (the kernel's ``jobs``), from the
 #: environment so CI and local runs can scale without code changes.
 def _bench_jobs() -> int:
     raw = os.environ.get("REPRO_BENCH_JOBS", "1")
@@ -37,32 +38,13 @@ def _bench_jobs() -> int:
 BENCH_JOBS = _bench_jobs()
 
 
-def run_panel(benchmark, figure: Callable[..., SweepResult]) -> SweepResult:
-    """Benchmark one figure sweep (through the kernel) and print its table."""
+def bench_panel(benchmark, panel: str) -> SweepResult:
+    """Benchmark one panel of the claims table and print its table."""
     result = benchmark.pedantic(
-        lambda: figure(scale="fast", seeds=BENCH_SEEDS, jobs=BENCH_JOBS),
+        lambda: run_panel(panel, "fast", BENCH_SEEDS, jobs=BENCH_JOBS),
         rounds=1,
         iterations=1,
     )
     print()
     print(result.format_table())
     return result
-
-
-def group_files(sim) -> tuple[float, float, int]:
-    """File delivery ``(cooperators, riders, rider query count)`` of a run.
-
-    Both groups leave out Internet-access nodes, so a free-rider's
-    share is compared with that of the cooperators it depends on.
-    """
-    coop = frozenset(
-        n for n in sim.states
-        if n not in sim.adversary_nodes and n not in sim.access_nodes
-    )
-    riders = frozenset(
-        n for n in sim.states
-        if n in sim.adversary_nodes and n not in sim.access_nodes
-    )
-    __, coop_file, __ = sim.metrics.ratios_for(coop)
-    __, rider_file, rider_count = sim.metrics.ratios_for(riders)
-    return coop_file, rider_file, rider_count

@@ -16,6 +16,7 @@ from dataclasses import replace
 from statistics import mean
 
 from repro import AdversaryPlan, Simulation, SimulationConfig
+from repro.experiments.ablations import group_ratios
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
 
 
@@ -31,20 +32,6 @@ def main() -> None:
         seed=11,
     )
 
-    def group_files(sim):
-        coop = frozenset(
-            n for n in sim.states
-            if n not in sim.adversary_nodes and n not in sim.access_nodes
-        )
-        riders = frozenset(
-            n for n in sim.states
-            if n in sim.adversary_nodes and n not in sim.access_nodes
-        )
-        coop_file = sim.metrics.ratios_for(coop)[1]
-        rider = sim.metrics.ratios_for(riders)
-        rider_file = rider[1] if rider[2] else float("nan")
-        return coop_file, rider_file
-
     print(f"{'selfish':>8}{'policy':>12}{'coop file':>11}{'rider file':>12}")
     last_tft_sim = None
     for fraction in (0.0, 0.2, 0.4, 0.6):
@@ -58,7 +45,7 @@ def main() -> None:
             sim.run()
             if label == "tft":
                 last_tft_sim = sim
-            coop_file, rider_file = group_files(sim)
+            (__, coop_file), (__, rider_file) = group_ratios(sim)
             print(f"{fraction:>8.1f}{label:>12}{coop_file:>11.3f}{rider_file:>12.3f}")
 
     assert last_tft_sim is not None
@@ -87,8 +74,9 @@ def main() -> None:
         "\n(free-riders earn none), and the encrypted-choking extension"
         "\n(the paper's §IV-B future work) converts that record into"
         "\nconsequences: choked riders' delivery drops while seeds keep"
-        "\nserving everyone. See benchmarks/bench_choking.py for the"
-        "\nconfiguration where the payoff ordering fully inverts."
+        "\nserving everyone. The incentives-* rows of `python -m repro"
+        "\nvalidate` check the configuration where the payoff ordering"
+        "\nfully inverts."
     )
 
 

@@ -56,10 +56,6 @@ class CapacityPoint:
     broadcast: float
     pairwise: float
 
-    @property
-    def gain(self) -> float:
-        return self.broadcast / self.pairwise if self.pairwise else float("inf")
-
 
 def capacity_table(
     clique_sizes: Iterable[int], channel_capacity: float = 1.0

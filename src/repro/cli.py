@@ -34,7 +34,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.capacity import capacity_table
+from repro.analysis.capacity import capacity_gain, capacity_table
 from repro.core.credits import CREDIT_POLICIES
 from repro.core.mbt import ProtocolVariant
 from repro.core.strategies import AdversaryPlan, parse_mix
@@ -199,8 +199,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not names:
         print("name at least one panel or pass --all", file=sys.stderr)
         return 2
+    from repro.experiments.asciiplot import render_panel
+
     renderers = {
         "table": lambda r: r.format_table(),
+        "plot": lambda r: render_panel(r, metric="file"),
         "csv": sweep_to_csv,
         "markdown": sweep_to_markdown,
         "json": sweep_to_json,
@@ -239,7 +242,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     for point in capacity_table(range(2, args.max_n + 1)):
         print(
             f"{point.clique_size:>4}{point.broadcast:>12.4f}"
-            f"{point.pairwise:>12.4f}{point.gain:>8.1f}"
+            f"{point.pairwise:>12.4f}{capacity_gain(point.clique_size):>8.1f}"
         )
     return 0
 
@@ -313,8 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", type=int, nargs="+", default=[0])
     sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes (1 = serial, same results)")
-    sweep.add_argument("--format", choices=("table", "csv", "markdown", "json"),
-                       default="table")
+    sweep.add_argument("--format",
+                       choices=("table", "plot", "csv", "markdown", "json"),
+                       default="table",
+                       help="output format (plot: ASCII chart of file delivery)")
     sweep.set_defaults(handler=_cmd_sweep)
 
     trace = sub.add_parser("trace", help="generate a synthetic trace")

@@ -78,9 +78,9 @@ class MetadataStore:
     * ``"lru"``: evict the least recently ``get``-accessed record;
     * ``"utility"``: evict the lowest ``popularity × remaining TTL`` —
       a record's expected future usefulness. Motivated by the storage
-      ablation (`bench_storage.py`): pure popularity eviction keeps old
-      popular records that are about to expire anyway, which is why
-      plain FIFO can beat it; utility combines both signals.
+      ablation (the ``storage-*`` claim rows): pure popularity eviction
+      keeps old popular records that are about to expire anyway, which is
+      why plain FIFO can beat it; utility combines both signals.
 
     Records matching one of the owner's *protected* URIs (metadata for
     files the node itself wants) are never evicted while an

@@ -1,7 +1,7 @@
 """Terminal line charts for sweep results.
 
-No plotting dependency is available offline, so the figure runner can
-render each panel as an ASCII chart: x positions map to columns, the
+No plotting dependency is available offline, so ``repro sweep --format
+plot`` renders each panel as an ASCII chart: x positions map to columns, the
 [0, 1] delivery-ratio range maps to rows, and each protocol gets a
 marker. Good enough to *see* the crossovers and flat lines the paper's
 figures show, directly in a terminal or CI log.

@@ -396,7 +396,7 @@ def figrobust(
     )
 
 
-#: Registry used by the benchmark suite and the figure-runner example.
+#: Registry of the figure panels, used by ``repro sweep`` and the claims table.
 FIGURES: Dict[str, Callable[..., SweepResult]] = {
     "fig2a": fig2a,
     "fig2b": fig2b,

@@ -1,6 +1,6 @@
 """Render sweep results as CSV or Markdown reports.
 
-Used by ``examples/figure_runner.py --csv/--markdown`` and handy for
+Used by ``repro sweep --format csv|markdown|json`` and handy for
 downstream analysis (the CSV loads directly into pandas/numpy).
 """
 

@@ -11,7 +11,8 @@ abstraction and the queries the reproduction uses it for:
 * **reachability sets** and **delivery upper bounds**: given a file
   generated at time *t* with TTL, which nodes could possibly have it
   before expiry? No protocol can beat this bound, so it contextualizes
-  measured delivery ratios (see ``bench_oracle_bound.py``).
+  measured delivery ratios (the ``oracle-*`` rows of
+  :data:`repro.experiments.validation.CLAIMS`).
 """
 
 from __future__ import annotations

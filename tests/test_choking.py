@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from unittest import mock
 
 from repro.core import mbt
 from repro.core.mbt import ProtocolConfig, SchedulingMode
 from repro.core.strategies import AdversaryPlan
+from repro.detlint.sanitizer import result_fingerprint
+from repro.experiments.ablations import group_ratios
 from repro.net.medium import ContactBudget
 from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import Simulation, SimulationConfig
@@ -134,17 +138,8 @@ class TestChokingEndToEnd:
         )
         sim = Simulation(trace, config)
         sim.run()
-        coop = frozenset(
-            n for n in sim.states
-            if n not in sim.adversary_nodes and n not in sim.access_nodes
-        )
-        riders = frozenset(
-            n for n in sim.states
-            if n in sim.adversary_nodes and n not in sim.access_nodes
-        )
-        __, coop_file, __ = sim.metrics.ratios_for(coop)
-        __, rider_file, rider_count = sim.metrics.ratios_for(riders)
-        assert rider_count > 0
+        (__, coop_file), (__, rider_file) = group_ratios(sim)
+        assert not math.isnan(rider_file)  # the riders issued queries
         return coop_file, rider_file
 
     def test_choking_inverts_the_free_riding_payoff(self):
@@ -157,3 +152,19 @@ class TestChokingEndToEnd:
         assert coop_choke > rider_choke
         # ...because the riders' delivery drops distinctly.
         assert rider_choke < rider_plain - 0.05
+
+
+class TestIncentiveArms:
+    def test_coordinator_and_cyclic_runs_differ(self):
+        """The incentives panel's scheduling arms are different runs at every rider fraction."""
+        trace = generate_dieselnet_trace(DieselNetConfig(num_buses=10, num_days=3), seed=0)
+        for fraction in (0.0, 0.4):
+            config = SimulationConfig(
+                seed=0, files_per_day=10, metadata_per_contact=2, files_per_contact=2,
+                adversaries=AdversaryPlan(fraction=fraction, mix=(("free_rider", 1.0),)),
+            )
+            coordinator = Simulation(trace, config).run()
+            cyclic = Simulation(
+                trace, replace(config, scheduling=SchedulingMode.CYCLIC)
+            ).run()
+            assert result_fingerprint(coordinator) != result_fingerprint(cyclic), fraction

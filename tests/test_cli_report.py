@@ -83,6 +83,18 @@ class TestCLI:
         assert "mbt" in out
         assert "protocol" in out
 
+    def test_sweep_single_panel_csv(self, capsys):
+        assert cli_main(["sweep", "fig3f", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert "attendance" in out
+        assert "mbt_file" in out
+
+    def test_sweep_plot_format(self, capsys):
+        assert cli_main(["sweep", "fig3f", "--format", "plot"]) == 0
+        out = capsys.readouterr().out
+        assert "file delivery ratio" in out
+        assert "|" in out
+
     def test_figures_requires_panel(self, capsys):
         assert cli_main(["figures"]) == 2
 

@@ -5,9 +5,9 @@ knob except the safety valve and the profiler (see
 :data:`NOT_DRAWN`), including fault plans, adversary plans, pollution,
 duration-derived budgets and files of more than 64 pieces — must each
 run to completion, reproduce bitwise under the detcheck sanitizer,
-report delivery ratios in [0, 1], never transmit more than the
-per-contact budgets allow, and never let a node whose strategy does
-not serve a phase send in it. Budgets and serving are checked at every
+report delivery ratios in [0, 1] with file delivery at most metadata
+delivery, never transmit more than the per-contact budgets allow, and
+never let a node whose strategy does not serve a phase send in it. Budgets and serving are checked at every
 contact, not only on run totals.
 """
 
@@ -162,6 +162,8 @@ def _check(trace: ContactTrace, config: SimulationConfig) -> SimulationResult:
         result = checked_run(trace, config, runs=2)
     assert 0.0 <= result.metadata_delivery_ratio <= 1.0
     assert 0.0 <= result.file_delivery_ratio <= 1.0
+    # A completed file also delivers its metadata.
+    assert result.file_delivery_ratio <= result.metadata_delivery_ratio
     counters = result.counters
     assert contacts_checked == 2 * counters["contacts_processed"]
     if config.use_duration_budgets:

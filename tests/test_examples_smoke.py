@@ -1,8 +1,9 @@
 """Smoke tests: the shipped examples must run to completion.
 
-Only the fast examples run here (the figure sweeps have their own
-benchmark, ``benchmarks/bench_claims.py``); each is executed in-process
-with stdout captured.
+Only the fast examples run here (the figure sweeps run through
+``repro sweep``, tested in ``test_cli_report.py``, and the claims table
+in ``benchmarks/bench_claims.py``); each is executed in-process with
+stdout captured.
 """
 
 from __future__ import annotations
@@ -39,15 +40,3 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "delivered=True" in out
         assert "PIECE" in out
-
-    def test_figure_runner_single_panel(self, capsys):
-        run_example("figure_runner.py", ["fig3f", "--format", "csv"])
-        out = capsys.readouterr().out
-        assert "attendance" in out
-        assert "mbt_file" in out
-
-    def test_figure_runner_plot_format(self, capsys):
-        run_example("figure_runner.py", ["fig3f", "--format", "plot"])
-        out = capsys.readouterr().out
-        assert "file delivery ratio" in out
-        assert "|" in out

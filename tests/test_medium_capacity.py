@@ -111,7 +111,7 @@ class TestCapacityAnalysis:
     def test_capacity_table(self):
         table = capacity_table([2, 4, 8])
         assert [p.clique_size for p in table] == [2, 4, 8]
-        assert table[-1].gain == pytest.approx(7.0)
+        assert table[-1].broadcast / table[-1].pairwise == pytest.approx(7.0)
 
     def test_capacity_increases_with_density(self):
         caps = [broadcast_per_node_capacity(n) for n in range(2, 10)]
