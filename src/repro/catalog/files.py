@@ -168,10 +168,6 @@ class PieceStore:
         """URIs with at least one stored piece."""
         return frozenset(self._bitmaps)
 
-    def iter_uris(self) -> Iterator[Uri]:
-        """Stored URIs in insertion order (no frozenset allocation)."""
-        return iter(self._bitmaps)
-
     def bitmap_of(self, uri: Uri) -> int:
         """Bitmap of the stored pieces of ``uri`` (0 if none)."""
         return self._bitmaps.get(uri, 0)

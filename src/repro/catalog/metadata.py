@@ -21,10 +21,6 @@ from repro.catalog.files import FileDescriptor, piece_checksums
 from repro.types import Uri
 
 
-class AuthenticationError(ValueError):
-    """Raised when a metadata signature does not verify."""
-
-
 @dataclass(frozen=True)
 class Metadata:
     """Advertisement of a file, distributed independently of the file.

@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -233,9 +232,3 @@ def main(
             summary += f", {report.suppressions_matched} suppressed"
         print(summary, file=stream)
     return report.exit_code
-
-
-def _iter_sources(paths: Sequence[str]) -> Iterable[Tuple[str, str]]:
-    """(source, posix-path) pairs for ``paths`` (test helper)."""
-    for path in iter_python_files(paths):
-        yield path.read_text(encoding="utf-8"), path.as_posix()

@@ -19,11 +19,9 @@ from repro.exec.kernel import (
     RunResult,
     RunSpec,
     TraceSpec,
-    as_trace_spec,
     build_trace,
     execute,
     resolve_callable,
-    resolve_execution_mode,
     run_many,
     trace_cache_clear,
 )
@@ -33,11 +31,9 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "TraceSpec",
-    "as_trace_spec",
     "build_trace",
     "execute",
     "resolve_callable",
-    "resolve_execution_mode",
     "run_many",
     "trace_cache_clear",
 ]

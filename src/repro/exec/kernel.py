@@ -1,15 +1,14 @@
 """The shared execution kernel: picklable run specs + process fan-out.
 
-Every experiment harness in the repository — figure sweeps, multi-seed
-campaigns, the benchmark suite and the CLI — reduces to the same
+Every experiment harness in the repository — the figure and extension
+panels, the benchmark suite and the CLI — reduces to the same
 primitive: *run one simulation for one (trace, config) pair*. This
 module makes that primitive a first-class, picklable value so a flat
 list of runs can be executed serially or fanned out across worker
 processes with bitwise-identical results:
 
 * :class:`TraceSpec` — a declarative, picklable description of how to
-  build a contact trace (a dotted-path builder plus arguments, or a
-  literal pre-built trace);
+  build a contact trace (a dotted-path builder plus arguments);
 * :class:`RunSpec` — one run: a trace spec, a
   :class:`~repro.sim.runner.SimulationConfig` and an optional seed
   override, plus an opaque ``tag`` that round-trips to the result;
@@ -41,17 +40,14 @@ Trace memo
 A sweep reuses one trace across many (x, protocol) cells, so each
 process memoizes built traces in a small least-recently-used table
 keyed by the full builder recipe (dotted path + every argument). Specs
-with unhashable arguments are built every time, and literal traces are
-already built: they travel inside the pickled spec.
+with unhashable arguments are built every time.
 
-Execution modes
----------------
-``run_many(..., mode="auto")`` (the default) only spins up a process
-pool when it can actually help: with ``jobs <= 1`` or on a single-CPU
-machine it executes inline — no pool, no pickling, no fork overhead.
-``mode="processes"`` forces the pool (a worker crash then cannot take
-the caller down); ``mode="inline"`` forces serial execution.
-:func:`resolve_execution_mode` exposes the decision.
+Inline or pool
+--------------
+:func:`run_many` only spins up a process pool when it can actually
+help: with ``jobs <= 1`` or on a single-CPU machine it executes inline —
+no pool, no pickling, no fork overhead. Tests that need the real pool
+on any host pin ``os.cpu_count`` above one.
 
 Pool workers are handed the module-level :func:`execute` by name, looked
 up when :func:`run_many` is called, so a caller that rebinds
@@ -79,11 +75,9 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "TraceSpec",
-    "as_trace_spec",
     "build_trace",
     "execute",
     "resolve_callable",
-    "resolve_execution_mode",
     "run_many",
     "trace_cache_clear",
 ]
@@ -124,46 +118,26 @@ def _import_callable(path: str) -> Callable[..., Any]:
 class TraceSpec:
     """Picklable recipe for one contact trace.
 
-    Exactly one of two forms:
-
-    * **builder** — ``builder`` names a module-level callable as
-      ``"module:qualname"``; :meth:`build` imports and calls it with
-      ``args``/``kwargs``. Cheap to pickle and cacheable by value.
-    * **literal** — ``trace`` holds a pre-built
-      :class:`~repro.traces.base.ContactTrace`. The trace itself is
-      pickled to workers; caching is unnecessary.
+    ``builder`` names a module-level callable as ``"module:qualname"``;
+    :meth:`build` imports and calls it with ``args``/``kwargs``. Cheap to
+    pickle and cacheable by value.
     """
 
-    builder: Optional[str] = None
+    builder: str
     args: Tuple[Any, ...] = ()
     kwargs: Tuple[Tuple[str, Any], ...] = ()
-    trace: Optional[ContactTrace] = None
-
-    def __post_init__(self) -> None:
-        if (self.builder is None) == (self.trace is None):
-            raise ValueError("TraceSpec needs exactly one of builder= or trace=")
 
     @classmethod
     def of(cls, fn: Callable[..., ContactTrace], *args: Any, **kwargs: Any) -> "TraceSpec":
         """Spec for a module-level trace builder and its arguments."""
         path = resolve_callable(fn)
         if path is None:
-            raise ValueError(
-                f"{fn!r} is not an importable module-level callable; "
-                "use TraceSpec.literal(...) for traces built by closures"
-            )
+            raise ValueError(f"{fn!r} is not an importable module-level callable")
         return cls(builder=path, args=tuple(args), kwargs=tuple(sorted(kwargs.items())))
-
-    @classmethod
-    def literal(cls, trace: ContactTrace) -> "TraceSpec":
-        """Spec wrapping an already-built trace."""
-        return cls(trace=trace)
 
     @property
     def cache_key(self) -> Optional[Tuple[Any, ...]]:
         """Hashable identity for the per-worker cache (None = uncached)."""
-        if self.builder is None:
-            return None
         key = (self.builder, self.args, self.kwargs)
         try:
             hash(key)
@@ -173,20 +147,8 @@ class TraceSpec:
 
     def build(self) -> ContactTrace:
         """Materialize the trace (no caching; see :func:`execute`)."""
-        if self.trace is not None:
-            return self.trace
-        assert self.builder is not None
         fn = _import_callable(self.builder)
         return fn(*self.args, **dict(self.kwargs))
-
-
-def as_trace_spec(obj: "TraceSpec | ContactTrace") -> TraceSpec:
-    """Coerce a trace-or-spec into a spec (legacy factories return traces)."""
-    if isinstance(obj, TraceSpec):
-        return obj
-    if isinstance(obj, ContactTrace):
-        return TraceSpec.literal(obj)
-    raise TypeError(f"expected TraceSpec or ContactTrace, got {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -255,14 +217,13 @@ _TRACE_CACHE_LIMIT = 16
 
 @functools.lru_cache(maxsize=_TRACE_CACHE_LIMIT)
 def _cached_build(spec: TraceSpec) -> ContactTrace:
-    # A builder spec's equality and hash are those of its recipe
+    # A spec's equality and hash are those of its recipe
     # (builder, args, kwargs), so this memo is keyed by that triple.
     return spec.build()
 
 
-def build_trace(spec: "TraceSpec | ContactTrace") -> ContactTrace:
+def build_trace(spec: TraceSpec) -> ContactTrace:
     """Materialize a trace through this process's trace memo."""
-    spec = as_trace_spec(spec)
     if spec.cache_key is None:
         return spec.build()
     return _cached_build(spec)
@@ -299,49 +260,21 @@ def execute(spec: RunSpec) -> RunResult:
     return RunResult(spec=spec, result=result, wall_time=time.perf_counter() - start)
 
 
-def resolve_execution_mode(
-    jobs: Optional[int], mode: str = "auto"
-) -> Tuple[str, int]:
-    """Decide how :func:`run_many` will execute: ``(mode, jobs)``.
-
-    Returns ``("inline", 1)`` or ``("processes", n)``. Under ``"auto"``
-    a pool is only used when ``jobs > 1`` *and* the machine has more
-    than one CPU — on a single core, pool + pickling overhead beats the
-    win, so the sweep runs inline instead. ``"processes"`` forces the
-    pool (its crash isolation can be worth the overhead anywhere);
-    ``"inline"`` forces serial execution.
-    """
-    if mode not in ("auto", "inline", "processes"):
-        raise ValueError(
-            f'mode must be "auto", "inline" or "processes", got {mode!r}'
-        )
-    jobs = 1 if jobs is None else jobs
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or mode == "inline":
-        return "inline", 1
-    if mode == "auto" and (os.cpu_count() or 1) <= 1:
-        return "inline", 1
-    return "processes", jobs
-
-
 def run_many(
     specs: Sequence[RunSpec],
     jobs: Optional[int] = None,
     *,
     on_error: str = "fail_fast",
-    mode: str = "auto",
 ) -> List[Union[RunResult, RunError]]:
     """Execute every spec once, preserving input order.
 
     ``jobs`` <= 1 (the default) runs serially in-process; larger values
     submit each spec as its own future to one
-    :class:`ProcessPoolExecutor` with up to ``jobs`` workers — unless
-    ``mode`` (see :func:`resolve_execution_mode`) decides the pool
-    cannot pay for itself, in which case the sweep runs inline with no
-    pickling or fork overhead. Results are identical either way — specs
-    are self-contained and :func:`execute` consults no shared mutable
-    state.
+    :class:`ProcessPoolExecutor` with up to ``jobs`` workers — unless the
+    machine has a single CPU, where the pool cannot pay for itself and
+    the sweep runs inline with no pickling or fork overhead. Results are
+    identical either way — specs are self-contained and :func:`execute`
+    consults no shared mutable state.
 
     ``on_error="fail_fast"`` (the default) re-raises the first failure
     in input order: the simulation's own exception, or the
@@ -357,7 +290,9 @@ def run_many(
     # detcheck.pythonhashseed counter recorded by each run is identical
     # across serial and parallel executions of the same sweep.
     ensure_hash_seed()
-    __, jobs = resolve_execution_mode(jobs, mode)
+    jobs = 1 if jobs is None else jobs
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if on_error not in ("fail_fast", "collect"):
         raise ValueError(f'on_error must be "fail_fast" or "collect", got {on_error!r}')
 
@@ -371,7 +306,7 @@ def run_many(
                 raise
             results.append(RunError(spec=spec, error=f"{type(exc).__name__}: {exc}"))
 
-    if jobs == 1 or not specs:
+    if jobs == 1 or (os.cpu_count() or 1) <= 1 or not specs:
         for spec in specs:
             settle(spec, functools.partial(execute, spec))
         return results

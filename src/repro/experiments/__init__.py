@@ -22,14 +22,6 @@ from repro.experiments.figures import (
     fig3e,
     fig3f,
 )
-from repro.experiments.campaign import (
-    CampaignResult,
-    Spread,
-    compare,
-    format_campaign,
-    repeat,
-    separated,
-)
 from repro.experiments.sweep import ProtocolSeries, SweepPoint, SweepResult, run_sweep
 from repro.experiments.workloads import Scale, dieselnet_trace, nus_trace
 
@@ -46,12 +38,6 @@ __all__ = [
     "fig3d",
     "fig3e",
     "fig3f",
-    "CampaignResult",
-    "Spread",
-    "compare",
-    "format_campaign",
-    "repeat",
-    "separated",
     "ProtocolSeries",
     "SweepPoint",
     "SweepResult",

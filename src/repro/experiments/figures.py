@@ -24,12 +24,12 @@ cheap to pickle and each worker builds any distinct trace exactly once.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core.mbt import ProtocolVariant
 from repro.core.strategies import AdversaryPlan
-from repro.exec import RunSpec, TraceSpec, run_many
-from repro.experiments.sweep import SweepPoint, SweepResult, run_sweep
+from repro.exec import TraceSpec
+from repro.experiments.sweep import SweepResult, delivery, run_sweep
 from repro.experiments.workloads import (
     Scale,
     dieselnet_base_config,
@@ -37,6 +37,7 @@ from repro.experiments.workloads import (
     nus_base_config,
     nus_trace,
 )
+from repro.sim.metrics import SimulationResult
 from repro.sim.runner import SimulationConfig
 
 #: Paper x-axis ranges (§VI-A).
@@ -88,6 +89,25 @@ def _sweep_loss(config: SimulationConfig, x: float, seed: int) -> SimulationConf
     return replace(
         config, faults=replace(config.faults, loss_rate=float(x)), seed=seed
     )
+
+
+def _sweep_adversaries(config: SimulationConfig, x: float, seed: int) -> SimulationConfig:
+    return replace(
+        config,
+        seed=seed,
+        adversaries=AdversaryPlan(fraction=x, mix=FIGROBUST_MIX, seed=1),
+    )
+
+
+def _honest_delivery(result: SimulationResult) -> Tuple[float, float]:
+    """Delivery over the honest, non-access nodes (global on a clean plan)."""
+    extra = result.extra
+    if "adversary.honest_file_ratio" in extra:
+        return (
+            extra["adversary.honest_metadata_ratio"],
+            extra["adversary.honest_file_ratio"],
+        )
+    return delivery(result)
 
 
 def _dieselnet_spec(scale: Scale) -> Callable[[float, int], TraceSpec]:
@@ -343,56 +363,28 @@ def figrobust(
     seeds draw non-monotone assignments; averaging several seeds
     smooths any of them.
     """
-    variants = (ProtocolVariant.MBT, ProtocolVariant.MBT_QM)
-    policies = (("tft", "plain"), ("rep", "reputation"))
-    series = [
-        (f"{variant.value.replace('-', '_')}+{label}", variant, policy)
-        for variant in variants
-        for label, policy in policies
-    ]
-    base = dieselnet_base_config()
-    specs: List[RunSpec] = []
-    for x in ADVERSARY_FRACTIONS:
-        for name, variant, policy in series:
-            for seed in seeds:
-                config = replace(
-                    base.with_variant(variant),
-                    seed=seed,
-                    tit_for_tat=True,
-                    encrypted_choking=True,
-                    credit_policy=policy,
-                    adversaries=AdversaryPlan(fraction=x, mix=FIGROBUST_MIX, seed=1),
-                )
-                specs.append(
-                    RunSpec(
-                        trace=TraceSpec.of(dieselnet_trace, scale, seed),
-                        config=config,
-                        tag=RunSpec.make_tag(x=float(x), series=name, seed=int(seed)),
-                    )
-                )
-    runs = iter(run_many(specs, jobs=jobs))
-    points: List[SweepPoint] = []
-    for x in ADVERSARY_FRACTIONS:
-        cell: Dict[str, Tuple[float, float]] = {}
-        for name, __, ___ in series:
-            metas, files = [], []
-            for __ in seeds:
-                result = next(runs).result
-                extra = result.extra
-                if "adversary.honest_file_ratio" in extra:
-                    metas.append(extra["adversary.honest_metadata_ratio"])
-                    files.append(extra["adversary.honest_file_ratio"])
-                else:
-                    metas.append(result.metadata_delivery_ratio)
-                    files.append(result.file_delivery_ratio)
-            cell[name] = (sum(metas) / len(metas), sum(files) / len(files))
-        points.append(SweepPoint(x=float(x), ratios=cell))
-    return SweepResult(
+    series = {
+        f"{variant.value.replace('-', '_')}+{label}": (
+            lambda config, variant=variant, policy=policy: replace(
+                config.with_variant(variant), credit_policy=policy
+            )
+        )
+        for variant in (ProtocolVariant.MBT, ProtocolVariant.MBT_QM)
+        for label, policy in (("tft", "plain"), ("rep", "reputation"))
+    }
+    return run_sweep(
         name="Robustness DieselNet — adversary fraction (honest-node delivery)",
         x_label="adversary fraction",
-        x_values=tuple(float(x) for x in ADVERSARY_FRACTIONS),
-        points=tuple(points),
-        protocols=tuple(name for name, __, ___ in series),
+        x_values=ADVERSARY_FRACTIONS,
+        trace_factory=_dieselnet_spec(scale),
+        config_factory=_sweep_adversaries,
+        base_config=replace(
+            dieselnet_base_config(), tit_for_tat=True, encrypted_choking=True
+        ),
+        protocols=series,
+        seeds=seeds,
+        jobs=jobs,
+        reading=_honest_delivery,
     )
 
 

@@ -52,9 +52,6 @@ class Event:
     sequence: int
     action: Callable[[], None] = field(compare=False)
 
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.sequence)
-
 
 class EventQueue:
     """A stable priority queue of scheduled callbacks.

@@ -24,11 +24,6 @@ DAY: float = 86400.0
 NOON_OFFSET: float = 12 * HOUR
 
 
-def day_of(time: float) -> int:
-    """Return the zero-based day index containing ``time`` (seconds)."""
-    return int(time // DAY)
-
-
 def noon_of_day(day: int) -> float:
     """Return the absolute time of 12:00 noon on zero-based day ``day``."""
     return day * DAY + NOON_OFFSET

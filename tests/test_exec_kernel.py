@@ -2,7 +2,7 @@
 
 Covers the picklable spec types, parallel-vs-serial equivalence of
 :func:`run_many` (also under fault injection), its error handling for
-failing simulations and crashed workers, the execution-mode decision,
+failing simulations and crashed workers, the inline-or-pool decision,
 independence from the module-level RNG, the per-process trace memo, and
 the instrumentation counters aggregated into ``SimulationResult``.
 
@@ -16,7 +16,7 @@ import functools
 import os
 import pickle
 import random
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import replace
 
 import pytest
@@ -27,14 +27,12 @@ from repro.exec import (
     RunResult,
     RunSpec,
     TraceSpec,
-    as_trace_spec,
     execute,
     kernel,
     resolve_callable,
-    resolve_execution_mode,
     run_many,
 )
-from repro.experiments.sweep import cached_trace_factory, run_sweep, sweep_specs
+from repro.experiments.sweep import run_sweep, sweep_specs
 from repro.faults import FaultPlan
 from repro.sim.metrics import COUNTER_KEYS, PERF_COUNTER_PREFIX, format_counters
 from repro.sim.runner import Simulation, SimulationConfig
@@ -79,6 +77,13 @@ def _dicts(runs) -> list:
     return [run.result.to_dict() for run in runs]
 
 
+@pytest.fixture
+def pool_host(monkeypatch):
+    """A multi-core host as far as ``run_many`` can tell, so ``jobs > 1``
+    takes the real process pool even on a one-core machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 class TestResolveCallable:
     def test_module_level_function_resolves(self):
         path = resolve_callable(generate_dieselnet_trace)
@@ -95,12 +100,6 @@ class TestResolveCallable:
 
 
 class TestTraceSpec:
-    def test_exactly_one_form_required(self):
-        with pytest.raises(ValueError):
-            TraceSpec()
-        with pytest.raises(ValueError):
-            TraceSpec(builder="x:y", trace=micro_trace(0))
-
     def test_of_rejects_closures(self):
         with pytest.raises(ValueError):
             TraceSpec.of(lambda seed: micro_trace(seed), 0)
@@ -113,20 +112,6 @@ class TestTraceSpec:
         again = spec.build()
         assert len(again) == len(trace)
 
-    def test_literal_spec_returns_trace(self):
-        trace = micro_trace(0)
-        spec = TraceSpec.literal(trace)
-        assert spec.build() is trace
-        assert spec.cache_key is None
-
-    def test_as_trace_spec_coerces(self):
-        trace = micro_trace(1)
-        assert as_trace_spec(trace).trace is trace
-        spec = TraceSpec.literal(trace)
-        assert as_trace_spec(spec) is spec
-        with pytest.raises(TypeError):
-            as_trace_spec(42)
-
     def test_spec_is_picklable(self):
         spec = TraceSpec.of(generate_dieselnet_trace, DieselNetConfig(num_buses=6), 1)
         clone = pickle.loads(pickle.dumps(spec))
@@ -137,7 +122,7 @@ class TestTraceSpec:
 class TestRunSpec:
     def test_seed_override(self):
         spec = RunSpec(
-            trace=TraceSpec.literal(micro_trace(0)),
+            trace=TraceSpec.of(micro_trace, 0),
             config=_tiny_config(seed=0),
             seed=7,
         )
@@ -147,21 +132,21 @@ class TestRunSpec:
     def test_tag_round_trip(self):
         tag = RunSpec.make_tag(x=0.3, protocol="mbt", seed=1)
         spec = RunSpec(
-            trace=TraceSpec.literal(micro_trace(0)), config=_tiny_config(), tag=tag
+            trace=TraceSpec.of(micro_trace, 0), config=_tiny_config(), tag=tag
         )
         assert spec.labels() == {"x": 0.3, "protocol": "mbt", "seed": 1}
         result = execute(spec)
         assert result.spec.labels() == spec.labels()
 
     def test_spec_is_picklable(self):
-        spec = RunSpec(trace=TraceSpec.literal(micro_trace(0)), config=_tiny_config())
+        spec = RunSpec(trace=TraceSpec.of(micro_trace, 0), config=_tiny_config())
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.config == spec.config
 
 
 class TestExecute:
     def test_pure_and_deterministic(self):
-        spec = RunSpec(trace=TraceSpec.literal(tiny_dieselnet()), config=_tiny_config())
+        spec = RunSpec(trace=TraceSpec.of(tiny_dieselnet), config=_tiny_config())
         a = execute(spec)
         b = execute(spec)
         assert a.result.to_dict() == b.result.to_dict()
@@ -169,7 +154,7 @@ class TestExecute:
 
     def test_independent_of_global_rng(self):
         """Satellite: no code path consults the module-level RNG."""
-        spec = RunSpec(trace=TraceSpec.literal(tiny_dieselnet()), config=_tiny_config())
+        spec = RunSpec(trace=TraceSpec.of(tiny_dieselnet), config=_tiny_config())
         random.seed(12345)
         a = execute(spec)
         random.seed(99999)
@@ -222,17 +207,22 @@ class TestRunMany:
         assert specs[0].labels()["seed"] == 0
         assert specs[1].labels()["seed"] == 1
         assert specs[-1].labels()["x"] == 0.75
+        # perfbench's ordering check reads the ``x`` and ``protocol``
+        # labels: within each x the protocols run mbt, mbt-q, mbt-qm.
+        for x in (0.25, 0.75):
+            protocols = [s.labels()["protocol"] for s in specs if s.labels()["x"] == x]
+            assert protocols == ["mbt", "mbt", "mbt-q", "mbt-q", "mbt-qm", "mbt-qm"]
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, pool_host):
         """Four worker processes are bitwise-identical to jobs=1.
 
-        ``mode="processes"`` pins the real pool: on a one-core host
-        ``"auto"`` runs inline and the test would compare a run with
-        itself instead of checking cross-process determinism.
+        ``pool_host`` pins the real pool: on a one-core host ``run_many``
+        runs inline and the test would compare a run with itself instead
+        of checking cross-process determinism.
         """
         specs = self._specs()
         serial = run_many(specs, jobs=1)
-        parallel = run_many(specs, jobs=4, mode="processes")
+        parallel = run_many(specs, jobs=4)
         assert len(parallel) == len(serial)
         for ser, par in zip(serial, parallel):
             assert par.spec == ser.spec
@@ -246,8 +236,8 @@ class TestRunMany:
         with pytest.raises(ValueError):
             run_many([], on_error="explode")
 
-    @pytest.mark.parametrize("jobs, mode", [(1, "inline"), (2, "processes")])
-    def test_execute_is_looked_up_at_call_time(self, monkeypatch, jobs, mode):
+    @pytest.mark.parametrize("jobs, path", [(1, "inline"), (2, "processes")])
+    def test_execute_is_looked_up_at_call_time(self, monkeypatch, jobs, path):
         """Rebinding ``kernel.execute`` reaches inline runs and workers.
 
         Profilers wrap every run this way; pool workers are forked after
@@ -262,15 +252,17 @@ class TestRunMany:
             return replace(run, wall_time=-1.0)
 
         monkeypatch.setattr(kernel, "execute", tagging)
-        runs = run_many([micro_spec(0), micro_spec(1)], jobs=jobs, mode=mode)
+        if path == "processes":
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        runs = run_many([micro_spec(0), micro_spec(1)], jobs=jobs)
         assert [run.wall_time for run in runs] == [-1.0, -1.0]
 
-    def test_sweep_parallel_equals_serial(self):
+    def test_sweep_parallel_equals_serial(self, pool_host):
         kwargs = dict(
             name="parallel-check",
             x_label="access",
             x_values=(0.25, 0.75),
-            trace_factory=cached_trace_factory(micro_trace),
+            trace_factory=lambda x, seed: TraceSpec.of(micro_trace, seed),
             config_factory=lambda cfg, x, seed: replace(
                 cfg, internet_access_fraction=x, seed=seed
             ),
@@ -278,29 +270,6 @@ class TestRunMany:
             seeds=(0,),
         )
         assert run_sweep(jobs=1, **kwargs) == run_sweep(jobs=2, **kwargs)
-
-
-class TestCachedTraceFactory:
-    def test_module_level_builder_becomes_spec(self):
-        factory = cached_trace_factory(tiny_dieselnet)
-        spec = factory(0.5, 3)
-        assert isinstance(spec, TraceSpec)
-        assert spec.builder is not None
-        assert spec.args == (3,)
-
-    def test_closure_builder_built_once_per_seed(self):
-        calls = []
-
-        def build(seed: int) -> ContactTrace:
-            calls.append(seed)
-            return micro_trace(seed)
-
-        factory = cached_trace_factory(build)
-        a = factory(0.1, 0)
-        b = factory(0.9, 0)
-        factory(0.9, 1)
-        assert calls == [0, 1]
-        assert a.trace is b.trace  # literal spec shared across x values
 
 
 class TestCounters:
@@ -367,26 +336,45 @@ class TestCounters:
 
 
 class TestExecutionMode:
-    def test_jobs_one_is_inline(self):
-        assert resolve_execution_mode(1) == ("inline", 1)
+    """``run_many`` uses a pool only for ``jobs > 1`` on a multi-core host."""
 
-    def test_explicit_processes_keeps_the_pool(self):
-        assert resolve_execution_mode(4, "processes") == ("processes", 4)
+    def _pools(self, monkeypatch, cpus):
+        """Worker counts of the pools ``run_many`` opens (run in-process)."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools = []
 
-    def test_explicit_inline_collapses_jobs(self):
-        assert resolve_execution_mode(8, "inline") == ("inline", 1)
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(kernel, "ProcessPoolExecutor", RecordingPool)
+        return pools
+
+    def test_jobs_one_is_inline(self, monkeypatch):
+        pools = self._pools(monkeypatch, cpus=8)
+        run_many([micro_spec(0), micro_spec(1)], jobs=1)
+        assert pools == []
 
     def test_auto_follows_core_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_execution_mode(4) == ("inline", 1)
+        pools = self._pools(monkeypatch, cpus=1)
+        run_many([micro_spec(0), micro_spec(1)], jobs=4)
+        assert pools == []
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_execution_mode(4) == ("processes", 4)
+        run_many([micro_spec(0), micro_spec(1)], jobs=4)
+        assert pools == [2]  # never more workers than specs
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            resolve_execution_mode(0)
-        with pytest.raises(ValueError):
-            resolve_execution_mode(2, "threads")
+        for jobs in (0, -2):
+            with pytest.raises(ValueError):
+                run_many([micro_spec(0)], jobs=jobs)
 
 
 class TestDeterministicErrors:
@@ -408,16 +396,16 @@ class TestDeterministicErrors:
         assert isinstance(results[2], RunResult)
         assert "deterministic builder failure" in results[1].error
 
-    def test_parallel_collect_fills_error_slot(self):
-        results = run_many(self._specs(), jobs=2, on_error="collect", mode="processes")
+    def test_parallel_collect_fills_error_slot(self, pool_host):
+        results = run_many(self._specs(), jobs=2, on_error="collect")
         assert isinstance(results[0], RunResult)
         assert isinstance(results[1], RunError)
         assert isinstance(results[2], RunResult)
         assert "deterministic builder failure" in results[1].error
 
-    def test_parallel_fail_fast_raises_original(self):
+    def test_parallel_fail_fast_raises_original(self, pool_host):
         with pytest.raises(RuntimeError, match="deterministic builder failure"):
-            run_many(self._specs(), jobs=2, mode="processes")
+            run_many(self._specs(), jobs=2)
 
     def test_run_error_labels(self):
         spec = replace(
@@ -432,18 +420,18 @@ class TestWorkerCrashes:
     def _specs(self):
         return [RunSpec(trace=TraceSpec.of(crash_always_builder, 0), config=_tiny_config())]
 
-    def test_crashed_worker_collect(self):
-        [error] = run_many(self._specs(), jobs=2, on_error="collect", mode="processes")
+    def test_crashed_worker_collect(self, pool_host):
+        [error] = run_many(self._specs(), jobs=2, on_error="collect")
         assert isinstance(error, RunError)
         assert "BrokenProcessPool" in error.error
 
-    def test_crashed_worker_fail_fast(self):
+    def test_crashed_worker_fail_fast(self, pool_host):
         with pytest.raises(BrokenExecutor):
-            run_many(self._specs(), jobs=2, mode="processes")
+            run_many(self._specs(), jobs=2)
 
 
 class TestFaultedParallelEquality:
-    def test_jobs_do_not_change_fault_injected_results(self):
+    def test_jobs_do_not_change_fault_injected_results(self, pool_host):
         plan = FaultPlan(
             loss_rate=0.3,
             corruption_rate=0.2,
@@ -462,7 +450,7 @@ class TestFaultedParallelEquality:
             for seed in range(4)
         ]
         serial = run_many(specs, jobs=1)
-        parallel = run_many(specs, jobs=2, mode="processes")
+        parallel = run_many(specs, jobs=2)
         assert _dicts(parallel) == _dicts(serial)
         for run in serial:
             assert run.result.extra.get("faults.metadata_losses", 0) > 0

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from repro.exec import TraceSpec, run_many
 from repro.experiments import FIGURES
-from repro.experiments.sweep import cached_trace_factory, run_sweep
+from repro.experiments.sweep import SweepPoint, SweepResult, run_sweep, sweep_specs
 from repro.experiments.workloads import (
     dieselnet_base_config,
     dieselnet_trace,
@@ -33,7 +34,7 @@ class TestRunSweep:
             name="micro",
             x_label="access",
             x_values=(0.25, 0.75),
-            trace_factory=cached_trace_factory(micro_trace),
+            trace_factory=lambda x, seed: TraceSpec.of(micro_trace, seed),
             config_factory=lambda cfg, x, seed: replace(
                 cfg, internet_access_fraction=x, seed=seed
             ),
@@ -65,22 +66,59 @@ class TestRunSweep:
         assert "mbt-qm file" in text
         assert text.count("\n") == 3  # title + header + 2 rows
 
+    def test_format_table_aligns_long_x_label(self):
+        label = "trace (0 = random waypoint, 1 = community)"
+        result = SweepResult(
+            name="long",
+            x_label=label,
+            x_values=(0.0, 1.0),
+            points=(
+                SweepPoint(0.0, {"mbt": (0.5, 0.25)}),
+                SweepPoint(1.0, {"mbt": (0.75, 0.5)}),
+            ),
+            protocols=("mbt",),
+        )
+        header, *rows = result.format_table().splitlines()[1:]
+        assert header.startswith(label)
+        # Every value column ends where its header does.
+        assert {len(line) for line in rows} == {len(header)}
+        assert header.index("mbt meta") + len("mbt meta") == rows[0].index("0.500") + 5
+
     def test_seed_averaging_runs(self):
         result = self._sweep(seeds=(0, 1))
         assert len(result.points) == 2
 
-    def test_cached_trace_factory_caches(self):
-        calls = []
-
-        def build(seed: int) -> ContactTrace:
-            calls.append(seed)
-            return micro_trace(seed)
-
-        factory = cached_trace_factory(build)
-        factory(0.1, 0)
-        factory(0.9, 0)
-        factory(0.9, 1)
-        assert calls == [0, 1]
+    def test_series_hooks_and_reading(self):
+        """A series mapping names the columns; ``reading`` picks what is averaged."""
+        kwargs = dict(
+            x_values=(0.25,),
+            trace_factory=lambda x, seed: TraceSpec.of(micro_trace, seed),
+            config_factory=lambda cfg, x, seed: replace(
+                cfg, internet_access_fraction=x, seed=seed
+            ),
+            base_config=SimulationConfig(files_per_day=5, num_days=3),
+            protocols={
+                "plain": lambda cfg: cfg,
+                "verbose": lambda cfg: replace(cfg, files_per_contact=9),
+            },
+            seeds=(0, 1),
+        )
+        specs = sweep_specs(**kwargs)
+        assert [s.labels()["protocol"] for s in specs] == ["plain"] * 2 + ["verbose"] * 2
+        assert [s.config.files_per_contact for s in specs[2:]] == [9, 9]
+        assert specs[0].config == replace(kwargs["base_config"], internet_access_fraction=0.25, seed=0)
+        queries = [run.result.queries_generated for run in run_many(specs)]
+        result = run_sweep(
+            name="hooks",
+            x_label="access",
+            reading=lambda r: (1.0, float(r.queries_generated)),
+            **kwargs,
+        )
+        assert result.protocols == ("plain", "verbose")
+        assert result.points[0].ratios == {
+            "plain": (1.0, (queries[0] + queries[1]) / 2),
+            "verbose": (1.0, (queries[2] + queries[3]) / 2),
+        }
 
 
 class TestFigureRegistry:
