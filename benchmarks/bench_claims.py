@@ -1,9 +1,9 @@
 """Every claim of the reproduction, panel by panel.
 
-Each parametrized test runs one panel of the claims table under
-``pytest-benchmark``: a Fig. 2/3 sweep (§VI-B) through the kernel, or
-an extension panel (:mod:`repro.experiments.ablations`, ``figloss``,
-``figrobust``). It prints the panel's series and asserts every row of
+Each parametrized test runs one panel of the claims table: a Fig. 2/3
+sweep (§VI-B) through the kernel, or an extension panel
+(:mod:`repro.experiments.ablations`, ``figloss``, ``figrobust``). It
+prints the panel's series and asserts every row of
 :data:`repro.experiments.validation.CLAIMS` that reads it (the row ids
 are listed in EXPERIMENTS.md). A last test checks the trace-free §V
 capacity row.
@@ -26,9 +26,9 @@ def assert_all_pass(claims) -> None:
 
 
 @pytest.mark.parametrize("panel", PANELS)
-def test_panel_claims(benchmark, panel):
-    assert_all_pass(check_panel(panel, bench_panel(benchmark, panel)))
+def test_panel_claims(panel):
+    assert_all_pass(check_panel(panel, bench_panel(panel)))
 
 
-def test_capacity_claim(benchmark):
-    assert_all_pass(benchmark(check_panel, None, None))
+def test_capacity_claim():
+    assert_all_pass(check_panel(None, None))

@@ -30,8 +30,8 @@ def run_all():
     return out
 
 
-def test_delivery_delays(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_delivery_delays():
+    results = run_all()
 
     print()
     print(f"{'protocol':>8}{'meta p50 h':>12}{'meta p90 h':>12}"

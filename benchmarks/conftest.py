@@ -1,9 +1,9 @@
 """Shared helpers for the benchmarks.
 
 ``bench_claims.py`` checks the claims table
-(:data:`repro.experiments.validation.CLAIMS`): it runs each panel under
-``pytest-benchmark`` through :func:`bench_panel`, prints the series,
-and asserts the panel's rows — who wins and which way the curves move.
+(:data:`repro.experiments.validation.CLAIMS`): it runs each panel
+through :func:`bench_panel`, prints the series, and asserts the
+panel's rows — who wins and which way the curves move.
 Absolute values differ from the paper — the traces are synthetic
 rebuilds — but the orderings and trends are the reproduction target
 (see EXPERIMENTS.md).
@@ -38,13 +38,9 @@ def _bench_jobs() -> int:
 BENCH_JOBS = _bench_jobs()
 
 
-def bench_panel(benchmark, panel: str) -> SweepResult:
-    """Benchmark one panel of the claims table and print its table."""
-    result = benchmark.pedantic(
-        lambda: run_panel(panel, "fast", BENCH_SEEDS, jobs=BENCH_JOBS),
-        rounds=1,
-        iterations=1,
-    )
+def bench_panel(panel: str) -> SweepResult:
+    """Run one panel of the claims table and print its table."""
+    result = run_panel(panel, "fast", BENCH_SEEDS, jobs=BENCH_JOBS)
     print()
     print(result.format_table())
     return result

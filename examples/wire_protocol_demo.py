@@ -19,7 +19,6 @@ from repro.catalog.files import FileDescriptor, PIECE_SIZE
 from repro.core.mbt import ProtocolConfig
 from repro.core.node import NodeState
 from repro.runtime import DTNNode, EmulatedRadio, decode_frame
-from repro.runtime.node import codec
 from repro.sim.metrics import MetricsCollector
 from repro.catalog.query import Query
 from repro.types import DAY, NodeId, Uri

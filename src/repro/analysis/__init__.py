@@ -12,7 +12,6 @@ from repro.analysis.intercontact import (
     empirical_ccdf,
     fit_exponential,
     intercontact_samples,
-    pair_meeting_rates,
     summarize,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "empirical_ccdf",
     "fit_exponential",
     "intercontact_samples",
-    "pair_meeting_rates",
     "summarize",
 ]

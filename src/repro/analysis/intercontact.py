@@ -121,12 +121,3 @@ def fit_exponential(samples: Sequence[float], points: int = 20) -> ExponentialFi
         abs(p - math.exp(-rate * t)) for t, p in empirical_ccdf(samples, points)
     ]
     return ExponentialFit(rate=rate, ccdf_error=sum(deviations) / len(deviations))
-
-
-def pair_meeting_rates(trace: ContactTrace) -> Dict[Tuple[NodeId, NodeId], float]:
-    """Meetings per second for every pair that ever met."""
-    duration = max(trace.duration, 1e-9)
-    return {
-        pair: count / duration
-        for pair, count in trace.pair_contact_counts().items()
-    }

@@ -16,7 +16,7 @@ O(catalog); the heap never shrinks below the live store but stale
 entries are bounded by the number of republishes.
 
 Determinism: the heap orders by ``(expires_at, key)`` so keys sharing
-an expiry instant (a daily batch) drain in lexicographic key order,
+an expiry instant (a daily batch) pop in lexicographic key order,
 independent of publish order or hash seeding.
 """
 

@@ -172,14 +172,6 @@ class PieceStore:
         """Bitmap of the stored pieces of ``uri`` (0 if none)."""
         return self._bitmaps.get(uri, 0)
 
-    def has_piece(self, uri: Uri, index: int) -> bool:
-        """Whether piece ``index`` of ``uri`` is stored."""
-        return bool(self._bitmaps.get(uri, 0) >> index & 1)
-
-    def count_of(self, uri: Uri) -> int:
-        """Number of stored pieces of ``uri``."""
-        return self._bitmaps.get(uri, 0).bit_count()
-
     def pieces_of(self, uri: Uri) -> FrozenSet[int]:
         """Indices of the stored pieces of ``uri`` (empty if none)."""
         return frozenset(bit_indices(self._bitmaps.get(uri, 0)))
@@ -214,32 +206,10 @@ class PieceStore:
         """Whether all ``num_pieces`` pieces of ``uri`` are stored."""
         return self._bitmaps.get(uri, 0).bit_count() >= num_pieces
 
-    def missing_pieces(self, uri: Uri, num_pieces: int) -> Iterator[int]:
-        """Yield the indices of pieces of ``uri`` not yet stored."""
-        return bit_indices(self.missing_bitmap(uri, num_pieces))
-
-    def missing_bitmap(self, uri: Uri, num_pieces: int) -> int:
-        """Bitmap of the pieces of ``uri`` not yet stored."""
-        return ~self._bitmaps.get(uri, 0) & ((1 << num_pieces) - 1)
-
     def drop(self, uri: Uri) -> None:
         """Evict every piece of ``uri`` (e.g. on expiry)."""
         self._bitmaps.pop(uri, None)
         self._completed.pop(uri, None)
-
-    def drop_piece(self, uri: Uri, index: int) -> bool:
-        """Evict one piece; return True if it was stored."""
-        held = self._bitmaps.get(uri, 0)
-        mask = 1 << index
-        if not held & mask:
-            return False
-        held &= ~mask
-        if held:
-            self._bitmaps[uri] = held
-        else:
-            del self._bitmaps[uri]
-            self._completed.pop(uri, None)
-        return True
 
     def drop_expired(self, live_uris: Container[Uri]) -> List[Uri]:
         """Evict all URIs not in ``live_uris``; return what was dropped."""

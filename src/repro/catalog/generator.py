@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.catalog.files import PIECE_SIZE, FileDescriptor
 from repro.catalog.keywords import KeywordVocabulary
@@ -61,13 +61,6 @@ class DailyBatch:
     descriptors: Tuple[FileDescriptor, ...]
     metadata: Tuple[Metadata, ...]
     queries: Tuple[Query, ...] = field(default=())
-
-    @property
-    def queries_by_node(self) -> Dict[NodeId, List[Query]]:
-        grouped: Dict[NodeId, List[Query]] = {}
-        for query in self.queries:
-            grouped.setdefault(query.node, []).append(query)
-        return grouped
 
 
 class CatalogGenerator:

@@ -10,7 +10,7 @@ from a fixed media-flavoured vocabulary; queries are token subsets.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 #: Publishers from the paper's motivating example (§III-B) plus filler.
 PUBLISHERS: Tuple[str, ...] = (
@@ -84,13 +84,3 @@ class KeywordVocabulary:
         """
         extras = self._rng.sample(list(title_tokens[:-1]), self._rng.randint(1, 2))
         return frozenset([title_tokens[-1], *extras])
-
-
-def tokenize(text: str) -> FrozenSet[str]:
-    """Lower-case and split free text into a token set."""
-    return frozenset(token for token in text.lower().split() if token)
-
-
-def all_vocabulary_tokens() -> List[str]:
-    """Every descriptive token the vocabulary can emit (no episode tags)."""
-    return sorted(set(_GENRES) | set(_SUBJECTS) | set(_QUALIFIERS))

@@ -93,10 +93,6 @@ class PopularityModel:
         """Draw one popularity value."""
         return sample_popularity(rng.random(), self.lam)
 
-    def sample_many(self, rng: random.Random, count: int) -> Tuple[float, ...]:
-        """Draw ``count`` popularity values."""
-        return tuple(self.sample(rng) for __ in range(count))
-
     @property
     def mean(self) -> float:
         """Exact mean popularity."""

@@ -10,7 +10,7 @@ so delivery bookkeeping and TTL eviction are possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional
+from typing import FrozenSet
 
 from repro.catalog.metadata import Metadata
 from repro.types import NodeId, Uri
@@ -58,18 +58,3 @@ class Query:
 def matches(tokens: FrozenSet[str], metadata: Metadata) -> bool:
     """Module-level matching helper (tokens ⊆ metadata name tokens)."""
     return tokens <= metadata.token_set
-
-
-def live_queries(queries: Iterable[Query], now: float) -> List[Query]:
-    """Filter ``queries`` down to those still live at ``now``."""
-    return [q for q in queries if q.is_live(now)]
-
-
-def best_match(
-    queries: Iterable[Query], metadata: Metadata
-) -> Optional[Query]:
-    """Return the first query satisfied by ``metadata``, if any."""
-    for query in queries:
-        if query.matches(metadata):
-            return query
-    return None

@@ -34,10 +34,10 @@ answers that exclude nothing (the seeding pass).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Container, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Container, Dict, FrozenSet, List, Optional, Set
 
 from repro.catalog.expiry import ExpiryHeap
-from repro.catalog.files import FileDescriptor, piece_payload
+from repro.catalog.files import FileDescriptor
 from repro.catalog.metadata import Metadata
 from repro.catalog.popularity import PopularityTracker
 from repro.perf import PerfRecorder
@@ -282,27 +282,6 @@ class FileServer:
 
     def descriptor(self, uri: Uri) -> Optional[FileDescriptor]:
         return self._files.get(uri)
-
-    def fetch_piece(self, uri: Uri, index: int) -> bytes:
-        """Return the payload of one piece.
-
-        Raises
-        ------
-        KeyError
-            If the file is unknown.
-        IndexError
-            If the piece index is out of range.
-        """
-        descriptor = self._files[uri]
-        if not 0 <= index < descriptor.num_pieces:
-            raise IndexError(f"piece {index} out of range for {uri}")
-        return piece_payload(uri, index)
-
-    def fetch_all(self, uri: Uri) -> Iterable[Tuple[int, bytes]]:
-        """Yield ``(index, payload)`` for every piece of ``uri``."""
-        descriptor = self._files[uri]
-        for index in range(descriptor.num_pieces):
-            yield index, piece_payload(uri, index)
 
     def _expires_at_of(self, uri: str) -> Optional[float]:
         descriptor = self._files.get(Uri(uri))

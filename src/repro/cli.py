@@ -43,7 +43,7 @@ from repro.experiments import FIGURES
 from repro.faults import FaultPlan
 from repro.experiments.workloads import dieselnet_trace, nus_trace
 from repro.sim.runner import Simulation, SimulationConfig
-from repro.traces.base import ContactTrace
+from repro.traces.base import ContactTrace, TraceError
 from repro.traces.io import read_trace, write_trace
 from repro.traces.mobility import (
     CommunityConfig,
@@ -53,6 +53,10 @@ from repro.traces.mobility import (
 )
 
 TRACE_KINDS = ("dieselnet", "nus", "rwp", "community")
+
+
+class UsageError(Exception):
+    """Bad outside input, reported as one ``repro <cmd>: error:`` line (exit 2)."""
 
 
 def _positive_int(text: str) -> int:
@@ -84,36 +88,39 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.detlint import sanitizer
 
     detcheck = args.detcheck or sanitizer.detcheck_enabled()
+    try:
+        config = SimulationConfig(
+            internet_access_fraction=args.access,
+            files_per_day=args.files_per_day,
+            ttl_days=args.ttl,
+            metadata_per_contact=args.metadata_per_contact,
+            files_per_contact=args.files_per_contact,
+            tit_for_tat=args.tit_for_tat,
+            broadcast=not args.pairwise,
+            frequent_contact_max_gap_days=1.0 if args.trace == "nus" else 3.0,
+            faults=FaultPlan(
+                loss_rate=args.loss_rate,
+                corruption_rate=args.corruption_rate,
+                contact_drop_rate=args.contact_drop_rate,
+                churn_rate=args.churn_rate,
+                seed=args.fault_seed,
+            ),
+            adversaries=AdversaryPlan(
+                fraction=args.adversary_fraction,
+                mix=parse_mix(args.strategy_mix),
+                seed=args.adversary_seed,
+            ),
+            credit_policy=args.credit_policy,
+            profile=args.profile,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(exc) from None
     trace = _build_trace(args.trace, args.seed, args.scale)
     if not args.json:
         print(f"trace: {trace.stats().describe()}")
         if detcheck:
             print("detcheck: sanitized double-run (fingerprint cross-check on)")
-    config = SimulationConfig(
-        internet_access_fraction=args.access,
-        files_per_day=args.files_per_day,
-        ttl_days=args.ttl,
-        metadata_per_contact=args.metadata_per_contact,
-        files_per_contact=args.files_per_contact,
-        tit_for_tat=args.tit_for_tat,
-        broadcast=not args.pairwise,
-        frequent_contact_max_gap_days=1.0 if args.trace == "nus" else 3.0,
-        faults=FaultPlan(
-            loss_rate=args.loss_rate,
-            corruption_rate=args.corruption_rate,
-            contact_drop_rate=args.contact_drop_rate,
-            churn_rate=args.churn_rate,
-            seed=args.fault_seed,
-        ),
-        adversaries=AdversaryPlan(
-            fraction=args.adversary_fraction,
-            mix=parse_mix(args.strategy_mix),
-            seed=args.adversary_seed,
-        ),
-        credit_policy=args.credit_policy,
-        profile=args.profile,
-        seed=args.seed,
-    )
     variants = (
         list(ProtocolVariant)
         if args.protocol == "all"
@@ -222,13 +229,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace = _build_trace(args.kind, args.seed, args.scale)
     print(trace.stats().describe())
     if args.out:
-        write_trace(trace, args.out)
+        try:
+            write_trace(trace, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
         print(f"written to {args.out}")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    trace = read_trace(args.path)
+    if args.frequent_gap_days <= 0:
+        raise UsageError(f"--frequent-gap-days must be > 0, got {args.frequent_gap_days:g}")
+    try:
+        trace = read_trace(args.path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.path}: {exc.strerror}") from None
+    except TraceError as exc:
+        raise UsageError(f"{args.path}: {exc}") from None
     stats = trace.stats()
     print(stats.describe())
     frequent = trace.frequent_pairs_by_rate(1.0 / args.frequent_gap_days)
@@ -238,6 +255,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be >= 2 (a clique has two nodes), got {args.max_n}")
     print(f"{'n':>4}{'broadcast':>12}{'pairwise':>12}{'gain':>8}")
     for point in capacity_table(range(2, args.max_n + 1)):
         print(
@@ -400,7 +419,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

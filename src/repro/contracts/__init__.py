@@ -21,8 +21,8 @@ This package turns each convention into data plus an AST check:
     the reference twins that must stay signature-compatible with the
     optimized paths they specify — rule CON005;
 ``wire``
-    the frame body keys and message dataclass fields shared by
-    ``repro.net.messages`` and ``repro.runtime.codec`` — rule CON006.
+    the metadata record fields and the frame body keys that
+    ``repro.runtime.codec`` builds and reads — rule CON006.
 
 The checks plug into detlint (``python -m repro.detlint --contracts``
 or ``repro lint --contracts``) and reuse its findings, path-scoping
@@ -47,7 +47,6 @@ from repro.contracts.seams import SEAM_REGISTRY, SeamSpec
 from repro.contracts.wire import (
     FRAME_BODY_KEYS,
     FRAME_ENVELOPE_KEYS,
-    MESSAGE_FIELDS,
     METADATA_RECORD_FIELDS,
 )
 
@@ -68,6 +67,5 @@ __all__ = [
     "SeamSpec",
     "FRAME_BODY_KEYS",
     "FRAME_ENVELOPE_KEYS",
-    "MESSAGE_FIELDS",
     "METADATA_RECORD_FIELDS",
 ]

@@ -45,7 +45,6 @@ from repro.contracts.seams import SEAM_REGISTRY, SeamSpec
 from repro.contracts.wire import (
     FRAME_BODY_KEYS,
     FRAME_ENVELOPE_KEYS,
-    MESSAGE_FIELDS,
     METADATA_RECORD_FIELDS,
 )
 from repro.detlint.findings import Finding
@@ -682,14 +681,6 @@ def _check_wire(tree: _Tree) -> List[Finding]:
     findings = _check_dataclass_fields(
         tree, "catalog/metadata.py", "Metadata", METADATA_RECORD_FIELDS
     )
-    messages = tree.parse("net/messages.py")
-    if messages is not None:
-        for class_name, expected in sorted(MESSAGE_FIELDS.items()):
-            findings.extend(
-                _check_dataclass_fields(
-                    tree, "net/messages.py", class_name, expected
-                )
-            )
     codec = tree.parse("runtime/codec.py")
     if codec is not None:
         module, path = codec

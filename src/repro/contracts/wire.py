@@ -1,16 +1,15 @@
-"""The wire-schema registry: frame keys shared by messages and codec.
+"""The wire-schema registry: the metadata record and the codec's frame keys.
 
-:mod:`repro.net.messages` defines the in-simulation message
-dataclasses; :mod:`repro.runtime.codec` serializes the same content as
-JSON frame bodies for the asyncio runtime. The two are linked only by
-key spelling — a renamed dataclass field or body key desynchronizes
-the emulated radio from the simulated one without any test noticing
-until a frame fails to decode. CON006 checks, against this registry:
+:mod:`repro.runtime.codec` serializes metadata records and the hello,
+metadata and piece frames as JSON bodies for the device runtime. The
+record fields and the frame readers are linked only by key spelling —
+a renamed dataclass field or body key desynchronizes the emulated
+radio from the simulated protocol without any test noticing until a
+frame fails to decode. CON006 checks, against this registry:
 
 * the :class:`Metadata` dataclass fields (``catalog/metadata.py``),
   the dict keys built by ``metadata_to_fields`` and the keys read back
   by ``metadata_from_fields`` (all three must match exactly);
-* each message dataclass's ordered field list;
 * the body keys emitted by each frame builder, plus the envelope keys
   every frame carries.
 """
@@ -33,27 +32,6 @@ METADATA_RECORD_FIELDS: Tuple[str, ...] = (
     "popularity",
     "signature",
 )
-
-#: Ordered dataclass fields of each wire message.
-MESSAGE_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "HelloMessage": (
-        "sender",
-        "heard",
-        "query_tokens",
-        "downloading",
-        "sent_at",
-    ),
-    "MetadataMessage": ("sender", "metadata", "sent_at"),
-    "PieceMessage": (
-        "sender",
-        "uri",
-        "index",
-        "payload",
-        "checksum",
-        "sent_at",
-        "attached",
-    ),
-}
 
 #: Keys every encoded frame body carries (see ``encode_frame``).
 FRAME_ENVELOPE_KEYS: Tuple[str, ...] = ("type", "sender", "sent_at")

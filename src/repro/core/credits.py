@@ -130,10 +130,6 @@ class CreditLedger:
         """Read-only snapshot of the ledger."""
         return dict(self._credits)
 
-    def total_granted(self) -> float:
-        """Sum of all credits the owner has granted."""
-        return sum(self._credits.values())
-
 
 class ReputationCreditLedger(CreditLedger):
     """Credit ledger augmented with decayed first-hand reputation.

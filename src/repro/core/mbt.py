@@ -547,8 +547,7 @@ class MobileBitTorrent:
         """
         if not self._config.duration_budgets:
             return self._config.budget.scaled(scale)
-        from repro.net.medium import budget_from_duration
-        from repro.net.messages import METADATA_BASE_SIZE
+        from repro.net.medium import METADATA_BASE_SIZE, budget_from_duration
         from repro.catalog.files import PIECE_SIZE
 
         return budget_from_duration(

@@ -154,10 +154,6 @@ class MetadataStore:
         URI evicts a record."""
         return self._capacity is not None and len(self._records) >= self._capacity
 
-    def may_evict_on_insert(self, uri: Uri) -> bool:
-        """Whether inserting ``uri`` could trigger an eviction."""
-        return self.full and uri not in self._records
-
     def add(
         self,
         metadata: Metadata,
@@ -398,17 +394,6 @@ class NodeState:
         """Live stored queries of frequent contacts (a fresh list)."""
         self._refresh_live(now)
         return list(self._live_foreign)
-
-    def carried_queries(self, now: float, include_foreign: bool) -> List[Query]:
-        """Queries the node advertises and pulls for.
-
-        Under full MBT this is own + stored frequent-contact queries;
-        under MBT-Q (and MBT-QM) it is the node's own queries only.
-        """
-        queries = self.own_queries(now)
-        if include_foreign:
-            queries.extend(self.foreign_queries(now))
-        return queries
 
     def own_query_tokens(self, now: float) -> Tuple[FrozenSet[str], ...]:
         """Token sets of the node's own live queries."""

@@ -27,7 +27,7 @@ See ``docs/DETERMINISM.md`` for the full determinism contract and the
 rule reference table.
 """
 
-from repro.detlint.checker import lint_source, lint_sources
+from repro.detlint.checker import lint_source
 from repro.detlint.findings import (
     FORMATTERS,
     PARSE_ERROR_RULE,
@@ -53,7 +53,6 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "lint_sources",
     "main",
     "rules_for_path",
 ]

@@ -17,7 +17,7 @@ trade the fix-it messages assume.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Set, Union
 
 from repro.detlint.findings import PARSE_ERROR_RULE, Finding
 from repro.detlint.rules import (
@@ -429,15 +429,3 @@ def lint_source(
         smap = SuppressionMap(source)
         findings = [f for f in findings if not smap.suppresses(f.line, f.rule)]
     return sorted(findings)
-
-
-def lint_sources(
-    sources: Iterable[Sequence],
-    *,
-    all_rules: bool = False,
-) -> List[Finding]:
-    """Lint ``(source, path)`` pairs and concatenate the findings."""
-    out: List[Finding] = []
-    for source, path in sources:
-        out.extend(lint_source(source, path, all_rules=all_rules))
-    return out

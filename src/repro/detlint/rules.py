@@ -216,12 +216,12 @@ RULES: Dict[str, Rule] = {
             id="CON006",
             title="wire-schema drift",
             summary=(
-                "net.messages dataclass fields or runtime.codec frame keys "
+                "Metadata dataclass fields or runtime.codec frame keys "
                 "diverge from the registered wire schema"
             ),
             fixit=(
                 "update repro.contracts.wire together with BOTH the "
-                "message dataclasses and the codec builders/readers"
+                "Metadata dataclass and the codec builders/readers"
             ),
             scopes=_CONTRACT_SCOPE,
         ),

@@ -33,7 +33,7 @@ import hashlib
 import json
 import os
 import random
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.detlint.hashseed import (
     UNPINNED,
@@ -135,7 +135,7 @@ def _first_difference(a: SimulationResult, b: SimulationResult) -> str:
 
 
 class GlobalRngGuard:
-    """Event observer asserting the global ``random`` stream is idle.
+    """Engine observer asserting the global ``random`` stream is idle.
 
     Installed on the engine via ``Simulation.run(event_observer=...)``;
     called after every executed event with ``(now, events_executed)``.
@@ -208,24 +208,3 @@ def checked_run(
                 "is not a pure function of (trace, config)"
             )
     return results[0]
-
-
-def maybe_checked_run(
-    trace: ContactTrace,
-    config: SimulationConfig,
-    *,
-    force: bool = False,
-) -> SimulationResult:
-    """``checked_run`` when detcheck is on, a plain run otherwise."""
-    if force or detcheck_enabled():
-        return checked_run(trace, config)
-    return Simulation(trace, config).run()
-
-
-def fingerprint_summary(result: SimulationResult) -> Dict[str, Any]:
-    """Diagnostic payload printed by the CLI after a sanitized run."""
-    return {
-        "fingerprint": result_fingerprint(result),
-        "pythonhashseed": hash_seed_value(),
-        "detcheck": True,
-    }

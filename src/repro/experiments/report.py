@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
 from repro.experiments.sweep import SweepResult
 
@@ -78,12 +78,3 @@ def sweep_to_dict(result: SweepResult) -> Dict[str, Any]:
 def sweep_to_json(result: SweepResult, indent: int = 2) -> str:
     """JSON text of one panel."""
     return json.dumps(sweep_to_dict(result), indent=indent)
-
-
-def combined_markdown_report(results: Iterable[SweepResult], title: str) -> str:
-    """Concatenate several panels under one heading."""
-    parts = [f"# {title}", ""]
-    for result in results:
-        parts.append(sweep_to_markdown(result))
-        parts.append("")
-    return "\n".join(parts)

@@ -1,4 +1,4 @@
-"""Wire messages and transmission-medium models."""
+"""Transmission-medium models."""
 
 from repro.net.medium import (
     BroadcastMedium,
@@ -7,12 +7,6 @@ from repro.net.medium import (
     TransmissionMedium,
     budget_from_duration,
 )
-from repro.net.messages import (
-    HELLO_INTERVAL,
-    HelloMessage,
-    MetadataMessage,
-    PieceMessage,
-)
 
 __all__ = [
     "BroadcastMedium",
@@ -20,8 +14,4 @@ __all__ = [
     "PairwiseMedium",
     "TransmissionMedium",
     "budget_from_duration",
-    "HELLO_INTERVAL",
-    "HelloMessage",
-    "MetadataMessage",
-    "PieceMessage",
 ]

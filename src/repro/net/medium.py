@@ -104,6 +104,11 @@ class PairwiseMedium(TransmissionMedium):
         return "pairwise"
 
 
+#: Rough wire size of one metadata record in bytes, the discovery-phase
+#: unit that :func:`budget_from_duration` divides a contact's volume by.
+METADATA_BASE_SIZE: int = 2048
+
+
 def budget_from_duration(
     duration: float,
     bandwidth_bytes_per_s: float,

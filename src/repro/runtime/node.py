@@ -24,11 +24,13 @@ from repro.core import discovery, download
 from repro.core.cliqueview import CliqueView
 from repro.core.mbt import ProtocolConfig
 from repro.core.node import NodeState
-from repro.net.messages import HELLO_NEIGHBOR_WINDOW
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, Frame, FrameType
 from repro.sim.metrics import MetricsCollector
 from repro.types import NodeId, Uri
+
+#: Hellos advertise neighbors heard within this many seconds (§III-B).
+HELLO_NEIGHBOR_WINDOW: float = 5.0
 
 
 @dataclass

@@ -11,13 +11,12 @@ experiment in the reproduction:
   the Internet-side catalog and the MBT protocol engine together.
 """
 
-from repro.sim.engine import Event, EventQueue, Simulator
+from repro.sim.engine import EventQueue, Simulator
 from repro.sim.metrics import MetricsCollector, QueryRecord, SimulationResult
 from repro.sim.spacetime import (
     JourneyResult,
     earliest_arrival,
     oracle_file_delivery_bound,
-    pairwise_delays,
     reachability_ratio,
 )
 
@@ -36,13 +35,11 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Event",
     "EventQueue",
     "Simulator",
     "JourneyResult",
     "earliest_arrival",
     "oracle_file_delivery_bound",
-    "pairwise_delays",
     "reachability_ratio",
     "MetricsCollector",
     "QueryRecord",

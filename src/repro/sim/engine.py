@@ -1,7 +1,7 @@
 """A small, deterministic discrete-event simulation engine.
 
-The engine is intentionally minimal: a priority queue of
-:class:`Event` objects ordered by ``(time, priority, sequence)``.
+The engine is intentionally minimal: a priority queue of scheduled
+callbacks ordered by ``(time, priority, sequence)``.
 Events scheduled for the same instant are executed in the order defined
 by their ``priority`` and, for equal priorities, their insertion order.
 This makes every simulation run fully deterministic for a given seed,
@@ -11,8 +11,8 @@ Example
 -------
 >>> sim = Simulator()
 >>> seen = []
->>> _ = sim.schedule(2.0, lambda: seen.append("b"))
->>> _ = sim.schedule(1.0, lambda: seen.append("a"))
+>>> sim.schedule(2.0, lambda: seen.append("b"))
+>>> sim.schedule(1.0, lambda: seen.append("a"))
 >>> sim.run()
 >>> seen
 ['a', 'b']
@@ -22,47 +22,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised on misuse of the engine (e.g. scheduling in the past)."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """A scheduled callback.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulation time (seconds) at which the event fires.
-    priority:
-        Tie-breaker for simultaneous events; lower fires first.
-    sequence:
-        Insertion counter; guarantees FIFO order among equal
-        ``(time, priority)`` events.
-    action:
-        Zero-argument callable executed when the event fires.
-    """
-
-    time: float
-    priority: int
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-
-
 class EventQueue:
     """A stable priority queue of scheduled callbacks.
 
     Heap entries are plain ``(time, priority, sequence, action)``
-    tuples — the sort key is stored once, not duplicated into a frozen
-    :class:`Event`'s compare fields, and no dataclass is allocated per
-    push. The unique ``sequence`` guarantees tuple comparison never
-    reaches the (incomparable) action. :class:`Event` objects are
-    materialized only where the public API returns them (:meth:`push`'s
-    handle, :meth:`pop`).
+    tuples. The unique ``sequence`` keeps FIFO order among equal
+    ``(time, priority)`` entries and guarantees tuple comparison never
+    reaches the (incomparable) action.
     """
 
     def __init__(self) -> None:
@@ -75,28 +48,17 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(self, time: float, action: Callable[[], None], priority: int = 0) -> Event:
-        """Insert an event and return it."""
-        sequence = next(self._counter)
-        heapq.heappush(self._heap, (time, priority, sequence, action))
-        return Event(time=time, priority=priority, sequence=sequence, action=action)
+    def push(self, time: float, action: Callable[[], None], priority: int = 0) -> None:
+        """Insert an event."""
+        heapq.heappush(self._heap, (time, priority, next(self._counter), action))
 
-    def pop(self) -> Event:
-        """Remove and return the earliest event.
+    def pop_entry(self) -> tuple[float, int, int, Callable[[], None]]:
+        """Remove and return the earliest ``(time, priority, sequence, action)``.
 
         Raises
         ------
         IndexError
             If the queue is empty.
-        """
-        time, priority, sequence, action = heapq.heappop(self._heap)
-        return Event(time=time, priority=priority, sequence=sequence, action=action)
-
-    def pop_entry(self) -> tuple[float, int, int, Callable[[], None]]:
-        """Remove and return the earliest raw heap entry (no Event).
-
-        The engine's inner loop uses this to skip the per-step Event
-        allocation; external callers should prefer :meth:`pop`.
         """
         return heapq.heappop(self._heap)
 
@@ -147,12 +109,7 @@ class Simulator:
         """
         return dict(self._events_by_priority)
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still waiting in the queue."""
-        return len(self._queue)
-
-    def schedule(self, time: float, action: Callable[[], None], priority: int = 0) -> Event:
+    def schedule(self, time: float, action: Callable[[], None], priority: int = 0) -> None:
         """Schedule ``action`` at absolute ``time``.
 
         Raises
@@ -164,41 +121,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time:.3f} before current time t={self._now:.3f}"
             )
-        return self._queue.push(time, action, priority)
-
-    def schedule_after(self, delay: float, action: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule ``action`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(self._now + delay, action, priority)
-
-    def schedule_every(
-        self,
-        interval: float,
-        action: Callable[[], None],
-        start: Optional[float] = None,
-        until: Optional[float] = None,
-        priority: int = 0,
-    ) -> None:
-        """Schedule ``action`` periodically.
-
-        The action fires first at ``start`` (default: ``now + interval``)
-        and then every ``interval`` seconds while the fire time is
-        strictly below ``until`` (default: forever — bounded only by
-        ``run(until=...)``).
-        """
-        if interval <= 0:
-            raise SimulationError(f"non-positive interval {interval!r}")
-        first = self._now + interval if start is None else start
-
-        def fire_and_reschedule(at: float) -> None:
-            action()
-            nxt = at + interval
-            if until is None or nxt < until:
-                self._queue.push(nxt, lambda: fire_and_reschedule(nxt), priority)
-
-        if until is None or first < until:
-            self.schedule(first, lambda: fire_and_reschedule(first), priority)
+        self._queue.push(time, action, priority)
 
     def step(self) -> bool:
         """Execute the next event. Return ``False`` if none remained."""
@@ -246,8 +169,3 @@ class Simulator:
             self.step()
         if until is not None and until > self._now:
             self._now = until
-
-    def drain(self) -> Iterator[Event]:
-        """Yield remaining events in fire order without executing them."""
-        while self._queue:
-            yield self._queue.pop()

@@ -37,7 +37,7 @@ from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.traces.base import ContactTrace
 from repro.types import DAY, NodeId, noon_of_day
 
-#: Event priorities when several events share an instant: the noon
+#: Priorities of events that share an instant: the noon
 #: action (expiry, then the day's generation) before syncs before contacts.
 _PRIORITY_EXPIRE = 0
 _PRIORITY_SYNC = 2
@@ -437,7 +437,7 @@ class Simulation:
                 "strategy": state.strategy.name,
                 "metadata_stored": len(state.metadata),
                 "pieces_stored": state.pieces.total_pieces(),
-                "credit_granted": state.credits.total_granted(),
+                "credit_granted": sum(state.credits.as_mapping().values()),
             }
             row.update(state.stats.as_dict())
             rows.append(row)

@@ -38,10 +38,6 @@ class JourneyResult:
             node for node, at in self.arrival.items() if at <= deadline
         )
 
-    def delay_to(self, node: NodeId) -> float:
-        """Earliest-arrival delay to ``node`` (inf if unreachable)."""
-        return self.arrival.get(node, math.inf) - self.start_time
-
 
 def earliest_arrival(
     trace: ContactTrace,
@@ -106,23 +102,6 @@ def reachability_ratio(
     if not pool:
         return 0.0
     return len(reached & pool) / len(pool)
-
-
-def pairwise_delays(
-    trace: ContactTrace, start_time: float = 0.0
-) -> Dict[NodeId, Dict[NodeId, float]]:
-    """Earliest-arrival delay matrix between all node pairs.
-
-    O(nodes × contacts); fine for trace-analysis use, not for inner
-    loops.
-    """
-    matrix: Dict[NodeId, Dict[NodeId, float]] = {}
-    for source in trace.nodes:
-        result = earliest_arrival(trace, [source], start_time)
-        matrix[source] = {
-            node: result.delay_to(node) for node in trace.nodes if node != source
-        }
-    return matrix
 
 
 def oracle_file_delivery_bound(

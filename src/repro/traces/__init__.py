@@ -23,14 +23,6 @@ from repro.traces.mobility import (
     generate_random_waypoint_trace,
 )
 from repro.traces.nus import NUSConfig, generate_nus_trace
-from repro.traces.sanitize import (
-    clip,
-    drop_short_contacts,
-    merge_overlapping,
-    relabel_nodes,
-    sanitize,
-    shift_to_zero,
-)
 
 __all__ = [
     "Contact",
@@ -46,10 +38,4 @@ __all__ = [
     "generate_random_waypoint_trace",
     "read_trace",
     "write_trace",
-    "clip",
-    "drop_short_contacts",
-    "merge_overlapping",
-    "relabel_nodes",
-    "sanitize",
-    "shift_to_zero",
 ]

@@ -10,10 +10,9 @@ attending students as members.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.types import DAY, NodeId
 
@@ -62,10 +61,6 @@ class Contact:
             for v in ordered[i + 1:]:
                 yield u, v
 
-    def involves(self, node: NodeId) -> bool:
-        """Return whether ``node`` takes part in this contact."""
-        return node in self.members
-
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -106,7 +101,6 @@ class ContactTrace:
         for contact in self._contacts:
             nodes.update(contact.members)
         self._nodes: Tuple[NodeId, ...] = tuple(sorted(nodes))
-        self._starts: List[float] = [c.start for c in self._contacts]
 
     # -- basic container protocol -------------------------------------------------
 
@@ -146,16 +140,6 @@ class ContactTrace:
         return self.end_time
 
     # -- queries ------------------------------------------------------------------
-
-    def contacts_between(self, start: float, end: float) -> List[Contact]:
-        """Return contacts whose start lies in ``[start, end)``."""
-        lo = bisect_left(self._starts, start)
-        hi = bisect_left(self._starts, end)
-        return self._contacts[lo:hi]
-
-    def contacts_of(self, node: NodeId) -> List[Contact]:
-        """Return the contacts that involve ``node``, in start order."""
-        return [c for c in self._contacts if node in c.members]
 
     def pair_contact_counts(self) -> Dict[Tuple[NodeId, NodeId], int]:
         """Count contacts per unordered node pair.
@@ -274,11 +258,3 @@ class ContactTrace:
         """Return a new trace with contacts starting before ``end_time``."""
         contacts = [c for c in self._contacts if c.start < end_time]
         return ContactTrace(contacts, name=f"{self.name}|<{end_time:.0f}s")
-
-
-def merge_traces(traces: Sequence[ContactTrace], name: str = "merged") -> ContactTrace:
-    """Merge several traces into one time-sorted trace."""
-    contacts: List[Contact] = []
-    for trace in traces:
-        contacts.extend(trace)
-    return ContactTrace(contacts, name=name)

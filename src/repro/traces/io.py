@@ -13,7 +13,7 @@ traces simply list more ids.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, TextIO, Union
+from typing import List, TextIO, Union
 
 from repro.traces.base import Contact, ContactTrace, TraceError
 from repro.types import NodeId
@@ -75,8 +75,3 @@ def _read_lines(handle: TextIO, name: str) -> ContactTrace:
             raise TraceError(f"line {lineno}: contact needs two distinct nodes: {line!r}")
         contacts.append(Contact(start, end, members))
     return ContactTrace(contacts, name=name)
-
-
-def contacts_as_records(contacts: Iterable[Contact]) -> List[tuple[float, float, tuple[int, ...]]]:
-    """Return contacts as plain tuples, convenient for numpy/tests."""
-    return [(c.start, c.end, tuple(sorted(c.members))) for c in contacts]

@@ -129,14 +129,6 @@ class TestQueries:
         per_node_per_day = total / len(NODES) / days
         assert per_node_per_day == pytest.approx(2.0, rel=0.25)
 
-    def test_queries_by_node_grouping(self):
-        generator = make_generator()
-        batch = generator.generate_day(0, noon_of_day(0))
-        grouped = batch.queries_by_node
-        assert sum(len(v) for v in grouped.values()) == len(batch.queries)
-        for node, queries in grouped.items():
-            assert all(q.node == node for q in queries)
-
     def test_rejects_empty_node_population(self):
         with pytest.raises(ValueError):
             CatalogGenerator(CatalogConfig(), [], seed=0)

@@ -72,7 +72,7 @@ class TestPopularityModel:
     def test_samples_in_unit_interval(self):
         model = PopularityModel(lam=5.0)
         rng = random.Random(2)
-        for p in model.sample_many(rng, 500):
+        for p in (model.sample(rng) for __ in range(500)):
             assert 0.0 <= p <= 1.0
 
     def test_rejects_nonpositive_lambda(self):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.catalog.files import PIECE_SIZE, FileDescriptor, piece_payload
-from repro.catalog.query import best_match, live_queries, matches
+from repro.catalog.files import PIECE_SIZE, FileDescriptor
+from repro.catalog.query import matches
 from repro.catalog.server import FileServer, MetadataServer
 from repro.types import DAY, NodeId, Uri
 
@@ -35,20 +35,6 @@ class TestQuery:
             make_query(0, "dtn://fox/x", [])
         with pytest.raises(ValueError):
             make_query(0, "dtn://fox/x", ["a"], created_at=5.0, expires_at=5.0)
-
-    def test_live_queries_filter(self):
-        queries = [
-            make_query(0, "dtn://fox/a", ["a"], 0.0, 10.0),
-            make_query(0, "dtn://fox/b", ["b"], 0.0, 100.0),
-        ]
-        assert [q.target_uri for q in live_queries(queries, 50.0)] == ["dtn://fox/b"]
-
-    def test_best_match_returns_first_hit(self, registry):
-        record = make_metadata(registry)
-        miss = make_query(0, record.uri, ["nothing"])
-        hit = make_query(0, record.uri, ["news"])
-        assert best_match([miss, hit], record) is hit
-        assert best_match([miss], record) is None
 
 
 class TestMetadataServer:
@@ -201,31 +187,6 @@ class TestFileServer:
             created_at=0.0,
             ttl=DAY,
         )
-
-    def test_fetch_piece_matches_payload(self):
-        server = FileServer()
-        descriptor = self._descriptor()
-        server.publish(descriptor)
-        payload = server.fetch_piece(descriptor.uri, 1)
-        assert payload == piece_payload(descriptor.uri, 1)
-
-    def test_fetch_all_yields_every_piece(self):
-        server = FileServer()
-        descriptor = self._descriptor(num_pieces=3)
-        server.publish(descriptor)
-        pieces = dict(server.fetch_all(descriptor.uri))
-        assert set(pieces) == {0, 1, 2}
-
-    def test_unknown_uri_raises(self):
-        with pytest.raises(KeyError):
-            FileServer().fetch_piece(Uri("dtn://fox/none"), 0)
-
-    def test_out_of_range_piece_raises(self):
-        server = FileServer()
-        descriptor = self._descriptor()
-        server.publish(descriptor)
-        with pytest.raises(IndexError):
-            server.fetch_piece(descriptor.uri, 99)
 
     def test_expire(self):
         server = FileServer()

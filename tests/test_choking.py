@@ -1,8 +1,7 @@
-"""Tests for encrypted choking (§IV-B future work) and group metrics."""
+"""Tests for encrypted choking (§IV-B future work) and the incentive arms."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +9,6 @@ from repro.core import mbt
 from repro.core.mbt import ProtocolConfig, SchedulingMode
 from repro.core.strategies import AdversaryPlan
 from repro.detlint.sanitizer import result_fingerprint
-from repro.experiments.ablations import group_ratios
 from repro.net.medium import ContactBudget
 from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import Simulation, SimulationConfig
@@ -121,37 +119,6 @@ class TestGroupMetrics:
     def test_empty_subset(self):
         metrics = MetricsCollector()
         assert metrics.ratios_for(set()) == (0.0, 0.0, 0)
-
-
-class TestChokingEndToEnd:
-    def _run(self, encrypted_choking: bool):
-        trace = generate_dieselnet_trace(
-            DieselNetConfig(num_buses=20, num_days=8), seed=0
-        )
-        config = SimulationConfig(
-            seed=0, files_per_day=40, ttl_days=3.0, tit_for_tat=True,
-            encrypted_choking=encrypted_choking,
-            adversaries=AdversaryPlan(fraction=0.4, mix=(("free_rider", 1.0),)),
-            scheduling=SchedulingMode.CYCLIC,
-            metadata_per_contact=2, files_per_contact=2,
-            frequent_contact_max_gap_days=3.0,
-        )
-        sim = Simulation(trace, config)
-        sim.run()
-        (__, coop_file), (__, rider_file) = group_ratios(sim)
-        assert not math.isnan(rider_file)  # the riders issued queries
-        return coop_file, rider_file
-
-    def test_choking_inverts_the_free_riding_payoff(self):
-        coop_plain, rider_plain = self._run(encrypted_choking=False)
-        coop_choke, rider_choke = self._run(encrypted_choking=True)
-        # Without choking, free-riding pays (riders still receive
-        # everything while saving their own battery/bandwidth).
-        assert rider_plain >= coop_plain - 0.05
-        # With choking, cooperators come out ahead...
-        assert coop_choke > rider_choke
-        # ...because the riders' delivery drops distinctly.
-        assert rider_choke < rider_plain - 0.05
 
 
 class TestIncentiveArms:

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.report import (
-    combined_markdown_report,
-    sweep_to_csv,
-    sweep_to_markdown,
-)
+from repro.experiments.report import sweep_to_csv, sweep_to_markdown
 from repro.experiments.sweep import SweepPoint, SweepResult
 
 
@@ -41,13 +37,40 @@ class TestReport:
         assert "| access | mbt meta | mbt file | mbt-q meta | mbt-q file |" in text
         assert "| 0.9 | 0.900 | 0.800 | 0.600 | 0.500 |" in text
 
-    def test_combined_report(self):
-        text = combined_markdown_report([tiny_sweep(), tiny_sweep()], "Panels")
-        assert text.startswith("# Panels")
-        assert text.count("### demo panel") == 2
+
+#: Bad outside input per command: ``{good}`` is a valid trace file,
+#: ``{bad}`` a malformed one and ``{missing}`` a path that does not exist
+#: (so ``{missing}/out.trace`` cannot be written).
+BAD_INPUT = {
+    "stats-missing-file": ["stats", "{missing}"],
+    "stats-malformed-file": ["stats", "{bad}"],
+    "stats-zero-gap": ["stats", "{good}", "--frequent-gap-days", "0"],
+    "stats-negative-gap": ["stats", "{good}", "--frequent-gap-days", "-1"],
+    "capacity-max-n-1": ["capacity", "--max-n", "1"],
+    "trace-unwritable-out": ["trace", "--out", "{missing}/out.trace"],
+    "run-access-above-1": ["run", "--access", "1.5"],
+    "run-negative-budget": ["run", "--metadata-per-contact", "-1"],
+}
 
 
 class TestCLI:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_bad_input_is_a_one_line_usage_error(self, case, tmp_path, capsys):
+        paths = {
+            "good": tmp_path / "good.trace",
+            "bad": tmp_path / "bad.trace",
+            "missing": tmp_path / "missing.trace",
+        }
+        paths["good"].write_text("0.0 10.0 0 1\n100.0 110.0 1 2\n", encoding="utf-8")
+        paths["bad"].write_text("not a contact line\n", encoding="utf-8")
+        argv = [arg.format(**paths) for arg in BAD_INPUT[case]]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"repro {argv[0]}: error: "), err
+        assert "Traceback" not in err
+
     def test_capacity_command(self, capsys):
         assert cli_main(["capacity", "--max-n", "4"]) == 0
         out = capsys.readouterr().out

@@ -16,7 +16,6 @@ from repro.contracts import (
     NAMESPACE_ROOTS,
     SEAM_REGISTRY,
     METADATA_RECORD_FIELDS,
-    MESSAGE_FIELDS,
     allowed_packages,
     check_counter_key,
     excluded_prefixes,
@@ -236,10 +235,3 @@ class TestWireRegistry:
 
         names = tuple(f.name for f in dataclasses.fields(Metadata))
         assert names == METADATA_RECORD_FIELDS
-
-    def test_message_fields(self):
-        import repro.net.messages as messages
-
-        for class_name, expected in MESSAGE_FIELDS.items():
-            cls = getattr(messages, class_name)
-            assert tuple(f.name for f in dataclasses.fields(cls)) == expected

@@ -20,8 +20,6 @@ from repro.detlint.sanitizer import (
     assert_hash_seed_pinned,
     checked_run,
     detcheck_enabled,
-    fingerprint_summary,
-    maybe_checked_run,
     result_fingerprint,
     verify_recorded_hash_seed,
 )
@@ -142,20 +140,31 @@ class TestCheckedRun:
         with pytest.raises(ValueError):
             checked_run(tiny_trace, tiny_config, runs=0)
 
-    def test_maybe_checked_run_env_gate(self, tiny_trace, tiny_config, monkeypatch):
-        monkeypatch.setenv(HASH_SEED_ENV, "0")
-        monkeypatch.delenv(DETCHECK_ENV, raising=False)
-        plain = maybe_checked_run(tiny_trace, tiny_config)
-        monkeypatch.setenv(DETCHECK_ENV, "1")
-        sanitized = maybe_checked_run(tiny_trace, tiny_config)
-        assert result_fingerprint(plain) == result_fingerprint(sanitized)
+    def test_maybe_checked_run_env_gate(self, tiny_config, monkeypatch):
+        # kernel.execute takes the sanitized path only under REPRO_DETCHECK.
+        from repro.detlint import sanitizer
 
-    def test_summary_payload(self, tiny_trace, tiny_config, monkeypatch):
+        calls = []
+
+        def recording_checked_run(trace, config):
+            calls.append(config)
+            return checked_run(trace, config)
+
+        monkeypatch.setattr(sanitizer, "checked_run", recording_checked_run)
         monkeypatch.setenv(HASH_SEED_ENV, "0")
-        result = checked_run(tiny_trace, tiny_config)
-        summary = fingerprint_summary(result)
-        assert summary["fingerprint"] == result_fingerprint(result)
-        assert summary["pythonhashseed"] == 0
+        spec = RunSpec(
+            trace=TraceSpec.of(
+                generate_dieselnet_trace, DieselNetConfig(num_buses=6, num_days=1), 0
+            ),
+            config=tiny_config,
+        )
+        monkeypatch.delenv(DETCHECK_ENV, raising=False)
+        plain = execute(spec).result
+        assert calls == []
+        monkeypatch.setenv(DETCHECK_ENV, "1")
+        sanitized = execute(spec).result
+        assert calls == [tiny_config]
+        assert result_fingerprint(plain) == result_fingerprint(sanitized)
 
 
 class TestKernelIntegration:

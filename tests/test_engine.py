@@ -15,35 +15,32 @@ class TestEventQueue:
         assert queue.peek_time() is None
 
     def test_pop_returns_earliest(self):
-        queue = EventQueue()
-        queue.push(5.0, lambda: None)
-        queue.push(1.0, lambda: None)
-        queue.push(3.0, lambda: None)
-        assert queue.pop().time == 1.0
-        assert queue.pop().time == 3.0
-        assert queue.pop().time == 5.0
+        sim = Simulator()
+        times = []
+        for t in (5.0, 1.0, 3.0):
+            sim.schedule(t, lambda: times.append(sim.now))
+        sim.run()
+        assert times == [1.0, 3.0, 5.0]
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            EventQueue().pop()
+            EventQueue().pop_entry()
 
     def test_priority_breaks_time_ties(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, priority=2)
-        queue.push(1.0, lambda: None, priority=0)
-        queue.push(1.0, lambda: None, priority=1)
-        priorities = [queue.pop().priority for _ in range(3)]
+        sim = Simulator()
+        priorities = []
+        for priority in (2, 0, 1):
+            sim.schedule(1.0, lambda p=priority: priorities.append(p), priority=priority)
+        sim.run()
         assert priorities == [0, 1, 2]
 
     def test_fifo_among_equal_time_and_priority(self):
-        # The heap stores plain tuples; push/pop return equal (not
-        # identical) Event handles for the same scheduled callback.
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        second = queue.push(1.0, lambda: None)
-        assert queue.pop() == first
-        assert queue.pop() == second
-        assert first.sequence < second.sequence
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append("first"))
+        sim.schedule(1.0, lambda: seen.append("second"))
+        sim.run()
+        assert seen == ["first", "second"]
 
     def test_peek_time_does_not_pop(self):
         queue = EventQueue()
@@ -75,25 +72,13 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule(5.0, lambda: None)
 
-    def test_schedule_after_negative_delay_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_after(-1.0, lambda: None)
-
-    def test_schedule_after_relative_to_now(self):
-        sim = Simulator(start_time=100.0)
-        fired = []
-        sim.schedule_after(5.0, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [105.0]
-
     def test_events_can_schedule_followups(self):
         sim = Simulator()
         seen = []
 
         def first():
             seen.append("first")
-            sim.schedule_after(1.0, lambda: seen.append("second"))
+            sim.schedule(sim.now + 1.0, lambda: seen.append("second"))
 
         sim.schedule(1.0, first)
         sim.run()
@@ -107,7 +92,8 @@ class TestSimulator:
         sim.run(until=5.0)
         assert seen == [1]
         assert sim.now == 5.0
-        assert sim.pending_events == 1
+        sim.run()
+        assert seen == [1, 10]
 
     def test_run_until_includes_events_at_bound(self):
         sim = Simulator()
@@ -126,25 +112,6 @@ class TestSimulator:
         sim.run()
         assert sim.events_executed == 3
 
-    def test_schedule_every_fires_periodically(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_every(10.0, lambda: fired.append(sim.now), start=0.0, until=35.0)
-        sim.run()
-        assert fired == [0.0, 10.0, 20.0, 30.0]
-
-    def test_schedule_every_default_start(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_every(5.0, lambda: fired.append(sim.now), until=16.0)
-        sim.run()
-        assert fired == [5.0, 10.0, 15.0]
-
-    def test_schedule_every_rejects_bad_interval(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_every(0.0, lambda: None)
-
     def test_priority_orders_simultaneous_events(self):
         sim = Simulator()
         seen = []
@@ -153,10 +120,3 @@ class TestSimulator:
         sim.run()
         assert seen == ["high", "low"]
 
-    def test_drain_yields_unexecuted_events_in_order(self):
-        sim = Simulator()
-        sim.schedule(3.0, lambda: None)
-        sim.schedule(1.0, lambda: None)
-        times = [event.time for event in sim.drain()]
-        assert times == [1.0, 3.0]
-        assert sim.pending_events == 0

@@ -216,13 +216,7 @@ class TestPieceBitmaps:
         store.add_unverified(uri, 2)
         assert store.bitmap_of(uri) == 0b101
         assert store.pieces_of(uri) == {0, 2}
-        assert store.count_of(uri) == 2
-        assert store.has_piece(uri, 2) and not store.has_piece(uri, 1)
-        assert store.missing_bitmap(uri, 3) == 0b010
-        assert list(store.missing_pieces(uri, 3)) == [1]
-        store.drop_piece(uri, 2)
-        assert store.bitmap_of(uri) == 0b001
-        store.drop_piece(uri, 0)
+        store.drop(uri)
         assert uri not in store
         assert store.bitmap_of(uri) == 0
 

@@ -12,7 +12,6 @@ from repro.analysis.intercontact import (
     empirical_ccdf,
     fit_exponential,
     intercontact_samples,
-    pair_meeting_rates,
     summarize,
 )
 from repro.catalog.adversary import CLAIMED_POPULARITY, FakeFileFactory
@@ -90,13 +89,6 @@ class TestInterContact:
         )
         fit = fit_exponential(intercontact_samples(trace))
         assert fit.ccdf_error < 0.12
-
-    def test_pair_meeting_rates(self):
-        trace = ContactTrace(
-            [pair_contact(0.0, 10.0, 0, 1), pair_contact(50.0, 60.0, 0, 1)]
-        )
-        rates = pair_meeting_rates(trace)
-        assert rates[(0, 1)] == pytest.approx(2 / 60.0)
 
 
 class TestFakeFileFactory:

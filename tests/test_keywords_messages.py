@@ -1,22 +1,8 @@
-"""Unit tests for the keyword vocabulary and wire messages."""
+"""Unit tests for the keyword vocabulary."""
 
 from __future__ import annotations
 
-from repro.catalog.keywords import (
-    PUBLISHERS,
-    KeywordVocabulary,
-    all_vocabulary_tokens,
-    tokenize,
-)
-from repro.net.messages import (
-    HELLO_INTERVAL,
-    HelloMessage,
-    MetadataMessage,
-    PieceMessage,
-)
-from repro.types import NodeId, Uri
-
-from conftest import make_metadata
+from repro.catalog.keywords import PUBLISHERS, KeywordVocabulary
 
 
 class TestKeywordVocabulary:
@@ -55,46 +41,3 @@ class TestKeywordVocabulary:
         vocab = KeywordVocabulary(seed=0)
         title = vocab.title_tokens(0)
         assert "FOX" in vocab.description(title, "fox")
-
-    def test_tokenize(self):
-        assert tokenize("News Island  s01e01") == {"news", "island", "s01e01"}
-        assert tokenize("") == frozenset()
-
-    def test_vocabulary_token_list_sorted_unique(self):
-        tokens = all_vocabulary_tokens()
-        assert tokens == sorted(set(tokens))
-        assert "news" in tokens
-
-
-class TestMessages:
-    def test_hello_interval_at_least_every_second(self):
-        assert HELLO_INTERVAL <= 1.0
-
-    def test_hello_size_grows_with_content(self):
-        small = HelloMessage(
-            sender=NodeId(1),
-            heard=frozenset(),
-            query_tokens=(),
-            downloading=frozenset(),
-            sent_at=0.0,
-        )
-        big = HelloMessage(
-            sender=NodeId(1),
-            heard=frozenset({NodeId(2), NodeId(3)}),
-            query_tokens=(frozenset({"a", "b"}),),
-            downloading=frozenset({Uri("dtn://fox/x")}),
-            sent_at=0.0,
-        )
-        assert big.size_bytes > small.size_bytes
-
-    def test_metadata_message_size_scales_with_checksums(self, registry):
-        one = MetadataMessage(NodeId(1), make_metadata(registry, num_pieces=1), 0.0)
-        many = MetadataMessage(NodeId(1), make_metadata(registry, num_pieces=10), 0.0)
-        assert many.size_bytes == one.size_bytes + 9 * 20
-
-    def test_piece_message_carries_attachment_cost(self, registry):
-        record = make_metadata(registry)
-        bare = PieceMessage(NodeId(1), record.uri, 0, b"x", "00", 0.0, attached=None)
-        attached = PieceMessage(NodeId(1), record.uri, 0, b"x", "00", 0.0, attached=record)
-        assert attached.size_bytes > bare.size_bytes
-        assert bare.size_bytes >= 256 * 1024

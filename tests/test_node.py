@@ -55,10 +55,14 @@ class TestMetadataStore:
     def test_may_evict_on_insert(self, registry):
         store = MetadataStore(capacity=1)
         record = make_metadata(registry)
-        assert store.may_evict_on_insert(record.uri) is False  # not full yet
+        assert not store.full
         store.add(record)
-        assert store.may_evict_on_insert(record.uri) is False  # refresh, not insert
-        assert store.may_evict_on_insert(Uri("dtn://fox/other")) is True
+        assert store.full
+        assert store.add(record) is False  # refresh, not insert
+        assert record.uri in store
+        other = make_metadata(registry, uri="dtn://fox/other")
+        assert store.add(other)
+        assert record.uri not in store and other.uri in store
 
     def test_drop_expired(self, registry):
         store = MetadataStore()
@@ -91,13 +95,6 @@ class TestNodeQueries:
         node.store_foreign_queries(NodeId(1), [query])
         node.store_foreign_queries(NodeId(1), [query])
         assert len(node.foreign_queries(0.0)) == 1
-
-    def test_carried_queries_with_and_without_foreign(self, registry):
-        node = make_node(registry, node=0)
-        node.add_own_query(make_query(0, "dtn://fox/a", ["a"]))
-        node.store_foreign_queries(NodeId(1), [make_query(1, "dtn://fox/b", ["b"])])
-        assert len(node.carried_queries(0.0, include_foreign=True)) == 2
-        assert len(node.carried_queries(0.0, include_foreign=False)) == 1
 
     def test_query_token_views(self, registry):
         node = make_node(registry, node=0)

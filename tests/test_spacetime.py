@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.sim.spacetime import (
     earliest_arrival,
     oracle_file_delivery_bound,
-    pairwise_delays,
     reachability_ratio,
 )
 from repro.traces.base import ContactTrace
@@ -40,7 +37,6 @@ class TestEarliestArrival:
         result = earliest_arrival(chain(), [NodeId(3)], start_time=0.0)
         # Contacts are ordered against node 3: nothing flows backwards.
         assert NodeId(0) not in result.arrival
-        assert result.delay_to(NodeId(0)) == math.inf
 
     def test_start_time_after_contact_skips_it(self):
         result = earliest_arrival(chain(), [NodeId(0)], start_time=150.0)
@@ -75,7 +71,7 @@ class TestEarliestArrival:
 
     def test_delay_to(self):
         result = earliest_arrival(chain(), [NodeId(0)], start_time=50.0)
-        assert result.delay_to(NodeId(1)) == 50.0
+        assert result.arrival[NodeId(1)] - result.start_time == 50.0
 
 
 class TestReachability:
@@ -110,20 +106,3 @@ class TestReachability:
         )
         assert bound == pytest.approx(2 / 3)
 
-
-class TestPairwiseDelays:
-    def test_matrix_shape_and_symmetry_of_reachability(self):
-        trace = ContactTrace(
-            [
-                pair_contact(10.0, 20.0, 0, 1),
-                pair_contact(30.0, 40.0, 0, 1),
-            ]
-        )
-        matrix = pairwise_delays(trace)
-        assert matrix[NodeId(0)][NodeId(1)] == 10.0
-        assert matrix[NodeId(1)][NodeId(0)] == 10.0
-
-    def test_asymmetric_chain(self):
-        matrix = pairwise_delays(chain())
-        assert matrix[NodeId(0)][NodeId(3)] == 300.0
-        assert matrix[NodeId(3)][NodeId(0)] == math.inf

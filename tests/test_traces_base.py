@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.traces.base import Contact, ContactTrace, TraceError, merge_traces
+from repro.traces.base import Contact, ContactTrace, TraceError
 from repro.types import DAY, NodeId
 
 from conftest import clique_contact, pair_contact, tiny_trace
@@ -33,11 +33,6 @@ class TestContact:
     def test_pairwise_contact_single_pair(self):
         contact = pair_contact(0.0, 1.0, 7, 4)
         assert list(contact.pairs()) == [(4, 7)]
-
-    def test_involves(self):
-        contact = pair_contact(0.0, 1.0, 0, 1)
-        assert contact.involves(NodeId(0))
-        assert not contact.involves(NodeId(2))
 
     def test_ordering_by_start_time(self):
         early = pair_contact(1.0, 2.0, 0, 1)
@@ -68,17 +63,6 @@ class TestContactTrace:
     def test_indexing(self):
         trace = tiny_trace()
         assert trace[0].start == 100.0
-
-    def test_contacts_between_half_open(self):
-        trace = tiny_trace()
-        selected = trace.contacts_between(100.0, 300.0)
-        assert [c.start for c in selected] == [100.0]
-
-    def test_contacts_of_node(self):
-        trace = tiny_trace()
-        contacts = trace.contacts_of(NodeId(2))
-        assert all(NodeId(2) in c.members for c in contacts)
-        assert len(contacts) == 3
 
     def test_pair_contact_counts_count_clique_pairs(self):
         trace = ContactTrace([clique_contact(0.0, 1.0, [0, 1, 2])])
@@ -171,6 +155,6 @@ class TestMerge:
     def test_merge_traces_sorts_globally(self):
         a = ContactTrace([pair_contact(10.0, 20.0, 0, 1)])
         b = ContactTrace([pair_contact(1.0, 2.0, 1, 2)])
-        merged = merge_traces([a, b])
+        merged = ContactTrace([*a, *b])
         assert [c.start for c in merged] == [1.0, 10.0]
         assert merged.nodes == (0, 1, 2)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.traces.base import TraceError
 from repro.traces.dieselnet import DieselNetConfig, generate_dieselnet_trace
-from repro.traces.io import contacts_as_records, read_trace, write_trace
+from repro.traces.io import read_trace, write_trace
 from repro.traces.nus import NUSConfig, generate_nus_trace
 
 from conftest import tiny_trace
@@ -120,9 +120,3 @@ class TestParsing:
         with pytest.raises(TraceError, match="line 2"):
             read_trace(io.StringIO(text))
 
-
-class TestRecords:
-    def test_contacts_as_records(self):
-        records = contacts_as_records(tiny_trace())
-        assert records[0] == (100.0, 200.0, (0, 1))
-        assert all(members == tuple(sorted(members)) for __, __, members in records)
