@@ -8,7 +8,7 @@ Commands
 ``trace``      generate a trace, print its statistics, optionally save it
 ``stats``      statistics of a saved trace file
 ``capacity``   the §V broadcast-vs-pair-wise capacity table
-``lint``       detlint: AST determinism & invariant linter
+``lint``       detlint: AST determinism & contract linter
 ``validate``   the paper-claims table, one PASS/FAIL line per claim
 
 Examples
@@ -38,6 +38,7 @@ from repro.analysis.capacity import capacity_gain, capacity_table
 from repro.core.credits import CREDIT_POLICIES
 from repro.core.mbt import ProtocolVariant
 from repro.core.strategies import AdversaryPlan, parse_mix
+from repro.detlint import runner as lint_runner
 from repro.exec import TraceSpec, build_trace
 from repro.experiments import FIGURES
 from repro.faults import FaultPlan
@@ -358,28 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.set_defaults(handler=_cmd_capacity)
 
     lint = sub.add_parser(
-        "lint",
-        help=(
-            "detlint: AST determinism & contract linter "
-            "(DET001-DET005, CON001-CON006 with --contracts)"
-        ),
+        "lint", help=lint_runner.DESCRIPTION, description=lint_runner.DESCRIPTION
     )
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories (default: src/repro)")
-    lint.add_argument("--format", choices=("text", "github", "json"),
-                      default="text",
-                      help="finding output format (github = PR annotations)")
-    lint.add_argument("--no-scope", action="store_true",
-                      help="apply every rule everywhere, ignoring path scopes")
-    lint.add_argument("--contracts", action="store_true",
-                      help="also enforce the cross-layer contract rules "
-                           "(counter/knob registries, import layering, "
-                           "seam parity, wire schema)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule reference table and exit")
-    lint.add_argument("--quiet", action="store_true",
-                      help="suppress the summary line")
-    lint.set_defaults(handler=_cmd_lint)
+    lint_runner.add_arguments(lint).set_defaults(handler=lint_runner.run)
 
     validate = sub.add_parser(
         "validate", help="run the paper-claims validation checklist"
@@ -389,23 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(handler=_cmd_validate)
 
     return parser
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Delegate to the detlint driver (kept import-light until used)."""
-    from repro.detlint.runner import main as detlint_main
-
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.no_scope:
-        argv.append("--no-scope")
-    if args.contracts:
-        argv.append("--contracts")
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.quiet:
-        argv.append("--quiet")
-    return detlint_main(argv, prog="repro lint")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

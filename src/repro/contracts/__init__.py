@@ -11,7 +11,9 @@ This package turns each convention into data plus an AST check:
 ``counters``
     every counter key family (``perf.*``, ``faults.*``,
     ``adversary.*``, ``detcheck.*``) with its fingerprint class
-    (deterministic / excluded) — rules CON001/CON002;
+    (deterministic / excluded) and whether ``--counters`` shows it;
+    ``sim.metrics`` and the fingerprint sanitizer read both from it —
+    rule CON001;
 ``knobs``
     every :class:`SimulationConfig` field mapped to its CLI flags and
     ``docs/API.md`` anchor — rule CON003;
@@ -19,10 +21,7 @@ This package turns each convention into data plus an AST check:
     the allowed import DAG between ``repro`` packages — rule CON004;
 ``seams``
     the reference twins that must stay signature-compatible with the
-    optimized paths they specify — rule CON005;
-``wire``
-    the metadata record fields and the frame body keys that
-    ``repro.runtime.codec`` builds and reads — rule CON006.
+    optimized paths they specify — rule CON005.
 
 The checks plug into detlint (``python -m repro.detlint --contracts``
 or ``repro lint --contracts``) and reuse its findings, path-scoping
@@ -44,11 +43,6 @@ from repro.contracts.counters import (
 from repro.contracts.knobs import KNOB_REGISTRY, KnobSpec
 from repro.contracts.layers import LAYERS, allowed_packages, module_for_path
 from repro.contracts.seams import SEAM_REGISTRY, SeamSpec
-from repro.contracts.wire import (
-    FRAME_BODY_KEYS,
-    FRAME_ENVELOPE_KEYS,
-    METADATA_RECORD_FIELDS,
-)
 
 __all__ = [
     "COUNTER_PREFIXES",
@@ -65,7 +59,4 @@ __all__ = [
     "module_for_path",
     "SEAM_REGISTRY",
     "SeamSpec",
-    "FRAME_BODY_KEYS",
-    "FRAME_ENVELOPE_KEYS",
-    "METADATA_RECORD_FIELDS",
 ]

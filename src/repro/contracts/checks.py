@@ -9,9 +9,8 @@ Two entry points, both called from detlint when ``--contracts`` is on:
     (module-level import layering);
 :func:`project_findings`
     cross-file rules run once per discovered ``repro`` package root —
-    the CON001 ``COUNTER_KEYS`` cross-check, CON002 (fingerprint
-    exclusion list vs registry), CON003 (knob/CLI/docs coverage),
-    CON005 (seam signature parity) and CON006 (wire-schema drift).
+    CON003 (knob/CLI/docs coverage) and CON005 (seam signature
+    parity).
 
 A *package root* is any directory literally named ``repro`` that
 contains linted files, so the same checks run against the live tree
@@ -32,8 +31,6 @@ from repro.contracts.counters import (
     RECORDER_NAMESPACES,
     SELF_RECORDER_MODULES,
     check_counter_key,
-    excluded_prefixes,
-    surfaced_keys,
 )
 from repro.contracts.knobs import KNOB_REGISTRY
 from repro.contracts.layers import (
@@ -42,17 +39,12 @@ from repro.contracts.layers import (
     module_for_path,
 )
 from repro.contracts.seams import SEAM_REGISTRY, SeamSpec
-from repro.contracts.wire import (
-    FRAME_BODY_KEYS,
-    FRAME_ENVELOPE_KEYS,
-    METADATA_RECORD_FIELDS,
-)
 from repro.detlint.findings import Finding
 
-#: A string literal is treated as a counter key iff it looks like one:
-#: a namespace root followed only by key characters.
+#: A string literal (or the literal head of an f-string) is treated as
+#: a counter key iff it looks like one: a namespace root followed only
+#: by key characters.
 _KEY_LITERAL = re.compile(r"^(?:perf|faults|adversary|detcheck)\.[A-Za-z0-9_.]*$")
-_KEY_HEAD = re.compile(r"^(?:perf|faults|adversary|detcheck)\.[A-Za-z0-9_.]*$")
 
 
 def _finding(path: str, line: int, col: int, rule: str, message: str) -> Finding:
@@ -160,7 +152,7 @@ class _ContractVisitor(ast.NodeVisitor):
         if (
             isinstance(head, ast.Constant)
             and isinstance(head.value, str)
-            and _KEY_HEAD.match(head.value)
+            and _KEY_LITERAL.match(head.value)
         ):
             problem = check_counter_key(head.value, prefix_only=True)
             if problem:
@@ -309,34 +301,6 @@ class _Tree:
         return None
 
 
-def _str_tuple(node: ast.expr) -> Optional[Tuple[Tuple[str, ...], int]]:
-    """String elements of a tuple/list display, with its line."""
-    if isinstance(node, (ast.Tuple, ast.List)):
-        out = []
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                out.append(element.value)
-        return tuple(out), node.lineno
-    return None
-
-
-def _assigned_tuple(
-    tree: ast.Module, name: str
-) -> Optional[Tuple[Tuple[str, ...], int]]:
-    """Top-level ``NAME = ("...", ...)`` assignment contents."""
-    for node in tree.body:
-        target: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if isinstance(target, ast.Name) and target.id == name:
-            return _str_tuple(value)
-    return None
-
-
 def _class_def(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name == name:
@@ -368,72 +332,6 @@ def _params(fn: ast.FunctionDef) -> Tuple[str, ...]:
     if names and names[0] in ("self", "cls"):
         names = names[1:]
     return tuple(names)
-
-
-# -- CON001 cross-check: COUNTER_KEYS vs registry ---------------------------
-
-
-def _check_counter_surface(tree: _Tree) -> List[Finding]:
-    parsed = tree.parse("sim/metrics.py")
-    if parsed is None:
-        return []
-    module, path = parsed
-    listed = _assigned_tuple(module, "COUNTER_KEYS")
-    if listed is None:
-        return []
-    keys, line = listed
-    registered = surfaced_keys()
-    findings = []
-    for key in sorted(set(keys) - registered):
-        findings.append(
-            _finding(
-                path, line, 1, "CON001",
-                f"COUNTER_KEYS lists {key!r} but the contracts counter "
-                "registry does not mark it surfaced",
-            )
-        )
-    for key in sorted(registered - set(keys)):
-        findings.append(
-            _finding(
-                path, line, 1, "CON001",
-                f"counter {key!r} is registered as surfaced but missing "
-                "from COUNTER_KEYS",
-            )
-        )
-    return findings
-
-
-# -- CON002: fingerprint-exclusion drift ------------------------------------
-
-
-def _check_fingerprint_registry(tree: _Tree) -> List[Finding]:
-    parsed = tree.parse("detlint/sanitizer.py")
-    if parsed is None:
-        return []
-    module, path = parsed
-    listed = _assigned_tuple(module, "FINGERPRINT_IGNORED_PREFIXES")
-    if listed is None:
-        return []
-    prefixes, line = listed
-    expected = excluded_prefixes()
-    findings = []
-    for prefix in sorted(set(expected) - set(prefixes)):
-        findings.append(
-            _finding(
-                path, line, 1, "CON002",
-                f"registry marks {prefix!r} fingerprint-excluded but "
-                "FINGERPRINT_IGNORED_PREFIXES does not strip it",
-            )
-        )
-    for prefix in sorted(set(prefixes) - set(expected)):
-        findings.append(
-            _finding(
-                path, line, 1, "CON002",
-                f"FINGERPRINT_IGNORED_PREFIXES strips {prefix!r}, which the "
-                "contracts counter registry does not mark excluded",
-            )
-        )
-    return findings
 
 
 # -- CON003: knob coverage --------------------------------------------------
@@ -585,155 +483,12 @@ def _seam_findings(tree: _Tree, seam: SeamSpec) -> List[Finding]:
     return findings
 
 
-# -- CON006: wire-schema drift ----------------------------------------------
-
-
-def _largest_dict_keys(fn: ast.FunctionDef) -> Optional[Tuple[Tuple[str, ...], int]]:
-    best: Optional[Tuple[Tuple[str, ...], int]] = None
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Dict):
-            keys = tuple(
-                key.value
-                for key in node.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            )
-            if keys and (best is None or len(keys) > len(best[0])):
-                best = (keys, node.lineno)
-    return best
-
-
-def _subscript_keys(fn: ast.FunctionDef) -> Set[str]:
-    return {
-        node.slice.value
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Subscript)
-        and isinstance(node.slice, ast.Constant)
-        and isinstance(node.slice.value, str)
-    }
-
-
-def _check_dataclass_fields(
-    tree: _Tree, rel: str, class_name: str, expected: Tuple[str, ...]
-) -> List[Finding]:
-    parsed = tree.parse(rel)
-    if parsed is None:
-        return []
-    module, path = parsed
-    cls = _class_def(module, class_name)
-    if cls is None:
-        return [
-            _finding(
-                path, 1, 1, "CON006",
-                f"wire schema: class {class_name} not found in {rel}",
-            )
-        ]
-    names = tuple(name for name, _, _ in _ann_fields(cls))
-    if names != expected:
-        return [
-            _finding(
-                path, cls.lineno, 1, "CON006",
-                f"wire schema: {class_name} fields {names} != registered "
-                f"{expected} (repro.contracts.wire)",
-            )
-        ]
-    return []
-
-
-def _check_codec_function(
-    tree: _Tree,
-    module: ast.Module,
-    path: str,
-    name: str,
-    expected: Tuple[str, ...],
-    *,
-    ordered: bool,
-) -> List[Finding]:
-    fn = _function_def(module, name)
-    if fn is None:
-        return [
-            _finding(
-                path, 1, 1, "CON006",
-                f"wire schema: codec function {name} not found",
-            )
-        ]
-    built = _largest_dict_keys(fn)
-    if built is None:
-        return [
-            _finding(
-                path, fn.lineno, 1, "CON006",
-                f"wire schema: {name} builds no literal-keyed dict to check",
-            )
-        ]
-    keys, line = built
-    matches = keys == expected if ordered else set(keys) == set(expected)
-    if not matches:
-        return [
-            _finding(
-                path, line, 1, "CON006",
-                f"wire schema: {name} emits keys {keys} != registered "
-                f"{expected} (repro.contracts.wire)",
-            )
-        ]
-    return []
-
-
-def _check_wire(tree: _Tree) -> List[Finding]:
-    findings = _check_dataclass_fields(
-        tree, "catalog/metadata.py", "Metadata", METADATA_RECORD_FIELDS
-    )
-    codec = tree.parse("runtime/codec.py")
-    if codec is not None:
-        module, path = codec
-        findings.extend(
-            _check_codec_function(
-                tree, module, path, "encode_frame", FRAME_ENVELOPE_KEYS,
-                ordered=True,
-            )
-        )
-        findings.extend(
-            _check_codec_function(
-                tree, module, path, "metadata_to_fields",
-                METADATA_RECORD_FIELDS, ordered=True,
-            )
-        )
-        for builder, expected in sorted(FRAME_BODY_KEYS.items()):
-            findings.extend(
-                _check_codec_function(
-                    tree, module, path, builder, expected, ordered=False
-                )
-            )
-        reader = _function_def(module, "metadata_from_fields")
-        if reader is None:
-            findings.append(
-                _finding(
-                    path, 1, 1, "CON006",
-                    "wire schema: codec function metadata_from_fields not "
-                    "found",
-                )
-            )
-        else:
-            read = _subscript_keys(reader)
-            if read != set(METADATA_RECORD_FIELDS):
-                findings.append(
-                    _finding(
-                        path, reader.lineno, 1, "CON006",
-                        "wire schema: metadata_from_fields reads keys "
-                        f"{sorted(read)} != registered "
-                        f"{sorted(METADATA_RECORD_FIELDS)}",
-                    )
-                )
-    return findings
-
-
 def project_findings(files: Sequence[Path]) -> List[Finding]:
     """Cross-file contract findings for every repro root under ``files``."""
     findings: List[Finding] = []
     for root in _repro_roots(files):
         tree = _Tree(root)
-        findings.extend(_check_counter_surface(tree))
-        findings.extend(_check_fingerprint_registry(tree))
         findings.extend(_check_knobs(tree))
         for seam in SEAM_REGISTRY:
             findings.extend(_seam_findings(tree, seam))
-        findings.extend(_check_wire(tree))
     return sorted(findings)

@@ -2,29 +2,26 @@
 
 ``SimulationResult.extra`` is a flat string-keyed counter namespace
 shared by the engine, the fault injector, the adversary harness, the
-perf recorder and the detcheck sanitizer. Three properties hang off
+perf recorder and the detcheck sanitizer. Two properties hang off
 the *spelling* of a key, so a typo silently creates a new counter:
 
 * whether downstream equality checks treat it as part of the result
   (``fingerprint="deterministic"``) or exclude it from bitwise
-  comparisons (``"excluded"``, the ``FINGERPRINT_IGNORED_PREFIXES``
-  list in :mod:`repro.detlint.sanitizer`);
-* whether it is surfaced in :data:`repro.sim.metrics.COUNTER_KEYS`
-  (``surfaced=True``) for the ``--counters`` rendering.
+  comparisons (``"excluded"``; :func:`excluded_prefixes` is what
+  :mod:`repro.detlint.sanitizer` strips);
+* whether ``--counters`` shows it (``surfaced=True``;
+  :func:`surfaced_keys` is :data:`repro.sim.metrics.COUNTER_KEYS`).
 
-CON001 checks every counter-key string literal (and every literal
-passed to a recorder's ``.count(...)``) against this registry; CON002
-checks that the sanitizer's exclusion list equals the registry's
-``excluded`` prefixes. To add a counter: append a :class:`CounterSpec`
-here, and — if it should be rendered by ``--counters`` — add it to
-``COUNTER_KEYS`` with ``surfaced=True`` (CON001 cross-checks the two
-listings in both directions).
+Both are read from this registry at import time, so it is their only
+written form. CON001 checks every counter-key string literal (and
+every literal passed to a recorder's ``.count(...)``) against it. To
+add a counter: append a :class:`CounterSpec` here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: The counter namespaces. A string literal starting with one of these
 #: roots is treated as a counter key by CON001.
@@ -53,7 +50,7 @@ class CounterSpec:
 
     key: str
     fingerprint: str  # "deterministic" | "excluded"
-    surfaced: bool = False  # listed in repro.sim.metrics.COUNTER_KEYS
+    surfaced: bool = False  # shown by --counters
     open_prefix: bool = False
     note: str = ""
 
@@ -63,7 +60,7 @@ class CounterSpec:
 
 
 COUNTER_REGISTRY: Tuple[CounterSpec, ...] = (
-    # -- engine counters (bare names, surfaced via COUNTER_KEYS) ------------
+    # -- engine counters (bare names) ---------------------------------------
     CounterSpec("events", "deterministic", surfaced=True),
     CounterSpec("events_noon", "deterministic", surfaced=True),
     CounterSpec("events_sync", "deterministic", surfaced=True),
@@ -177,7 +174,7 @@ SELF_RECORDER_MODULES: Dict[str, str] = {
 
 
 def excluded_prefixes() -> Tuple[str, ...]:
-    """The prefixes the fingerprint sanitizer must strip, sorted.
+    """The prefixes the fingerprint sanitizer strips, sorted.
 
     Exactly the registered ``excluded`` prefixes: exact excluded keys
     are covered by their family prefix.
@@ -191,9 +188,9 @@ def excluded_prefixes() -> Tuple[str, ...]:
     )
 
 
-def surfaced_keys() -> FrozenSet[str]:
-    """Exact keys that must appear in ``repro.sim.metrics.COUNTER_KEYS``."""
-    return frozenset(
+def surfaced_keys() -> Tuple[str, ...]:
+    """Exact keys ``--counters`` shows, in registry order."""
+    return tuple(
         spec.key for spec in COUNTER_REGISTRY if spec.surfaced and not spec.is_prefix
     )
 

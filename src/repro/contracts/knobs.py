@@ -65,7 +65,6 @@ KNOB_REGISTRY: Dict[str, KnobSpec] = {
         KnobSpec("metadata_capacity", api_only=_PYTHON_API),
         KnobSpec("metadata_policy", api_only=_PYTHON_API),
         KnobSpec("use_duration_budgets", api_only=_PYTHON_API),
-        KnobSpec("bandwidth_bytes_per_s", api_only=_PYTHON_API),
         KnobSpec("verify_signatures", api_only=_PYTHON_API),
         KnobSpec("encrypted_choking", api_only=_PYTHON_API),
         KnobSpec("selection_policy", api_only=_PYTHON_API),

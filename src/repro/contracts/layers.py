@@ -46,14 +46,19 @@ LAYERS: Dict[str, FrozenSet[str]] = {
         {"types", "perf", "catalog", "faults", "net", "traces", "sim"}
     ),
     "repro.sim": frozenset(
-        {"types", "perf", "catalog", "core", "net", "faults", "traces", "detlint"}
+        {
+            "types", "perf", "catalog", "core", "net", "faults", "traces",
+            "detlint", "contracts",
+        }
     ),
     # The asyncio-facing runtime drives the same core over real frames.
     "repro.runtime": frozenset({"types", "catalog", "core", "net", "sim", "traces"}),
     # Tooling: detlint is import-free; the sanitizer (runtime detcheck)
-    # and the contracts registries are its only heavier corners.
+    # and the contracts registries are its only heavier corners. The
+    # sim layer and the sanitizer read the counter registry, which
+    # loads only data modules, so neither import closes a cycle.
     "repro.detlint": frozenset(),
-    "repro.detlint.sanitizer": frozenset({"sim", "traces"}),
+    "repro.detlint.sanitizer": frozenset({"contracts", "sim", "traces"}),
     "repro.contracts": frozenset({"detlint"}),
     # Orchestration layers may reach down, never sideways into cli.
     "repro.exec": frozenset({"types", "detlint", "sim", "traces"}),

@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import ModuleType
 from typing import Callable, Dict, FrozenSet, Generic, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar
 
@@ -115,8 +115,6 @@ class ProtocolConfig:
     #: then carry discovery only (§V: "file discovery uses the starting
     #: period of each connection") while long contacts move many pieces.
     duration_budgets: bool = False
-    #: Effective channel bandwidth for duration-derived budgets.
-    bandwidth_bytes_per_s: float = 100_000.0
     #: The paper's future-work extension (§IV-B footnote: "Peers can
     #: still be choked if encryption is used"): piece payloads are
     #: encrypted per transmission and the key is released only to
@@ -168,16 +166,7 @@ class EngineCounters:
     internet_syncs: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "contacts_processed": self.contacts_processed,
-            "contact_batches": self.contact_batches,
-            "cliques_processed": self.cliques_processed,
-            "hello_exchanges": self.hello_exchanges,
-            "metadata_transmissions": self.metadata_transmissions,
-            "piece_transmissions": self.piece_transmissions,
-            "choked_sends": self.choked_sends,
-            "internet_syncs": self.internet_syncs,
-        }
+        return asdict(self)
 
 
 #: Either scheduled candidate form; the shared scheduler only touches
@@ -547,12 +536,16 @@ class MobileBitTorrent:
         """
         if not self._config.duration_budgets:
             return self._config.budget.scaled(scale)
-        from repro.net.medium import METADATA_BASE_SIZE, budget_from_duration
+        from repro.net.medium import (
+            BANDWIDTH_BYTES_PER_S,
+            METADATA_BASE_SIZE,
+            budget_from_duration,
+        )
         from repro.catalog.files import PIECE_SIZE
 
         return budget_from_duration(
             duration=contact.duration,
-            bandwidth_bytes_per_s=self._config.bandwidth_bytes_per_s,
+            bandwidth_bytes_per_s=BANDWIDTH_BYTES_PER_S,
             metadata_size=METADATA_BASE_SIZE,
             piece_size=PIECE_SIZE,
             metadata_share=METADATA_SHARE,

@@ -19,7 +19,7 @@ A node runs a file-discovery process and a file-download process
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, Iterable, KeysView, List, Mapping, Optional, Set, Tuple
 
 from repro.catalog.files import IntegrityError, PieceStore
@@ -47,19 +47,7 @@ class NodeStats:
     checksum_rejections: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "metadata_received": self.metadata_received,
-            "metadata_duplicates": self.metadata_duplicates,
-            "metadata_rejected_auth": self.metadata_rejected_auth,
-            "pieces_received": self.pieces_received,
-            "piece_duplicates": self.piece_duplicates,
-            "metadata_sent": self.metadata_sent,
-            "pieces_sent": self.pieces_sent,
-            "files_completed": self.files_completed,
-            "internet_syncs": self.internet_syncs,
-            "metadata_evictions": self.metadata_evictions,
-            "checksum_rejections": self.checksum_rejections,
-        }
+        return asdict(self)
 
 
 #: Supported eviction policies for a bounded metadata store.

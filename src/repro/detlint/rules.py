@@ -37,7 +37,7 @@ _RNG_SCOPE = _SIM_CORE + ("repro/traces", "repro/faults", "repro/catalog")
 _TIME_SCOPE = _RNG_SCOPE
 
 #: Path fragment of the whole package: the cross-layer contract rules
-#: (CON001–CON006) apply to any file that resolves into ``repro``,
+#: (CON001, CON003–CON005) apply to any file that resolves into ``repro``,
 #: live tree or corpus mini-tree alike — but only when contracts
 #: checking is switched on (``--contracts``).
 _CONTRACT_SCOPE = ("repro/",)
@@ -147,26 +147,12 @@ RULES: Dict[str, Rule] = {
             title="unregistered counter key",
             summary=(
                 "counter-key literal (perf./faults./adversary./detcheck.) "
-                "not declared in the contracts counter registry; also "
-                "COUNTER_KEYS drift against the registry"
+                "not declared in the contracts counter registry"
             ),
             fixit=(
                 "register the key (or prefix) in repro.contracts.counters "
-                "with its fingerprint class, and mirror surfaced keys in "
-                "sim.metrics.COUNTER_KEYS"
-            ),
-            scopes=_CONTRACT_SCOPE,
-        ),
-        Rule(
-            id="CON002",
-            title="fingerprint-exclusion drift",
-            summary=(
-                "sanitizer FINGERPRINT_IGNORED_PREFIXES disagrees with the "
-                "registry's fingerprint-excluded counter prefixes"
-            ),
-            fixit=(
-                "keep detlint.sanitizer.FINGERPRINT_IGNORED_PREFIXES equal "
-                "to repro.contracts.counters.excluded_prefixes()"
+                "with its fingerprint class, and surfaced=True if "
+                "--counters should show it"
             ),
             scopes=_CONTRACT_SCOPE,
         ),
@@ -209,19 +195,6 @@ RULES: Dict[str, Rule] = {
                 "restore the counterpart listed in "
                 "repro.contracts.seams.SEAM_REGISTRY or re-align the "
                 "parameter names (the seam is duck-typed)"
-            ),
-            scopes=_CONTRACT_SCOPE,
-        ),
-        Rule(
-            id="CON006",
-            title="wire-schema drift",
-            summary=(
-                "Metadata dataclass fields or runtime.codec frame keys "
-                "diverge from the registered wire schema"
-            ),
-            fixit=(
-                "update repro.contracts.wire together with BOTH the "
-                "Metadata dataclass and the codec builders/readers"
             ),
             scopes=_CONTRACT_SCOPE,
         ),

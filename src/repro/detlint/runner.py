@@ -1,8 +1,9 @@
 """File walking, aggregation and the ``repro lint`` command driver.
 
 :func:`lint_paths` is the library entry point (used by the tests);
-:func:`main` is the CLI driver shared by ``repro lint`` and
-``python -m repro.detlint``.
+:func:`add_arguments` declares the command's flags and :func:`run`
+executes them, for both ``repro lint`` and ``python -m repro.detlint``
+(:func:`main`).
 
 Exit codes
 ----------
@@ -38,6 +39,9 @@ from repro.detlint.rules import format_rule_table
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".mypy_cache", ".ruff_cache"}
+
+#: One-line description of the linter (``--help`` and ``repro --help``).
+DESCRIPTION = "detlint: AST-based determinism & contract linter"
 
 #: Default lint target when no path argument is given (relative to
 #: the working directory; the repository's source tree).
@@ -86,8 +90,8 @@ def lint_paths(
 
     ``contracts=True`` additionally enables the CON contract-rule
     family: the per-file rules inside :func:`lint_source`, plus the
-    project-level drift checks (knob/counter registries, seam parity,
-    wire schema) run once per discovered ``repro`` package root.
+    project-level drift checks (knob registry, seam parity) run once
+    per discovered ``repro`` package root.
     """
     findings: List[Finding] = []
     suppressed = 0
@@ -145,11 +149,8 @@ def _project_contract_findings(
         yield finding, bool(smap and smap.suppresses(finding.line, finding.rule))
 
 
-def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description="detlint: AST-based determinism & invariant linter",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare the linter's flags on ``parser`` (also ``repro lint``'s)."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -171,8 +172,7 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "additionally enforce the cross-layer contract rules "
-            "(CON001-CON006: counter/knob registries, import layering, "
-            "seam parity, wire schema)"
+            "(counter and knob registries, import layering, seam parity)"
         ),
     )
     parser.add_argument(
@@ -194,9 +194,19 @@ def main(
     prog: str = "repro lint",
     stream: Optional[TextIO] = None,
 ) -> int:
-    """Run the linter; returns the process exit code."""
+    """Parse ``argv`` and run the linter; returns the process exit code."""
+    parser = argparse.ArgumentParser(prog=prog, description=DESCRIPTION)
+    return run(add_arguments(parser).parse_args(argv), prog=prog, stream=stream)
+
+
+def run(
+    args: argparse.Namespace,
+    *,
+    prog: str = "repro lint",
+    stream: Optional[TextIO] = None,
+) -> int:
+    """Run the linter on parsed :func:`add_arguments` flags."""
     stream = stream if stream is not None else sys.stdout
-    args = build_parser(prog).parse_args(argv)
     if args.list_rules:
         print(format_rule_table(), file=stream)
         return 0

@@ -35,6 +35,7 @@ import os
 import random
 from typing import Dict, Optional, Tuple
 
+from repro.contracts.counters import excluded_prefixes
 from repro.detlint.hashseed import (
     UNPINNED,
     ensure_hash_seed,
@@ -48,22 +49,13 @@ from repro.traces.base import ContactTrace
 #: Environment variable switching the sanitizer on ("1", "true", ...).
 DETCHECK_ENV = "REPRO_DETCHECK"
 
-#: ``extra`` keys excluded from fingerprints: wall-clock phase timers
-#: differ between the two runs by construction. The catalog, node
-#: cache and candidate counters record implementation work (heap pops,
-#: ranked-view rebuilds, cache hits, candidates built): an
-#: optimisation that leaves results unchanged must not move the
-#: fingerprint either. The ``detcheck.`` attestation records the hash
+#: ``extra`` keys excluded from fingerprints: the counter registry's
+#: ``excluded`` families. Wall-clock phase timers differ between the two
+#: runs by construction; the catalog, node cache and candidate counters
+#: record implementation work that an optimisation leaving results
+#: unchanged may move; the ``detcheck.`` attestation records the hash
 #: seed the run executed under, which results must not depend on.
-FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = (
-    "detcheck.",
-    "perf.time_us.",
-    "perf.catalog.",
-    "perf.wanted_cache_",
-    "perf.query_cache_",
-    "perf.meta_",
-    "perf.piece_",
-)
+FINGERPRINT_IGNORED_PREFIXES: Tuple[str, ...] = excluded_prefixes()
 
 
 class DeterminismError(RuntimeError):

@@ -237,7 +237,7 @@ def budgets(jobs: int = 1) -> SweepResult:
         ((_DIESELNET, dieselnet_base_config(0)), (_NUS, nus_base_config(0))),
         {
             "fixed": _with(),
-            "duration": _with(use_duration_budgets=True, bandwidth_bytes_per_s=100_000.0),
+            "duration": _with(use_duration_budgets=True),
         },
         jobs,
     )

@@ -108,6 +108,10 @@ class PairwiseMedium(TransmissionMedium):
 #: unit that :func:`budget_from_duration` divides a contact's volume by.
 METADATA_BASE_SIZE: int = 2048
 
+#: Effective channel bandwidth in bytes per second under duration-derived
+#: contact budgets.
+BANDWIDTH_BYTES_PER_S: float = 100_000.0
+
 
 def budget_from_duration(
     duration: float,

@@ -23,7 +23,7 @@ import binascii
 import enum
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Dict, Tuple
 
 from repro.catalog.metadata import Metadata
@@ -116,21 +116,16 @@ def decode_frame(data: bytes) -> Frame:
 
 # ------------------------------------------------------------------ metadata
 
+#: The wire record is the :class:`Metadata` dataclass, field for field.
+_METADATA_FIELDS = tuple(f.name for f in dataclass_fields(Metadata))
+
 
 def metadata_to_fields(record: Metadata) -> Dict[str, Any]:
-    """JSON-safe representation of a metadata record."""
-    return {
-        "uri": record.uri,
-        "name": record.name,
-        "publisher": record.publisher,
-        "description": record.description,
-        "checksums": list(record.checksums),
-        "size_bytes": record.size_bytes,
-        "created_at": record.created_at,
-        "ttl": record.ttl,
-        "popularity": record.popularity,
-        "signature": record.signature,
-    }
+    """JSON-safe representation of a metadata record: every dataclass field.
+
+    The tuple of checksums encodes as a JSON list.
+    """
+    return {name: getattr(record, name) for name in _METADATA_FIELDS}
 
 
 def metadata_from_fields(fields: Dict[str, Any]) -> Metadata:

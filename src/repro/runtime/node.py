@@ -288,20 +288,24 @@ class DTNNode:
             self._on_piece(frame, now)
 
     def _on_hello(self, frame: Frame, now: float) -> None:
+        try:
+            facts = PeerFacts(
+                query_tokens=tuple(frozenset(t) for t in frame.field("query_tokens")),
+                carried_tokens=tuple(
+                    frozenset(t) for t in frame.field("carried_query_tokens")
+                ),
+                downloading={Uri(str(uri)) for uri in frame.field("downloading")},
+                held={Uri(str(uri)) for uri in frame.field("held_uris")},
+                have={
+                    Uri(str(uri)): pack_bitmap(int(i) for i in indices)
+                    for uri, indices in frame.field("have").items()
+                },
+            )
+        except (AttributeError, CodecError, TypeError, ValueError):
+            self.frames_dropped += 1
+            return
         sender = frame.sender
         self.state.neighbor_last_heard[sender] = now
-        facts = PeerFacts(
-            query_tokens=tuple(frozenset(t) for t in frame.field("query_tokens")),
-            carried_tokens=tuple(
-                frozenset(t) for t in frame.body.get("carried_query_tokens", [])
-            ),
-            downloading={Uri(str(uri)) for uri in frame.field("downloading")},
-            held={Uri(str(uri)) for uri in frame.field("held_uris")},
-            have={
-                Uri(str(uri)): pack_bitmap(int(i) for i in indices)
-                for uri, indices in frame.field("have").items()
-            },
-        )
         old = self.peers.get(sender)
         if old is None or old.held != facts.held:
             self._view = None  # it holds the sender's old digest
@@ -356,7 +360,7 @@ class DTNNode:
             record = codec.metadata_from_fields(frame.field("record"))
             index = int(frame.field("index"))
             payload = codec.piece_payload_from_frame(frame)
-        except CodecError:
+        except (CodecError, TypeError, ValueError):
             self.frames_dropped += 1
             return
         self._store_record(record, now, index)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.catalog.query import Query
+from repro.contracts.counters import surfaced_keys
 from repro.types import NodeId, Uri
 
 
@@ -39,63 +40,16 @@ class QueryRecord:
         return self.file_delivered_at is not None
 
 
-#: Instrumentation counters recognised by :attr:`SimulationResult.counters`.
-#: Produced by the engine layers and aggregated into ``extra`` by the
-#: runner: discrete-event engine (``events*``), protocol engine
-#: (contacts/cliques/hellos/transmissions/choking/syncs) and node
-#: stores (evictions, rejections).
-COUNTER_KEYS: Tuple[str, ...] = (
-    "events",
-    "events_noon",
-    "events_sync",
-    "events_contact",
-    "contacts_processed",
-    "contact_batches",
-    "cliques_processed",
-    "hello_exchanges",
-    "metadata_transmissions",
-    "piece_transmissions",
-    "choked_sends",
-    "internet_syncs",
-    "metadata_evictions",
-    "checksum_rejections",
-    "metadata_rejected_auth",
-    # Fault-injection counters (present only when a run has a non-clean
-    # FaultPlan; clean runs omit them entirely).
-    "events_fault",
-    "faults.contacts_dropped",
-    "faults.contacts_truncated",
-    "faults.contacts_skipped_down",
-    "faults.metadata_losses",
-    "faults.piece_losses",
-    "faults.pieces_corrupted",
-    "faults.corrupt_receipts",
-    "faults.crashes",
-    "faults.rebirths",
-    # Adversarial-strategy counters (present only when a run has a
-    # non-clean AdversaryPlan; honest runs omit them entirely). The
-    # ``nodes_*`` entries record the seeded strategy assignment.
-    "adversary.holdings_hidden",
-    "adversary.turns_skipped",
-    "adversary.rewards_inflated",
-    "adversary.fakes_seeded",
-    "adversary.fake_metadata_transmissions",
-    "adversary.fake_piece_transmissions",
-    "adversary.nodes_exploiter",
-    "adversary.nodes_free_rider",
-    "adversary.nodes_polluter",
-    "adversary.nodes_under_reporter",
-    # The PYTHONHASHSEED the run executed under (-1 = unpinned); see
-    # repro.detlint.hashseed. Recorded by the runner so the detcheck
-    # sanitizer can verify the environment's pin reached the run.
-    "detcheck.pythonhashseed",
-)
+#: Instrumentation counters recognised by :attr:`SimulationResult.counters`:
+#: the counter registry's ``surfaced`` keys, in registry order. Fault and
+#: adversary counters are present only when a run has a non-clean plan.
+COUNTER_KEYS: Tuple[str, ...] = surfaced_keys()
 
 #: Prefix of the performance-instrumentation namespace (see
 #: :mod:`repro.perf`): deterministic index/cache statistics plus, under
 #: ``--profile``, wall-clock phase timers as ``perf.time_us.*``. Result
-#: fingerprints strip the families listed in
-#: ``repro.detlint.sanitizer.FINGERPRINT_IGNORED_PREFIXES``.
+#: fingerprints strip the registry's ``excluded`` families (see
+#: :func:`repro.contracts.counters.excluded_prefixes`).
 PERF_COUNTER_PREFIX = "perf."
 
 

@@ -84,8 +84,6 @@ class SimulationConfig:
     #: Derive per-contact budgets from contact duration and bandwidth
     #: instead of the fixed counts above (§V's realistic regime).
     use_duration_budgets: bool = False
-    #: Effective channel bandwidth when duration budgets are on.
-    bandwidth_bytes_per_s: float = 100_000.0
     #: Whether nodes verify metadata signatures (the defence).
     verify_signatures: bool = True
     #: §IV-B future work: encrypt pieces and choke zero-credit peers.
@@ -128,8 +126,6 @@ class SimulationConfig:
             raise ValueError("ttl_days must be positive")
         if self.metadata_per_contact < 0 or self.files_per_contact < 0:
             raise ValueError("per-contact budgets must be non-negative")
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth_bytes_per_s must be positive")
         if self.frequent_contact_max_gap_days <= 0:
             raise ValueError("frequent_contact_max_gap_days must be positive")
         if self.num_days is not None and self.num_days < 1:
@@ -151,7 +147,6 @@ class SimulationConfig:
             broadcast=self.broadcast,
             request_memory=self.ttl_days * DAY,
             duration_budgets=self.use_duration_budgets,
-            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
             encrypted_choking=self.encrypted_choking,
         )
 

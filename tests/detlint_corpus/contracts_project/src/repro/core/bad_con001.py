@@ -11,3 +11,5 @@ def record(extra, perf):
         extra[f"faults.unregistered_{name}"] = 2
     # A registered key passes: no finding on this line.
     extra["faults.crashes"] = 0
+    # A suppressed finding: the suppression machinery applies to CON rules.
+    extra["perf.alien.tolerated"] = 3  # detlint: ignore[CON001] -- suppression under test

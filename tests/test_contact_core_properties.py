@@ -105,7 +105,6 @@ def _random_kwargs(rng: random.Random) -> dict:
         metadata_capacity=rng.choice((None, None, 8)),
         metadata_policy=rng.choice(EVICTION_POLICIES),
         use_duration_budgets=rng.random() < 0.3,
-        bandwidth_bytes_per_s=rng.choice((5_000.0, 100_000.0, 1_000_000.0)),
         verify_signatures=rng.random() < 0.8,
         encrypted_choking=rng.random() < 0.3,
         selection_policy=rng.choice(("all", "best")),

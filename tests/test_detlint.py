@@ -235,11 +235,9 @@ class TestScoping:
                 )
         assert ALL_RULE_IDS == (
             "CON001",
-            "CON002",
             "CON003",
             "CON004",
             "CON005",
-            "CON006",
             "DET001",
             "DET002",
             "DET003",
@@ -339,3 +337,23 @@ class TestCliIntegration:
         assert cli_main(["lint", str(CORPUS)]) == 1
         assert "DET00" in capsys.readouterr().out
         assert cli_main(["lint", str(SRC_TREE)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [str(CORPUS)],
+            [str(CORPUS), "--format", "json"],
+            [str(CORPUS / "contracts_project"), "--contracts", "--format", "json"],
+            [str(CORPUS), "--no-scope", "--quiet", "--format", "github"],
+            [str(SRC_TREE), "--contracts"],
+            ["--list-rules"],
+            ["/no/such/path.py"],
+        ],
+    )
+    def test_same_flags_as_standalone_linter(self, capsys, argv):
+        from repro.cli import main as cli_main
+
+        code = cli_main(["lint", *argv])
+        out = capsys.readouterr().out
+        assert detlint_main(argv, prog="python -m repro.detlint") == code
+        assert capsys.readouterr().out == out

@@ -183,11 +183,8 @@ class TestPollutionSimulation:
 
 class TestDurationBudgets:
     def test_duration_budget_config_flows_through(self):
-        config = SimulationConfig(use_duration_budgets=True,
-                                  bandwidth_bytes_per_s=50_000.0)
-        protocol = config.protocol_config()
-        assert protocol.duration_budgets is True
-        assert protocol.bandwidth_bytes_per_s == 50_000.0
+        config = SimulationConfig(use_duration_budgets=True)
+        assert config.protocol_config().duration_budgets is True
 
     def test_short_contacts_carry_fewer_pieces(self):
         # With duration budgets, a long classroom contact moves many
@@ -195,8 +192,7 @@ class TestDurationBudgets:
         from repro.core.mbt import MobileBitTorrent, ProtocolConfig
         from repro.traces.base import Contact
 
-        config = ProtocolConfig(duration_budgets=True,
-                                bandwidth_bytes_per_s=100_000.0)
+        config = ProtocolConfig(duration_budgets=True)
         engine = MobileBitTorrent({}, None, None, None, config)  # type: ignore[arg-type]
         short = Contact(0.0, 30.0, frozenset({NodeId(0), NodeId(1)}))
         long = Contact(0.0, 3600.0, frozenset({NodeId(0), NodeId(1)}))

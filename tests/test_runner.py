@@ -68,13 +68,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="frequent_contact_max_gap_days"):
             SimulationConfig(frequent_contact_max_gap_days=gap)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
-    def test_bandwidth_must_be_positive(self, bandwidth):
-        with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
-            SimulationConfig(use_duration_budgets=True, bandwidth_bytes_per_s=bandwidth)
-        with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
-            SimulationConfig(bandwidth_bytes_per_s=bandwidth)
-
     def test_with_variant(self):
         config = SimulationConfig()
         assert config.with_variant(ProtocolVariant.MBT_QM).variant is (

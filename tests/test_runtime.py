@@ -299,6 +299,44 @@ class TestDTNNode:
         assert b.frames_dropped == 1
         assert b.frames_received == 0
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("held_uris", None), ("carried_query_tokens", None), ("have", [1])],
+    )
+    def test_malformed_hello_counted_and_ignored(self, registry, device_pair, key, value):
+        a, b = device_pair
+        record = make_metadata(registry)
+        a.state.accept_metadata(record, 0.0)
+        handshake(a, b)
+        facts = b.peers[a.node_id]
+        heard = dict(b.state.neighbor_last_heard)
+        a.state.add_own_query(make_query(0, record.uri, ["island"]))
+        body = dict(codec.decode_frame(a.hello_bytes(5.0)).body)
+        for envelope in ("type", "sender", "sent_at"):
+            del body[envelope]
+        if value is None:  # the key is missing
+            del body[key]
+        else:  # the key has the wrong type
+            body[key] = value
+        b.on_frame(a.node_id, codec.encode_frame(FrameType.HELLO, a.node_id, 5.0, body), 5.0)
+        assert b.frames_dropped == 1
+        assert b.peers[a.node_id] is facts
+        assert record.uri in facts.held and facts.query_tokens == ()
+        assert b.state.neighbor_last_heard == heard
+
+    @pytest.mark.parametrize("index", ["x", [0]])
+    def test_malformed_piece_index_counted_and_ignored(self, registry, device_pair, index):
+        a, b = device_pair
+        record = make_metadata(registry)
+        body = {
+            "record": codec.metadata_to_fields(record),
+            "index": index,
+            "payload_b64": "",
+        }
+        b.on_frame(a.node_id, codec.encode_frame(FrameType.PIECE, a.node_id, 0.0, body), 0.0)
+        assert b.frames_dropped == 1
+        assert record.uri not in b.state.metadata
+
     def test_selfish_node_proposes_nothing(self, registry):
         config = ProtocolConfig()
         node = DTNNode(make_node(registry, node=0, selfish=True), config)
