@@ -3,30 +3,28 @@
 The reproduction's correctness story rests on invariants that used to
 live only in conventions: stringly-typed counter keys with
 prefix-based fingerprint exclusion, :class:`SimulationConfig` fields
-that must be mirrored in the CLI and ``docs/API.md``, reference twins
-that specify the optimized candidate builders, and an import
+that must be mirrored in the CLI and ``docs/API.md``, and an import
 layering that keeps ``repro.core`` picklable for ``run_many`` workers.
-This package turns each convention into data plus an AST check:
+This package writes each convention down once, as data:
 
 ``counters``
     every counter key family (``perf.*``, ``faults.*``,
     ``adversary.*``, ``detcheck.*``) with its fingerprint class
     (deterministic / excluded) and whether ``--counters`` shows it;
     ``sim.metrics`` and the fingerprint sanitizer read both from it —
-    rule CON001;
+    rule CON001 checks the key literals in the source;
 ``knobs``
     every :class:`SimulationConfig` field mapped to its CLI flags and
-    ``docs/API.md`` anchor — rule CON003;
+    ``docs/API.md`` anchor;
 ``layers``
-    the allowed import DAG between ``repro`` packages — rule CON004;
-``seams``
-    the reference twins that must stay signature-compatible with the
-    optimized paths they specify — rule CON005.
+    the allowed import DAG between ``repro`` packages — rule CON004.
 
-The checks plug into detlint (``python -m repro.detlint --contracts``
+The CON rules plug into detlint (``python -m repro.detlint --contracts``
 or ``repro lint --contracts``) and reuse its findings, path-scoping
-and suppression machinery; see ``docs/CONTRACTS.md`` for the rule
-reference and how to register a new counter or knob.
+and suppression machinery. Tier-1 (``tests/test_contracts.py``) checks
+the knob registry and the reference-twin signatures against the
+imported modules. See ``docs/CONTRACTS.md`` for the rule reference and
+how to register a new counter or knob.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from repro.contracts.counters import (
 )
 from repro.contracts.knobs import KNOB_REGISTRY, KnobSpec
 from repro.contracts.layers import LAYERS, allowed_packages, module_for_path
-from repro.contracts.seams import SEAM_REGISTRY, SeamSpec
 
 __all__ = [
     "COUNTER_PREFIXES",
@@ -57,6 +54,4 @@ __all__ = [
     "LAYERS",
     "allowed_packages",
     "module_for_path",
-    "SEAM_REGISTRY",
-    "SeamSpec",
 ]

@@ -14,12 +14,11 @@ sync with the dataclass field:
   dataclass repr (``repr=False`` on a field would make two runs that
   differ in it print alike).
 
-CON003 parses ``SimulationConfig`` out of ``sim/runner.py`` and checks
-each field against this registry, each registered flag against the
-string literals of ``cli.py``, and each anchor against
-``docs/API.md``. To add a knob: add the dataclass field, register it
-here, and document it in ``docs/API.md`` (plus a CLI flag, or an
-``api_only`` rationale).
+Tier-1 (``tests/test_contracts.py``) checks each ``SimulationConfig``
+field against this registry and its ``repr``, each registered flag
+against ``cli.py``, and each anchor against ``docs/API.md``. To add a
+knob: add the dataclass field, register it here, and document it in
+``docs/API.md`` (plus a CLI flag, or an ``api_only`` rationale).
 """
 
 from __future__ import annotations

@@ -37,9 +37,10 @@ _RNG_SCOPE = _SIM_CORE + ("repro/traces", "repro/faults", "repro/catalog")
 _TIME_SCOPE = _RNG_SCOPE
 
 #: Path fragment of the whole package: the cross-layer contract rules
-#: (CON001, CON003–CON005) apply to any file that resolves into ``repro``,
+#: (CON001, CON004) apply to any file that resolves into ``repro``,
 #: live tree or corpus mini-tree alike — but only when contracts
-#: checking is switched on (``--contracts``).
+#: checking is switched on (``--contracts``). The missing CON ids are
+#: retired and never reused.
 _CONTRACT_SCOPE = ("repro/",)
 
 #: Callable names treated as canonical-ordering helpers: iterating
@@ -157,20 +158,6 @@ RULES: Dict[str, Rule] = {
             scopes=_CONTRACT_SCOPE,
         ),
         Rule(
-            id="CON003",
-            title="config knob coverage",
-            summary=(
-                "SimulationConfig field unregistered, missing its declared "
-                "CLI flag in cli.py, or missing its docs/API.md anchor"
-            ),
-            fixit=(
-                "register the field in repro.contracts.knobs with its CLI "
-                "flags (or an api_only rationale) and document it under its "
-                "backticked name in docs/API.md"
-            ),
-            scopes=_CONTRACT_SCOPE,
-        ),
-        Rule(
             id="CON004",
             title="import-layering violation",
             summary=(
@@ -181,20 +168,6 @@ RULES: Dict[str, Rule] = {
                 "move the import inside the function that needs it, or "
                 "widen repro.contracts.layers.LAYERS if the layering "
                 "genuinely changed"
-            ),
-            scopes=_CONTRACT_SCOPE,
-        ),
-        Rule(
-            id="CON005",
-            title="seam-parity drift",
-            summary=(
-                "reference twin or optimized implementation missing, or "
-                "the twin's signature diverging from its counterpart"
-            ),
-            fixit=(
-                "restore the counterpart listed in "
-                "repro.contracts.seams.SEAM_REGISTRY or re-align the "
-                "parameter names (the seam is duck-typed)"
             ),
             scopes=_CONTRACT_SCOPE,
         ),

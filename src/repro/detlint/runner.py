@@ -22,16 +22,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    TextIO,
-    Tuple,
-)
+from typing import List, NamedTuple, Optional, Sequence, TextIO
 
 from repro.detlint.checker import lint_source
 from repro.detlint.findings import FORMATTERS, Finding
@@ -89,9 +80,7 @@ def lint_paths(
     """Lint every Python file under ``paths``.
 
     ``contracts=True`` additionally enables the CON contract-rule
-    family: the per-file rules inside :func:`lint_source`, plus the
-    project-level drift checks (knob registry, seam parity) run once
-    per discovered ``repro`` package root.
+    family (counter-key literals and import layering, per file).
     """
     findings: List[Finding] = []
     suppressed = 0
@@ -111,42 +100,11 @@ def lint_paths(
             suppressions=False, contracts=contracts,
         )
         suppressed += len(raw) - len(file_findings)
-    if contracts:
-        for finding, was_suppressed in _project_contract_findings(files):
-            if was_suppressed:
-                suppressed += 1
-            else:
-                findings.append(finding)
     return LintReport(
         findings=sorted(findings),
         files_checked=len(files),
         suppressions_matched=suppressed,
     )
-
-
-def _project_contract_findings(
-    files: Sequence[Path],
-) -> Iterator[Tuple[Finding, bool]]:
-    """Project-level CON findings, suppression-filtered.
-
-    Cross-file findings anchor at a concrete file/line (the drifted
-    assignment, the undocumented config field), so the ordinary
-    ``# detlint: ignore[...]`` comment machinery applies — the anchor
-    file's suppression map decides.
-    """
-    from repro.contracts.checks import project_findings
-    from repro.detlint.suppressions import SuppressionMap
-
-    maps: Dict[str, Optional[SuppressionMap]] = {}
-    for finding in project_findings(files):
-        if finding.path not in maps:
-            try:
-                source = Path(finding.path).read_text(encoding="utf-8")
-                maps[finding.path] = SuppressionMap(source)
-            except OSError:
-                maps[finding.path] = None
-        smap = maps[finding.path]
-        yield finding, bool(smap and smap.suppresses(finding.line, finding.rule))
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -172,7 +130,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "additionally enforce the cross-layer contract rules "
-            "(counter and knob registries, import layering, seam parity)"
+            "(registered counter keys, import layering)"
         ),
     )
     parser.add_argument(

@@ -62,13 +62,6 @@ class PerfRecorder:
         timers = self._timers_ns
         timers[phase] = timers.get(phase, 0) + time.perf_counter_ns() - token
 
-    def merge(self, other: "PerfRecorder") -> None:
-        """Fold another recorder's signals into this one."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for phase, ns in other._timers_ns.items():
-            self._timers_ns[phase] = self._timers_ns.get(phase, 0) + ns
-
     def as_counters(self) -> Dict[str, int]:
         """All signals in the flat ``perf.*`` namespace.
 

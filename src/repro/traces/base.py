@@ -240,20 +240,6 @@ class ContactTrace:
 
     # -- transforms ---------------------------------------------------------------
 
-    def restricted_to(self, nodes: Iterable[NodeId]) -> "ContactTrace":
-        """Return a new trace keeping only contacts fully inside ``nodes``.
-
-        Contacts partially inside are shrunk to the intersection and
-        dropped if fewer than two members remain.
-        """
-        keep = set(nodes)
-        contacts: List[Contact] = []
-        for contact in self._contacts:
-            members = frozenset(m for m in contact.members if m in keep)
-            if len(members) >= 2:
-                contacts.append(Contact(contact.start, contact.end, members))
-        return ContactTrace(contacts, name=f"{self.name}|restricted")
-
     def truncated(self, end_time: float) -> "ContactTrace":
         """Return a new trace with contacts starting before ``end_time``."""
         contacts = [c for c in self._contacts if c.start < end_time]

@@ -1,8 +1,13 @@
-"""Contract registries + CON rule family: corpus, live tree, registries."""
+"""Contract registries + CON rule family: corpus, live tree, registries.
+
+The knob registry and the reference-twin signatures are checked here,
+against the imported modules, and nowhere else.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import json
 from collections import Counter
@@ -14,7 +19,6 @@ from repro.contracts import (
     KNOB_REGISTRY,
     LAYERS,
     NAMESPACE_ROOTS,
-    SEAM_REGISTRY,
     allowed_packages,
     check_counter_key,
     module_for_path,
@@ -25,11 +29,26 @@ from repro.detlint.runner import main as detlint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
+API_DOC = REPO_ROOT / "docs" / "API.md"
 CON_CORPUS = REPO_ROOT / "tests" / "detlint_corpus" / "contracts_project"
 
 CORE_PATH = "src/repro/core/snippet.py"
 
-CON_RULE_IDS = ("CON001", "CON003", "CON004", "CON005")
+CON_RULE_IDS = ("CON001", "CON004")
+
+#: The reference twins that specify each optimized path, as
+#: ``(module, optimized, reference)``. The pairing is duck-typed, so
+#: the reference's parameters must stay an ordered prefix of the
+#: optimized function's (which may add trailing opt-in parameters such
+#: as ``view``); deleting either half fails the lookup.
+SEAMS = (
+    ("repro.core.discovery", "build_metadata_candidates",
+     "build_metadata_candidates_reference"),
+    ("repro.core.download", "build_piece_candidates",
+     "build_piece_candidates_reference"),
+    ("repro.traces.mobility", "_extract_contacts",
+     "_extract_contacts_reference"),
+)
 
 
 def rule_ids(findings):
@@ -171,6 +190,20 @@ class TestKnobRegistry:
             for flag in spec.flags:
                 assert f'"{flag}"' in text, (name, flag)
 
+    def test_every_knob_is_documented(self):
+        text = API_DOC.read_text(encoding="utf-8")
+        for name, spec in KNOB_REGISTRY.items():
+            assert f"`{spec.doc_anchor}`" in text, (name, spec.doc_anchor)
+
+    def test_every_field_is_in_the_repr(self):
+        # A config's repr is what a RunError, a failed equality assertion
+        # or a log line shows of a run: two runs that differ only in a
+        # repr=False field would print alike.
+        from repro.sim.runner import SimulationConfig
+
+        hidden = [f.name for f in dataclasses.fields(SimulationConfig) if not f.repr]
+        assert hidden == []
+
 
 class TestLayerRegistry:
     def test_module_for_path(self):
@@ -197,19 +230,8 @@ class TestLayerRegistry:
 
 class TestSeamRegistryLive:
     def test_twin_and_reference_signatures_hold_at_runtime(self):
-        for seam in SEAM_REGISTRY:
-            left = self._resolve(seam.left)
-            right = self._resolve(seam.right)
-            lp = list(inspect.signature(left).parameters)
-            rp = list(inspect.signature(right).parameters)
-            assert lp[: len(rp)] == rp, seam.name  # ordered prefix
-
-    @staticmethod
-    def _resolve(ref):
-        import importlib
-
-        rel, qualname = ref
-        module = importlib.import_module(
-            "repro." + rel[: -len(".py")].replace("/", ".")
-        )
-        return getattr(module, qualname)
+        for module_name, optimized, reference in SEAMS:
+            module = importlib.import_module(module_name)
+            lp = list(inspect.signature(getattr(module, optimized)).parameters)
+            rp = list(inspect.signature(getattr(module, reference)).parameters)
+            assert lp[: len(rp)] == rp, (module_name, reference)  # ordered prefix

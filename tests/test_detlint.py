@@ -235,9 +235,7 @@ class TestScoping:
                 )
         assert ALL_RULE_IDS == (
             "CON001",
-            "CON003",
             "CON004",
-            "CON005",
             "DET001",
             "DET002",
             "DET003",

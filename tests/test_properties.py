@@ -170,16 +170,6 @@ def test_trace_sorted_and_consistent(contacts):
         )
 
 
-@given(contacts=contact_lists())
-@settings(max_examples=30)
-def test_trace_restriction_is_subset(contacts):
-    trace = ContactTrace(contacts)
-    keep = list(trace.nodes)[: max(2, trace.num_nodes // 2)]
-    restricted = trace.restricted_to(keep)
-    assert set(restricted.nodes) <= set(keep)
-    assert len(restricted) <= len(trace)
-
-
 # ---------------------------------------------------------------- engine
 
 @given(

@@ -79,16 +79,6 @@ class TestContactTrace:
         trace = tiny_trace()
         assert trace.duration == DAY + 900.0
 
-    def test_restricted_to_drops_and_shrinks(self):
-        trace = tiny_trace()
-        restricted = trace.restricted_to([0, 1])
-        assert all(c.members <= {0, 1} for c in restricted)
-        # The 3-clique contact shrinks to {0, 1}.
-        assert len(restricted) == 3
-
-    def test_restricted_to_empty_population(self):
-        assert len(tiny_trace().restricted_to([0])) == 0
-
     def test_truncated(self):
         trace = tiny_trace()
         truncated = trace.truncated(end_time=1000.0)
